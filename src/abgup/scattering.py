@@ -171,9 +171,8 @@ def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
         raise PoleError(f"g2m: m + alpha' = {w} is integer (gamma pole)")
     nu = abs(w)
     hk2 = (params.hbar * params.k) ** 2
-    sin_pw = (-1.0) ** int(m) * math.sin(math.pi * flux_split(alpha_prime).gamma_part) * (
-        (-1.0) ** flux_split(alpha_prime).n_part
-    )
+    split = flux_split(alpha_prime)
+    sin_pw = (-1.0) ** int(m) * math.sin(math.pi * split.gamma_part) * (-1.0) ** split.n_part
     gamma_pair = -math.pi / (w * sin_pw)
     return (
         -cmath.exp(-0.5j * math.pi * nu)

@@ -10,7 +10,9 @@ against quadrature stay genuinely two-route:
 * ``bessel_j``   -- J_nu for real order and z >= 0, vectorised over z, with an
                     ascending series / backward-recurrence / asymptotic split.
 * ``hyp2f1_11``  -- 2F1(1, 1; c; x) via power series, Gauss continued fraction
-                    and a contiguous downshift in c.
+                    and a contiguous downshift in c. The direct evaluations
+                    are memoised (last 16, keyed on the exact (c, x)), so a
+                    hit returns exactly what a fresh evaluation would.
 * ``pfq_series`` -- generic hypergeometric sum with term-ratio stopping.
 
 Branch switchovers are chosen so each branch runs well inside its comfort
@@ -19,6 +21,7 @@ zone; the overlaps are property-tested.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,17 +56,22 @@ def _near_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return r <= 0 and abs(x - r) < tol
 
 
+def _lanczos_sum(x: float) -> float:
+    """The rational Lanczos series shared by ``gamma_fn`` and ``log_gamma``."""
+    acc = _LANCZOS_COEF[0]
+    for i in range(1, len(_LANCZOS_COEF)):
+        acc += _LANCZOS_COEF[i] / (x - 1.0 + i)
+    return acc
+
+
 def _lanczos_core(x: float) -> float:
     """Gamma(x) for x >= 0.5 via the Lanczos sum.
 
     The power and exponential are combined into one exp() so arguments up to
     the overflow edge of Gamma itself (x ~ 171.6) stay representable.
     """
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (x - 1.0 + i)
     t = x - 0.5 + _LANCZOS_G
-    return _SQRT_2PI * acc * math.exp((x - 0.5) * math.log(t) - t)
+    return _SQRT_2PI * _lanczos_sum(x) * math.exp((x - 0.5) * math.log(t) - t)
 
 
 def gamma_fn(x: float) -> float:
@@ -101,9 +109,7 @@ def log_gamma(x: float) -> float:
     if not (x > 0.0):
         raise DomainValidationError(f"log_gamma needs x > 0, got {x}")
     if x >= 0.5:
-        acc = _LANCZOS_COEF[0]
-        for i in range(1, len(_LANCZOS_COEF)):
-            acc += _LANCZOS_COEF[i] / (x - 1.0 + i)
+        acc = _lanczos_sum(x)
         t = x - 0.5 + _LANCZOS_G
         return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(acc)
     # Small positive x: shift up once; Gamma(x) = Gamma(x+1)/x.
@@ -356,6 +362,7 @@ def bessel_j(nu: float, z):
 
 _SERIES_RADIUS = 0.7
 _MIN_DIRECT_C = 1.5
+_DIRECT_MEMO_SIZE = 16  # four anchors per kernel build, room for a few builds
 
 
 def _hyp_series(c: float, x: complex) -> complex:
@@ -385,17 +392,33 @@ def _hyp_continued_fraction(c: float, x: complex) -> complex:
     """
     tiny = 1e-280
     # Evaluate the denominator chain g = 1 + e1 x/(1 + e2 x/(1 + ...)) by
-    # modified Lentz (b_n = 1 throughout), then return 1/g.
+    # modified Lentz (b_n = 1 throughout), then return 1/g. Each pass of the
+    # loop takes the odd step e_{2i+1} and then the even step e_{2i+2}; the
+    # two share the numerator and the factor c + 2i.
     g = 1.0 + 0.0j
     big_c = g
     big_d = 0.0 + 0.0j
-    for n in range(1, 100000):
-        i, odd = divmod(n - 1, 2)
-        if odd == 0:
-            e = -(i + 1.0) * (c - 1.0 + i) / ((c - 1.0 + 2.0 * i) * (c + 2.0 * i))
-        else:
-            e = -(i + 1.0) * (c - 1.0 + i) / ((c + 2.0 * i) * (c + 1.0 + 2.0 * i))
-        a = e * x
+    c_lo = c - 1.0
+    c_hi = c + 1.0
+    for i in range(50000):
+        num = -(i + 1.0) * (c_lo + i)
+        two_i = 2.0 * i
+        mid = c + two_i
+
+        a = num / ((c_lo + two_i) * mid) * x
+        big_d = 1.0 + a * big_d
+        if big_d == 0.0:
+            big_d = tiny
+        big_c = 1.0 + a / big_c
+        if big_c == 0.0:
+            big_c = tiny
+        big_d = 1.0 / big_d
+        delta = big_c * big_d
+        g *= delta
+        if abs(delta - 1.0) < 5e-16:
+            return 1.0 / g
+
+        a = num / (mid * (c_hi + two_i)) * x
         big_d = 1.0 + a * big_d
         if big_d == 0.0:
             big_d = tiny
@@ -410,7 +433,14 @@ def _hyp_continued_fraction(c: float, x: complex) -> complex:
     raise AccuracyError(f"hyp2f1_11 continued fraction stalled (c={c}, x={x})")
 
 
+@functools.lru_cache(maxsize=_DIRECT_MEMO_SIZE)
 def _hyp_direct(c: float, x: complex) -> complex:
+    """One series or continued-fraction evaluation, memoised on exact (c, x).
+
+    Keys compare with ``==``, so on the real axis x and its conjugate share
+    one entry; both branches return bitwise equal values for the two signs
+    of a zero imaginary part, so a hit is still exact there.
+    """
     if abs(x) <= _SERIES_RADIUS:
         return _hyp_series(c, x)
     return _hyp_continued_fraction(c, x)
@@ -438,6 +468,13 @@ def hyp2f1_11(c: float, x) -> complex:
     come from the primary branches; the recursion runs toward the growing
     solution, so it is stable. The 1/c blow-up of the function as c -> 0+ is
     genuine, not a loss of accuracy.
+
+    The direct evaluations (the value itself for c >= 1.5, the two anchors
+    of the recursion otherwise) go through a memo of the last 16 results,
+    keyed on the exact (c, x). The recursion from c, c + 1 and c + 2 reaches
+    the same anchors, so the six values of one kernel build cost four direct
+    evaluations, and a repeated build costs none. A hit is exact: it returns
+    the very value a fresh evaluation would.
     """
     c = float(c)
     x = complex(x)

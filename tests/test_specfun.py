@@ -4,6 +4,7 @@ scipy (the quadrature backend, an independent implementation)."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -19,7 +20,9 @@ from abgup import (
     hyp2f1_11,
     log_gamma,
     pfq_series,
+    specfun,
 )
+from abgup.scattering import g_fn
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -211,6 +214,111 @@ class TestHyp2f1:
             x = 0.5 + 1j * t
             ref = complex(sps.hyp2f1(1.0, 1.0, 1.7, x))
             assert hyp2f1_11(1.7, x) == pytest.approx(ref, rel=1e-8)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    """Exact bit pattern of a complex value, sign of zero included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def _kernel_args(gamma: float, phi: float) -> list[tuple[float, complex]]:
+    """The six (c, argument) pairs of one g_fn build, in g_fn's order."""
+    x = 0.5 * (1.0 + 1j * math.tan(0.5 * phi))
+    xc = x.conjugate()
+    return [
+        (2.0 - gamma, xc), (1.0 + gamma, x), (3.0 - gamma, xc),
+        (gamma, x), (1.0 - gamma, xc), (2.0 + gamma, x),
+    ]
+
+
+class TestHypDirectMemo:
+    """The memo under hyp2f1_11 returns exactly what a fresh evaluation gives."""
+
+    @staticmethod
+    def _uncached(monkeypatch, args):
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_hyp_direct", specfun._hyp_direct.__wrapped__)
+            return [hyp2f1_11(c, x) for c, x in args]
+
+    def _assert_cached_equals_uncached(self, monkeypatch, args):
+        fresh = [_bits(v) for v in self._uncached(monkeypatch, args)]
+        specfun._hyp_direct.cache_clear()
+        cold = [_bits(hyp2f1_11(c, x)) for c, x in args]
+        warm = [_bits(hyp2f1_11(c, x)) for c, x in args]
+        assert cold == fresh
+        assert warm == fresh
+
+    # phi = 0.4 keeps |x| <= 0.7 (series), phi = 2.5 puts |x| near 1.6 (continued
+    # fraction); at gamma = 1/2 the x and x* families share their c values.
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("phi", [0.4, -0.4, 2.5, -2.5])
+    def test_bitwise_equal_to_uncached(self, monkeypatch, gamma, phi):
+        args = _kernel_args(gamma, phi)
+        assert {abs(x) <= specfun._SERIES_RADIUS for _, x in args} == {abs(phi) < 1.0}
+        self._assert_cached_equals_uncached(monkeypatch, args)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
+    def test_bitwise_equal_at_phi_zero(self, monkeypatch, gamma):
+        # x and x* are equal as keys here and differ only in the sign of Im x = 0;
+        # at gamma = 1/2 the two families even share their c values.
+        args = _kernel_args(gamma, 0.0)
+        x, xc = args[1][1], args[0][1]
+        assert x == xc and hash(x) == hash(xc) and _bits(x) != _bits(xc)
+        self._assert_cached_equals_uncached(monkeypatch, args)
+
+    @pytest.mark.parametrize("alpha_prime", [2.3, -1.3, 1.7, 0.45])
+    @pytest.mark.parametrize("phi", [0.4, 2.5, -3.0])
+    def test_one_build_costs_four_misses(self, alpha_prime, phi):
+        specfun._hyp_direct.cache_clear()
+        first = g_fn(alpha_prime, phi)
+        assert specfun._hyp_direct.cache_info().misses == 4
+        second = g_fn(alpha_prime, phi)
+        assert specfun._hyp_direct.cache_info().misses == 4
+        assert _bits(first.g) == _bits(second.g)
+
+    def test_size_stays_bounded_over_a_scan(self, capsys):
+        from abgup import cli
+
+        specfun._hyp_direct.cache_clear()
+        argv = ["phi-scan", "--beta=0.01", "--alpha=1.3", "--phi-min=-3.1",
+                "--phi-max=3.1", "--steps=120", "--format=json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        info = specfun._hyp_direct.cache_info()
+        assert info.misses == 4 * 120  # the JSON row's second build is all hits
+        assert 0 < info.currsize <= info.maxsize == specfun._DIRECT_MEMO_SIZE
+
+
+def _mp_rel_err(value: complex, c: float, x: complex) -> float:
+    with mpmath.workdps(50):
+        ref = mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(x.real, x.imag))
+        return float(abs(mpmath.mpc(value.real, value.imag) - ref) / abs(ref))
+
+
+class TestHyp2f1Mpmath:
+    """hyp2f1_11 against mpmath at 50 digits, across its branch switchovers."""
+
+    # |x| just below and above the series radius 0.7, on the Re x = 1/2 kernel
+    # locus and off it, plus the forward region |x| ~ 11 (phi near +-pi).
+    _ARGS = [
+        0.5 + 0.48j, 0.5 - 0.48j, 0.5 + 0.50j, 0.5 - 0.50j,
+        0.69, -0.69, -0.71, 0.7j * 1.01, -0.3 + 0.62j, -0.3 + 0.65j,
+        0.5 + 11.0j, 0.5 - 11.0j, 11.0 + 0.5j, -11.0,
+    ]
+    # c on both sides of the recursion switch 1.5, and the gamma-shifted
+    # values a kernel build uses.
+    _CS = [0.3, 0.7, 1.2, 1.49, 1.5, 1.51, 2.3, 3.7]
+
+    @pytest.mark.parametrize("c", _CS)
+    def test_cold_and_warm_cache(self, c):
+        worst = 0.0
+        for x in self._ARGS:
+            specfun._hyp_direct.cache_clear()
+            cold = hyp2f1_11(c, x)
+            warm = hyp2f1_11(c, x)
+            assert specfun._hyp_direct.cache_info().hits > 0
+            worst = max(worst, _mp_rel_err(cold, c, x), _mp_rel_err(warm, c, x))
+        assert worst < 1e-12
 
 
 class TestPfqSeries:
