@@ -30,6 +30,7 @@ embedding into 3-vectors for the cross products.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -87,8 +88,8 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
             raise DomainValidationError(f"dimension must be 2 or 3, got {self.d}")
-        if self.h_fd <= 0.0:
-            raise DomainValidationError(f"h_fd must be positive, got {self.h_fd}")
+        if not (self.h_fd > 0.0 and math.isfinite(self.h_fd)):
+            raise DomainValidationError(f"h_fd must be positive and finite, got {self.h_fd}")
         if self.grad_v is None:
             self.grad_v = self._fd_grad_v
         if self.jac_a is None:
@@ -161,11 +162,12 @@ def uniform_field(d: int = 3, e_field=None, b_field=None, h_fd: float = 1e-5) ->
         )
 
     zero_vec = np.zeros(d)
+    grad_v = -e_vec
     return FieldSpec(
         d=d,
         v_fn=lambda x, t: -float(e_vec @ x),
         a_fn=lambda x, t: a_mat @ x,
-        grad_v=lambda x, t: -e_vec,
+        grad_v=lambda x, t: grad_v,
         jac_a=lambda x, t: a_mat,
         da_dt=lambda x, t: zero_vec,
         h_fd=h_fd,
@@ -188,23 +190,24 @@ def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> 
     r2_min = r_min * r_min
     zero_vec = np.zeros(2)
 
-    def a_fn(x: np.ndarray, t: float) -> np.ndarray:
-        r2 = x[0] * x[0] + x[1] * x[1]
+    def outside_core(x: np.ndarray) -> tuple[float, float, float]:
+        x1, x2 = x.tolist()
+        r2 = x1 * x1 + x2 * x2
         if r2 < r2_min:
             raise SingularConfigError(
                 f"flux-line potential evaluated at r = {math.sqrt(r2):.3e} < r_min = {r_min}"
             )
-        return np.array([c * x[1] / r2, -c * x[0] / r2])
+        return x1, x2, r2
+
+    def a_fn(x: np.ndarray, t: float) -> np.ndarray:
+        x1, x2, r2 = outside_core(x)
+        return np.array([c * x2 / r2, -c * x1 / r2])
 
     def jac_a(x: np.ndarray, t: float) -> np.ndarray:
-        r2 = x[0] * x[0] + x[1] * x[1]
-        if r2 < r2_min:
-            raise SingularConfigError(
-                f"flux-line potential evaluated at r = {math.sqrt(r2):.3e} < r_min = {r_min}"
-            )
+        x1, x2, r2 = outside_core(x)
         r4 = r2 * r2
-        off = c * (x[0] * x[0] - x[1] * x[1]) / r4
-        diag = 2.0 * c * x[0] * x[1] / r4
+        off = c * (x1 * x1 - x2 * x2) / r4
+        diag = 2.0 * c * x1 * x2 / r4
         return np.array([[-diag, off], [off, diag]])
 
     return FieldSpec(
@@ -223,7 +226,7 @@ def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> 
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """Canonical phase-space point (x, p) at time t."""
+    """Canonical phase-space point (x, p) at time t, all of it finite."""
 
     x: np.ndarray
     p: np.ndarray
@@ -235,6 +238,10 @@ class ClassicalState:
         if self.x.ndim != 1 or self.x.shape != self.p.shape:
             raise DomainValidationError(
                 f"x and p must be equal-length vectors, got {self.x.shape} and {self.p.shape}"
+            )
+        if not (np.isfinite(self.x).all() and np.isfinite(self.p).all() and math.isfinite(self.t)):
+            raise DomainValidationError(
+                f"x, p and t must be finite, got x={self.x}, p={self.p}, t={self.t}"
             )
 
 
@@ -358,35 +365,53 @@ def eom_accel(
     return lorentz + (params.beta * q / m) * gamma_term(v, x, t, fields, params)
 
 
+def _dot(u, w) -> float:
+    return sum(map(operator.mul, u, w))
+
+
 def _flow(
     x: np.ndarray,
-    p: np.ndarray,
+    p: list[float],
     t: float,
     fields: FieldSpec,
     params: PhysicalParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-space velocity of the first-order Hamiltonian, used by RK4."""
+) -> tuple[list[float], list[float], list[float]]:
+    """Phase-space velocity of the first-order Hamiltonian, used by RK4.
+
+    One call of each of a_fn, jac_a and grad_v at the array point x; the
+    rest is float arithmetic on lists, for d = 2 and 3 alike. Returns
+    (xdot, pdot, p - qA), the last for the energy at the same point.
+    """
     q, m, beta = params.charge, params.mass, params.beta
-    a = fields.a_fn(x, t)
-    jac = fields.jac_a(x, t)
-    grad_v = fields.grad_v(x, t)
-    pma = p - q * a
-    xdot = pma / m
-    pdot = (q / m) * (jac.T @ pma) - q * grad_v
+    a = fields.a_fn(x, t).tolist()
+    jac_t = fields.jac_a(x, t).T.tolist()
+    grad_v = fields.grad_v(x, t).tolist()
+    pma = [pi - q * ai for pi, ai in zip(p, a)]
+    xdot = [u / m for u in pma]
+    pdot = [(q / m) * _dot(row, pma) - q * g for row, g in zip(jac_t, grad_v)]
     if beta != 0.0:
-        p2 = float(p @ p)
-        xdot = xdot + (beta / m) * (4.0 * p2 * p - 2.0 * q * float(a @ p) * p - q * p2 * a)
-        pdot = pdot + (beta * q / m) * p2 * (jac.T @ p)
-    return xdot, pdot
+        p2 = _dot(p, p)
+        ap = _dot(a, p)
+        xdot = [
+            xd + (beta / m) * (4.0 * p2 * pi - 2.0 * q * ap * pi - q * p2 * ai)
+            for xd, pi, ai in zip(xdot, p, a)
+        ]
+        pdot = [pd + (beta * q / m) * p2 * _dot(row, p) for pd, row in zip(pdot, jac_t)]
+    return xdot, pdot, pma
 
 
 def hamiltonian_flow(
     state: ClassicalState, fields: FieldSpec, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """(xdot, pdot) of the truncated Hamiltonian; the exact gradient pair
-    (dH/dp, -dH/dx) of ``hamiltonian``."""
+    (dH/dp, -dH/dx) of ``hamiltonian``.
+
+    The same float-arithmetic flow that ``integrate`` steps with: one
+    evaluation of a_fn, jac_a and grad_v, returned as arrays.
+    """
     _check_dim(state.x, fields)
-    return _flow(state.x, state.p, state.t, fields, params)
+    xdot, pdot, _ = _flow(state.x, state.p.tolist(), state.t, fields, params)
+    return np.array(xdot), np.array(pdot)
 
 
 def hamiltonian(state: ClassicalState, fields: FieldSpec, params: PhysicalParams) -> float:
@@ -440,57 +465,81 @@ def integrate(
 ) -> Trajectory:
     """Classical RK4 on the Hamiltonian flow, recording (t, x, v, p, H).
 
-    The recorded velocity is the deformed velocity map evaluated at each
-    sample. A field-evaluation failure (e.g. crossing the flux-line
-    exclusion radius) truncates the run and marks the trajectory
-    incomplete rather than raising.
+    The state is stepped in Python float arithmetic. Each of the four
+    stages evaluates a_fn, jac_a and grad_v once, at an array built once
+    for it. The evaluation at an accepted sample is also the next step's
+    first stage: it gives the recorded velocity (the deformed velocity
+    map) and the recorded energy H, which reuses that evaluation's A and
+    adds one v_fn call. A field-evaluation failure (e.g. crossing the
+    flux-line exclusion radius) truncates the run and marks the
+    trajectory incomplete rather than raising.
     """
-    if dt <= 0.0:
-        raise DomainValidationError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise DomainValidationError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise DomainValidationError(f"steps must be >= 1, got {steps}")
     _check_dim(initial.x, fields)
 
-    x = initial.x.copy()
-    p = initial.p.copy()
-    t0 = initial.t
+    q, m, beta = params.charge, params.mass, params.beta
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    ts = [t0]
-    xs = [x.copy()]
-    ps = [p.copy()]
-    cur = _flow(x, p, t0, fields, params)
-    vs = [cur[0].copy()]
-    es = [hamiltonian(ClassicalState(x, p, t0), fields, params)]
+    def first_stage(x: list[float], p: list[float], t: float):
+        """k1 of the step from (x, p) at t, and H there."""
+        xa = np.array(x)
+        xdot, pdot, pma = _flow(xa, p, t, fields, params)
+        h = _dot(pma, pma) / (2.0 * m) + q * fields.v_fn(xa, t)
+        if beta != 0.0:
+            h += (beta / m) * _dot(p, p) * _dot(pma, p)
+        return xdot, pdot, h
+
+    def stage(x, p, t, s, kx, kp):
+        """The flow at (x + s kx, p + s kp) and t."""
+        return _flow(
+            np.array([xi + s * k for xi, k in zip(x, kx)]),
+            [pi + s * k for pi, k in zip(p, kp)],
+            t,
+            fields,
+            params,
+        )
+
+    def advance(u, k1, k2, k3, k4):
+        return [
+            ui + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
+        ]
+
+    t0 = initial.t
+    x, p = initial.x.tolist(), initial.p.tolist()
+    k1x, k1p, h = first_stage(x, p, t0)
+    ts, xs, ps, vs, es = [t0], [x], [p], [k1x], [h]
     complete = True
 
     t = t0
     for n in range(1, steps + 1):
         try:
-            k1x, k1p = cur
-            k2x, k2p = _flow(x + half * k1x, p + half * k1p, t + half, fields, params)
-            k3x, k3p = _flow(x + half * k2x, p + half * k2p, t + half, fields, params)
-            k4x, k4p = _flow(x + dt * k3x, p + dt * k3p, t + dt, fields, params)
-            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            k2x, k2p, _ = stage(x, p, t + half, half, k1x, k1p)
+            k3x, k3p, _ = stage(x, p, t + half, half, k2x, k2p)
+            k4x, k4p, _ = stage(x, p, t + dt, dt, k3x, k3p)
+            x = advance(x, k1x, k2x, k3x, k4x)
+            p = advance(p, k1p, k2p, k3p, k4p)
             t = t0 + n * dt
-            cur = _flow(x, p, t, fields, params)
-            es.append(hamiltonian(ClassicalState(x, p, t), fields, params))
+            k1x, k1p, h = first_stage(x, p, t)
         except (DomainValidationError, SingularConfigError):
             complete = False
             break
         ts.append(t)
-        xs.append(x.copy())
-        ps.append(p.copy())
-        vs.append(cur[0].copy())
+        xs.append(x)
+        ps.append(p)
+        vs.append(k1x)
+        es.append(h)
 
     return Trajectory(
         t=np.array(ts),
         x=np.array(xs),
         v=np.array(vs),
         p=np.array(ps),
-        energy=np.array(es[: len(ts)]),
+        energy=np.array(es),
         dt=dt,
         complete=complete,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -35,10 +36,11 @@ from .specfun import bessel_j, digamma, gamma_fn, hyp2f1_11
 
 _ALPHA_MARGIN = 1e-4  # scans skip flux values this close to an integer
 _PHI_MARGIN_DEFAULT = 1e-3  # scans skip angles this close to +-pi
+_NUM = "%.17g"  # every float written to CSV
 
 
 def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+    return _NUM % float(x)
 
 
 def _parse_vec(text: str, name: str) -> np.ndarray:
@@ -63,9 +65,28 @@ def _emit_csv(path: str, header: str, lines: list[str]) -> None:
     _write_text(path, header + "\n" + "".join(line + "\n" for line in lines))
 
 
+# One record of the output at its depth in the indent=2 layout. The C encoder
+# runs only without ``indent``, so each record (a non-empty flat dict of
+# scalars) is encoded on its own with the newline and indent put in its item
+# separator.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _json_list(records: list[dict]) -> str:
+    if not records:
+        return "[]"
+    items = ["{\n      " + _RECORD_ENCODER.encode(rec)[1:-1] + "\n    }" for rec in records]
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
 def _emit_json(path: str, records: list[dict], skipped: list[dict]) -> None:
-    payload = {"records": records, "skipped": skipped}
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write ``{"records": ..., "skipped": ...}`` byte for byte as
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` would."""
+    _write_text(
+        path,
+        '{\n  "records": ' + _json_list(records)
+        + ',\n  "skipped": ' + _json_list(skipped) + "\n}\n",
+    )
 
 
 def _params_from(args: argparse.Namespace) -> PhysicalParams:
@@ -84,7 +105,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and each parse returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="abgup",
         description="Flux-line scattering cross sections and deformed classical dynamics",
@@ -298,31 +322,23 @@ def _run_trajectory(args: argparse.Namespace) -> int:
         classical.ClassicalState(x0, p0, args.t0), fields, params, args.dt, args.steps
     )
 
-    coords = [f"x{i+1}" for i in range(d)] + [f"v{i+1}" for i in range(d)]
-    header = "t," + ",".join(coords) + ",energy"
+    keys = ["t"] + [f"x{i+1}" for i in range(d)] + [f"v{i+1}" for i in range(d)] + ["energy"]
+    rows = [
+        (t, *x, *v, e)
+        for t, x, v, e in zip(
+            traj.t.tolist(), traj.x.tolist(), traj.v.tolist(), traj.energy.tolist()
+        )
+    ]
     if args.format == "csv":
-        lines = []
-        for i in range(len(traj)):
-            vals = (
-                [traj.t[i]]
-                + list(traj.x[i])
-                + list(traj.v[i])
-                + [traj.energy[i]]
-            )
-            lines.append(",".join(_fmt(v) for v in vals))
+        row_fmt = ",".join([_NUM] * len(keys))
+        lines = [row_fmt % row for row in rows]
         if not traj.complete:
             lines.append(
                 f"# truncated after {len(traj) - 1} steps (field evaluation failed)"
             )
-        _emit_csv(args.out, header, lines)
+        _emit_csv(args.out, ",".join(keys), lines)
     else:
-        records = []
-        for i in range(len(traj)):
-            rec = {"t": float(traj.t[i]), "energy": float(traj.energy[i])}
-            for j in range(d):
-                rec[f"x{j+1}"] = float(traj.x[i][j])
-                rec[f"v{j+1}"] = float(traj.v[i][j])
-            records.append(rec)
+        records = [dict(zip(keys, row)) for row in rows]
         skipped = (
             []
             if traj.complete

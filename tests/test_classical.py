@@ -9,6 +9,7 @@ import pytest
 from abgup import (
     ClassicalState,
     DomainValidationError,
+    FieldSpec,
     PhysicalParams,
     ScalarField,
     SingularConfigError,
@@ -282,6 +283,130 @@ class TestIntegrate:
         fld = uniform_field(d=3)
         with pytest.raises(DomainValidationError):
             integrate(ClassicalState(np.zeros(2), np.ones(2)), fld, P0, 0.1, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        fld = uniform_field(d=2, b_field=1.0)
+        st = ClassicalState(np.zeros(2), np.ones(2))
+        with pytest.raises(DomainValidationError):
+            integrate(st, fld, P0, bad, 10)
+        with pytest.raises(DomainValidationError):
+            ClassicalState(np.array([bad, 0.0]), np.ones(2))
+        with pytest.raises(DomainValidationError):
+            ClassicalState(np.zeros(2), np.array([0.0, bad]))
+        with pytest.raises(DomainValidationError):
+            ClassicalState(np.zeros(2), np.ones(2), bad)
+        with pytest.raises(DomainValidationError):
+            FieldSpec(d=2, v_fn=fld.v_fn, a_fn=fld.a_fn, h_fd=bad)
+
+
+# =====================================================================
+# Float RK4 against a numpy restatement
+# =====================================================================
+
+def _numpy_flow(x, p, t, fields, params):
+    """(xdot, pdot) of the truncated Hamiltonian in numpy vector arithmetic."""
+    q, m, beta = params.charge, params.mass, params.beta
+    a = fields.a_fn(x, t)
+    jac = fields.jac_a(x, t)
+    pma = p - q * a
+    xdot = pma / m
+    pdot = (q / m) * (jac.T @ pma) - q * fields.grad_v(x, t)
+    if beta != 0.0:
+        p2 = float(p @ p)
+        xdot = xdot + (beta / m) * (4.0 * p2 * p - 2.0 * q * float(a @ p) * p - q * p2 * a)
+        pdot = pdot + (beta * q / m) * p2 * (jac.T @ p)
+    return xdot, pdot
+
+
+def _numpy_rk4(state, fields, params, dt, steps):
+    """Classical RK4 on ``_numpy_flow``: (x, p, v) per sample, stopping
+    where a field evaluation fails."""
+    x, p, t0 = state.x, state.p, state.t
+    xs, ps, vs = [x], [p], [_numpy_flow(x, p, t0, fields, params)[0]]
+    for n in range(1, steps + 1):
+        t = t0 + (n - 1) * dt
+        try:
+            k1x, k1p = _numpy_flow(x, p, t, fields, params)
+            k2x, k2p = _numpy_flow(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p, t + 0.5 * dt, fields, params)
+            k3x, k3p = _numpy_flow(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p, t + 0.5 * dt, fields, params)
+            k4x, k4p = _numpy_flow(x + dt * k3x, p + dt * k3p, t + dt, fields, params)
+            x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            p = p + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            v = _numpy_flow(x, p, t0 + n * dt, fields, params)[0]
+        except SingularConfigError:
+            break
+        xs.append(x)
+        ps.append(p)
+        vs.append(v)
+    return np.array(xs), np.array(ps), np.array(vs)
+
+
+_RK4_CASES = {
+    "ab-beta": (
+        ab_flux_field(0.5, PB), PB,
+        ClassicalState(np.array([2.0, 0.0]), np.array([-0.3, 0.8])),
+    ),
+    "uniform-b-bare": (
+        uniform_field(d=2, b_field=1.3), P0,
+        ClassicalState(np.array([0.2, -0.4]), np.array([0.9, 0.3])),
+    ),
+    "uniform-eb-3d-beta": (
+        uniform_field(d=3, e_field=[0.1, -0.2, 0.05], b_field=[0.3, -0.5, 1.1]), PB,
+        ClassicalState(np.array([0.1, 0.2, -0.3]), np.array([0.4, -0.2, 0.3]), 0.25),
+    ),
+}
+
+
+class TestFloatRk4:
+    @pytest.mark.parametrize("case", sorted(_RK4_CASES))
+    def test_matches_numpy_stages(self, case):
+        # 500 steps; the two differ only in how 2- and 3-term dot products
+        # round, so the gap stays at the level of one rounding of the scale
+        fields, params, st = _RK4_CASES[case]
+        traj = integrate(st, fields, params, 1e-3, 500)
+        xs, ps, vs = _numpy_rk4(st, fields, params, 1e-3, 500)
+        assert traj.complete and len(traj) == 501
+        for got, ref in ((traj.x, xs), (traj.p, ps), (traj.v, vs)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", sorted(_RK4_CASES))
+    def test_energy_is_the_hamiltonian(self, case):
+        fields, params, st = _RK4_CASES[case]
+        traj = integrate(st, fields, params, 1e-3, 200)
+        oracle = np.array(
+            [
+                hamiltonian(ClassicalState(x, p, t), fields, params)
+                for x, p, t in zip(traj.x, traj.p, traj.t)
+            ]
+        )
+        assert traj.energy.shape == oracle.shape
+        ulp = np.spacing(np.max(np.abs(oracle)))
+        assert np.max(np.abs(traj.energy - oracle)) <= 4 * ulp
+
+    @pytest.mark.parametrize("case", sorted(_RK4_CASES))
+    def test_hamiltonian_flow_returns_arrays(self, case):
+        fields, params, st = _RK4_CASES[case]
+        xd, pd = hamiltonian_flow(st, fields, params)
+        ref_xd, ref_pd = _numpy_flow(st.x, st.p, st.t, fields, params)
+        for got, ref in ((xd, ref_xd), (pd, ref_pd)):
+            assert isinstance(got, np.ndarray)
+            assert got.shape == (fields.d,) and got.dtype == np.float64
+            assert np.allclose(got, ref, rtol=1e-15, atol=1e-15 * np.max(np.abs(ref)))
+
+    def test_truncation_matches_numpy_stages(self):
+        # the same run as test_truncation_on_singular_field: both routes stop
+        # at the same step, and the truncated record is consistent
+        fld = ab_flux_field(0.5, P0, r_min=0.5)
+        st = ClassicalState(np.array([2.0, 0.0]), np.array([-1.0, 0.0]))
+        traj = integrate(st, fld, P0, 0.01, 1000)
+        xs, _, _ = _numpy_rk4(st, fld, P0, 0.01, 1000)
+        assert not traj.complete
+        assert len(traj) == len(xs) < 1001
+        for col in (traj.x, traj.v, traj.p, traj.energy):
+            assert col.shape[0] == len(traj)
+        assert np.max(np.abs(traj.x - xs)) <= 1e-15 * np.max(np.abs(xs))
 
 
 # =====================================================================

@@ -3,11 +3,16 @@ determinism and exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abgup import PhysicalParams, dsigma, flux_split, width
-from abgup.cli import main
+from abgup.cli import _build_parser, _emit_json, main
 
 
 def _rows(path):
@@ -238,6 +243,16 @@ class TestTrajectory:
         rc = main(["trajectory", "--x0", "a,b", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--dt", "--x0", "--p0", "--t0"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, flag, bad):
+        value = f"{bad},0" if flag in ("--x0", "--p0") else bad
+        out = tmp_path / "x.csv"
+        rc = main(["trajectory", "--field", "uniform-b", f"{flag}={value}", "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_records(self, tmp_path):
         out = tmp_path / "traj.json"
         assert main(
@@ -270,6 +285,57 @@ class TestWidth:
 
 
 # =====================================================================
+# JSON writer
+# =====================================================================
+
+def _reference_json(records, skipped):
+    return json.dumps({"records": records, "skipped": skipped}, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "records, skipped",
+        [
+            ([], []),
+            ([{"a": 1.0}], []),
+            ([], [{"reason": "x"}]),
+            ([{"b": 2}, {"a": "x"}], [{"c": 1}]),
+            (
+                [
+                    {"z": math.nan, "y": math.inf, "x": -math.inf, "w": np.float64(0.1), "v": -0.0},
+                    {"n": 3, "m": -7, "flag": True, "none": None, "big": 1e300, "tiny": 5e-324},
+                ],
+                [{"reason": 'a, "quoted"\nline\tand \\ and \u00e9', "phi": np.float64(-2.5)}],
+            ),
+        ],
+    )
+    def test_matches_json_dumps_indent_2(self, tmp_path, records, skipped):
+        out = tmp_path / "doc.json"
+        _emit_json(str(out), records, skipped)
+        assert out.read_text() == _reference_json(records, skipped)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha-scan", "--phi", "0.5", "--beta", "0.01", "--alpha-min", "1.0",
+             "--alpha-max", "1.3", "--steps", "7"],
+            ["radial", "--m", "1", "--alpha", "0.3", "--z-min", "0.5", "--z-max", "16",
+             "--steps", "9", "--beta", "0.01"],
+            ["trajectory", "--field", "ab", "--alpha", "0", "--x0", "0.7,0",
+             "--p0=-1,0", "--dt", "0.01", "--steps", "100"],
+        ],
+    )
+    def test_cli_records_match_json_dumps(self, tmp_path, argv):
+        # a scan with skipped rows, a radial dump and a truncated trajectory
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert doc["records"] and (doc["skipped"] or argv[0] == "radial")
+        assert text == _reference_json(doc["records"], doc["skipped"])
+
+
+# =====================================================================
 # Exit codes and selftest
 # =====================================================================
 
@@ -291,6 +357,32 @@ class TestExitCodes:
             ["width", "--n", "1", "--phi", "0.5", "--out", "/nonexistent-dir/x.csv"]
         )
         assert rc == 1
+
+    def test_parser_is_built_once_and_calls_do_not_leak(self, tmp_path):
+        assert _build_parser() is _build_parser()
+        argv = ["width", "--n", "1", "--phi", "0.5", "--beta", "0.01"]
+        first, second = tmp_path / "a.out", tmp_path / "b.out"
+        assert main(argv + ["--format", "json", "--out", str(first)]) == 0
+        assert main(argv + ["--out", str(second)]) == 0
+        assert json.loads(first.read_text())["records"][0]["n"] == 1
+        header, data, _ = _rows(second)
+        assert header == "n,phi,beta,width"
+        assert data[0].split(",")[:3] == ["1", "0.5", "0.01"]
+        third = tmp_path / "c.out"
+        assert main(["width", "--n", "2", "--phi", "0.5", "--out", str(third)]) == 0
+        _, data, _ = _rows(third)
+        assert data[0].split(",")[:3] == ["2", "0.5", "0"]
+
+    def test_python_dash_m(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "abgup", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert "usage: abgup" in done.stdout
 
     def test_selftest_passes(self, capsys):
         rc = main(["selftest"])
