@@ -147,6 +147,8 @@ def uniform_field(d: int = 3, e_field=None, b_field=None, h_fd: float = 1e-5) ->
     e_vec = np.zeros(d) if e_field is None else np.asarray(e_field, dtype=float)
     if e_vec.shape != (d,):
         raise DomainValidationError(f"e_field must have length {d}")
+    if not np.isfinite(e_vec).all():
+        raise DomainValidationError(f"e_field must be finite, got {e_vec.tolist()}")
 
     if b_field is None:
         a_mat = np.zeros((d, d))
@@ -160,6 +162,8 @@ def uniform_field(d: int = 3, e_field=None, b_field=None, h_fd: float = 1e-5) ->
         a_mat = 0.5 * np.array(
             [[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]]
         )
+    if not np.isfinite(a_mat).all():  # its entries are 0 and +-b/2
+        raise DomainValidationError(f"b_field must be finite, got {b_field}")
 
     zero_vec = np.zeros(d)
     grad_v = -e_vec
@@ -184,8 +188,10 @@ def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> 
     particle moves). Evaluation inside r_min raises, since the 1/r^2
     singularity sits on the flux line.
     """
-    if r_min <= 0.0:
-        raise DomainValidationError(f"r_min must be positive, got {r_min}")
+    if not math.isfinite(alpha):
+        raise DomainValidationError(f"alpha must be finite, got {alpha}")
+    if not (r_min > 0.0 and math.isfinite(r_min)):
+        raise DomainValidationError(f"r_min must be positive and finite, got {r_min}")
     c = float(alpha) / params.charge
     r2_min = r_min * r_min
     zero_vec = np.zeros(2)

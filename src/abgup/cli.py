@@ -261,26 +261,15 @@ def _run_radial(args: argparse.Namespace) -> int:
     f0 = radial.mode_f0(zs, args.m, args.alpha)
     f1 = radial.mode_f1(zs, args.m, args.alpha, params)
 
+    points = zip(zs.tolist(), f0.tolist(), f1.tolist())
     if args.format == "csv":
-        lines = [
-            ",".join(
-                (
-                    _fmt(z),
-                    str(args.m),
-                    _fmt(args.alpha),
-                    _fmt(a.real),
-                    _fmt(a.imag),
-                    _fmt(b.real),
-                    _fmt(b.imag),
-                )
-            )
-            for z, a, b in zip(zs, f0, f1)
-        ]
+        row_fmt = f"{_NUM},{args.m},{_fmt(args.alpha)},{_NUM},{_NUM},{_NUM},{_NUM}"
+        lines = [row_fmt % (z, a.real, a.imag, b.real, b.imag) for z, a, b in points]
         _emit_csv(args.out, "z,m,alpha_prime,re_f0,im_f0,re_f1,im_f1", lines)
     else:
         records = [
             {
-                "z": float(z),
+                "z": z,
                 "m": args.m,
                 "alpha_prime": args.alpha,
                 "re_f0": a.real,
@@ -288,7 +277,7 @@ def _run_radial(args: argparse.Namespace) -> int:
                 "re_f1": b.real,
                 "im_f1": b.imag,
             }
-            for z, a, b in zip(zs, f0, f1)
+            for z, a, b in points
         ]
         _emit_json(args.out, records, [])
     return 0

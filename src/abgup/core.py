@@ -80,6 +80,8 @@ class PhysicalParams:
         Particle charge q.
     k : float
         Incident wave number.
+
+    All five must be finite; a non-finite value raises DomainValidationError.
     """
 
     hbar: float = 1.0
@@ -89,6 +91,10 @@ class PhysicalParams:
     k: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("hbar", "beta", "mass", "charge", "k"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainValidationError(f"{name} must be finite, got {value}")
         if not (self.hbar > 0.0):
             raise DomainValidationError(f"hbar must be positive, got {self.hbar}")
         if self.beta < 0.0:

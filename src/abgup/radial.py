@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sp_integrate
-from scipy import special as _sp_special
 
 from .core import (
     AccuracyError,
@@ -400,6 +398,8 @@ def fn_quadrature(
     This is the ground-truth route the closed forms are validated against.
     The integrand uses scipy's Bessel evaluation, so the comparison against
     ``f1_integral`` (hand-built Bessel) is genuinely two independent paths.
+    scipy is imported here and nowhere else in the package, so importing
+    abgup and running scans, radial dumps and trajectories never loads it.
 
     Parameters
     ----------
@@ -441,8 +441,10 @@ def fn_quadrature(
     if a < 0.0:
         raise DomainValidationError("lower_cutoff must be >= 0")
 
+    from scipy import integrate, special
+
     def integrand(t: float) -> float:
-        return _sp_special.jv(mu, t) * _sp_special.jv(nu, t) / t**n
+        return special.jv(mu, t) * special.jv(nu, t) / t**n
 
     # Chunk long ranges so the oscillatory integrand never starves QUADPACK.
     edges = [a]
@@ -454,7 +456,7 @@ def fn_quadrature(
     total = 0.0
     err_total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _sp_integrate.quad(
+        val, err = integrate.quad(
             integrand, lo, hi, epsabs=0.5 * tol, epsrel=1e-12, limit=400
         )
         total += val

@@ -99,8 +99,13 @@ def gamma_fn(x: float) -> float:
         raise PoleError(f"gamma_fn pole at non-positive integer, x = {x}")
     if x >= 0.5:
         return _lanczos_core(x)
-    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).
-    s = math.sin(math.pi * x)
+    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x). With n = round(x) the
+    # remainder r = x - n is exact and sin(pi x) = (-1)^n sin(pi r), which keeps
+    # its full relative accuracy next to the poles, where pi * x would not.
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
+    if n % 2:
+        s = -s
     return math.pi / (s * _lanczos_core(1.0 - x))
 
 
@@ -143,8 +148,9 @@ def digamma(x: float) -> float:
     if _near_nonpositive_integer(x):
         raise PoleError(f"digamma pole at non-positive integer, x = {x}")
     if x < 0.0:
-        # psi(x) = psi(1-x) - pi / tan(pi x)
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
+        # psi(x) = psi(1-x) - pi / tan(pi x); tan has period pi, so its
+        # argument is first reduced exactly to pi * (x - round(x)).
+        return digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x

@@ -298,6 +298,16 @@ class TestIntegrate:
             ClassicalState(np.zeros(2), np.ones(2), bad)
         with pytest.raises(DomainValidationError):
             FieldSpec(d=2, v_fn=fld.v_fn, a_fn=fld.a_fn, h_fd=bad)
+        with pytest.raises(DomainValidationError):
+            uniform_field(d=2, e_field=[0.1, bad])
+        with pytest.raises(DomainValidationError):
+            uniform_field(d=2, b_field=bad)
+        with pytest.raises(DomainValidationError):
+            uniform_field(d=3, b_field=[0.0, bad, 1.0])
+        with pytest.raises(DomainValidationError):
+            ab_flux_field(bad, PB)
+        with pytest.raises(DomainValidationError):
+            ab_flux_field(0.5, PB, r_min=bad)
 
 
 # =====================================================================

@@ -243,12 +243,17 @@ class TestTrajectory:
         rc = main(["trajectory", "--x0", "a,b", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
-    @pytest.mark.parametrize("flag", ["--dt", "--x0", "--p0", "--t0"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--dt", "--x0", "--p0", "--t0",
+         "--hbar", "--beta", "--mass", "--charge", "--k", "--b", "--alpha", "--e0"],
+    )
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_input_exits_1(self, tmp_path, capsys, flag, bad):
-        value = f"{bad},0" if flag in ("--x0", "--p0") else bad
+        value = f"{bad},0" if flag in ("--x0", "--p0", "--e0") else bad
+        field = {"--alpha": "ab", "--e0": "uniform-e"}.get(flag, "uniform-b")
         out = tmp_path / "x.csv"
-        rc = main(["trajectory", "--field", "uniform-b", f"{flag}={value}", "--out", str(out)])
+        rc = main(["trajectory", "--field", field, f"{flag}={value}", "--out", str(out)])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
@@ -339,6 +344,66 @@ class TestJsonWriter:
 # Exit codes and selftest
 # =====================================================================
 
+def _fresh_python(args):
+    """Run a new interpreter that imports abgup from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+# Prints the scipy modules a fresh interpreter holds after importing abgup
+# and abgup.cli, then again after running each command of sys.argv[1:]
+# (JSON lists of argv, one per command) through main with stdout captured.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import abgup, abgup.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print(json.dumps(scipy_modules()))
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = abgup.cli.main(json.loads(argv))
+    assert rc == 0, argv
+print(json.dumps(scipy_modules()))
+"""
+
+
+class TestScipyLoadedOnlyByTheOracle:
+    """scipy backs the quadrature oracle alone: importing the package and
+    running scans, radial dumps, widths and trajectories never loads it."""
+
+    def _probe(self, commands):
+        done = _fresh_python(["-c", _SCIPY_PROBE, *(json.dumps(argv) for argv in commands)])
+        assert done.returncode == 0, done.stderr
+        after_import, after_commands = (json.loads(ln) for ln in done.stdout.splitlines())
+        return after_import, after_commands
+
+    def test_commands_load_no_scipy(self):
+        commands = [
+            ["alpha-scan", "--phi", "0.7", "--alpha-min", "0.1", "--alpha-max", "2.9",
+             "--steps", "9", "--beta", "0.01"],
+            ["phi-scan", "--alpha", "0.3", "--phi-min", "-3", "--phi-max", "3",
+             "--steps", "9", "--beta", "0.01", "--format", "json"],
+            ["radial", "--m", "1", "--alpha", "0.3", "--z-max", "20", "--steps", "40",
+             "--beta", "0.01"],
+            ["radial", "--m", "0", "--alpha", "0.5", "--z-max", "20", "--steps", "40",
+             "--beta", "0.01", "--format", "json"],
+            ["width", "--n", "1", "--phi", "0.5", "--beta", "0.01"],
+            ["trajectory", "--steps", "50", "--beta", "0.01"],
+        ]
+        assert self._probe(commands) == ([], [])
+
+    def test_selftest_loads_scipy(self):
+        after_import, after_selftest = self._probe([["selftest"]])
+        assert after_import == []
+        assert {"scipy.integrate", "scipy.special"} <= set(after_selftest)
+
+
 class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -374,13 +439,7 @@ class TestExitCodes:
         assert data[0].split(",")[:3] == ["2", "0.5", "0"]
 
     def test_python_dash_m(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "abgup", "--help"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = _fresh_python(["-m", "abgup", "--help"])
         assert done.returncode == 0
         assert "usage: abgup" in done.stdout
 

@@ -40,6 +40,11 @@ class TestPhysicalParams:
             {"beta": -1e-9},
             {"mass": 0.0},
             {"k": -2.0},
+        ]
+        + [
+            {name: bad}
+            for name in ("hbar", "beta", "mass", "charge", "k")
+            for bad in (math.nan, math.inf, -math.inf)
         ],
     )
     def test_validation(self, kwargs):
