@@ -186,10 +186,13 @@ def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> 
     with analytic Jacobian (symmetric and traceless: the field is both
     divergence- and curl-free away from the origin, so B = 0 everywhere the
     particle moves). Evaluation inside r_min raises, since the 1/r^2
-    singularity sits on the flux line.
+    singularity sits on the flux line. The field takes the coupling alpha,
+    so a neutral particle (q = 0) raises DomainValidationError.
     """
     if not math.isfinite(alpha):
         raise DomainValidationError(f"alpha must be finite, got {alpha}")
+    if params.charge == 0.0:
+        raise DomainValidationError("the flux-line field needs a nonzero charge (A = alpha / q)")
     if not (r_min > 0.0 and math.isfinite(r_min)):
         raise DomainValidationError(f"r_min must be positive and finite, got {r_min}")
     c = float(alpha) / params.charge

@@ -38,9 +38,8 @@ _ALPHA_MARGIN = 1e-4  # scans skip flux values this close to an integer
 _PHI_MARGIN_DEFAULT = 1e-3  # scans skip angles this close to +-pi
 _NUM = "%.17g"  # every float written to CSV
 
-
-def _fmt(x: float) -> str:
-    return _NUM % float(x)
+_SCAN_SKIP_NOTE = "skipped alpha_prime=%(alpha_prime).17g phi=%(phi).17g reason=%(reason)s"
+_TRUNCATED_NOTE = "%(reason)s (field evaluation failed)"
 
 
 def _parse_vec(text: str, name: str) -> np.ndarray:
@@ -53,40 +52,64 @@ def _parse_vec(text: str, name: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_csv(path: str, header: str, lines: list[str]) -> None:
-    _write_text(path, header + "\n" + "".join(line + "\n" for line in lines))
-
-
-# One record of the output at its depth in the indent=2 layout. The C encoder
-# runs only without ``indent``, so each record (a non-empty flat dict of
-# scalars) is encoded on its own with the newline and indent put in its item
-# separator.
+# A list of records in the indent=2 layout. The C encoder runs only without
+# ``indent``, so the list is encoded in one call with the newline and indent
+# of a record's items put in the item separator, and the breaks between
+# records are then re-indented. The records are non-empty flat dicts of
+# scalars, and an encoded string holds no raw newline, so "},\n      {"
+# occurs only between two records.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
 
 def _json_list(records: list[dict]) -> str:
     if not records:
         return "[]"
-    items = ["{\n      " + _RECORD_ENCODER.encode(rec)[1:-1] + "\n    }" for rec in records]
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+    inner = _RECORD_ENCODER.encode(records)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + inner + "\n    }\n  ]"
 
 
-def _emit_json(path: str, records: list[dict], skipped: list[dict]) -> None:
-    """Write ``{"records": ..., "skipped": ...}`` byte for byte as
-    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` would."""
-    _write_text(
-        path,
+def _json_document(records: list[dict], skipped: list[dict]) -> str:
+    """``{"records": ..., "skipped": ...}`` byte for byte as
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` would write it."""
+    return (
         '{\n  "records": ' + _json_list(records)
-        + ',\n  "skipped": ' + _json_list(skipped) + "\n}\n",
+        + ',\n  "skipped": ' + _json_list(skipped) + "\n}\n"
     )
+
+
+def _write(
+    args: argparse.Namespace,
+    columns: tuple[str, ...],
+    rows: list[tuple],
+    skipped: list[tuple[int, str, dict]],
+) -> None:
+    """Write one subcommand's output to ``args.out`` in ``args.format``.
+
+    ``rows`` are tuples in ``columns`` order; CSV formats them with ``%d``
+    for int columns and ``%.17g`` otherwise. A skip entry
+    ``(position, note, record)`` puts ``record`` under ``"skipped"`` in JSON
+    and the comment ``"# " + note % record`` before ``rows[position]`` in
+    CSV.
+    """
+    if args.format == "json":
+        text = _json_document(
+            [dict(zip(columns, row)) for row in rows], [rec for _, _, rec in skipped]
+        )
+    else:
+        row_fmt = ",".join("%d" if isinstance(v, int) else _NUM for v in rows[0]) if rows else ""
+        lines = [",".join(columns)]
+        done = 0
+        for position, note, rec in skipped:
+            lines += [row_fmt % row for row in rows[done:position]]
+            lines.append("# " + note % rec)
+            done = position
+        lines += [row_fmt % row for row in rows[done:]]
+        text = "\n".join(lines) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _params_from(args: argparse.Namespace) -> PhysicalParams:
@@ -186,55 +209,43 @@ def _run_scan(args: argparse.Namespace, mode: str) -> int:
     params = _params_from(args)
     if args.steps < 2:
         raise DomainValidationError(f"--steps must be >= 2 for scans, got {args.steps}")
+    if not (math.isfinite(args.margin) and args.margin >= 0.0):
+        raise DomainValidationError(f"--margin must be finite and >= 0, got {args.margin}")
+    lo, hi = (args.alpha_min, args.alpha_max) if mode == "alpha" else (args.phi_min, args.phi_max)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainValidationError(f"the scan range must be finite, got [{lo}, {hi}]")
+    values = np.linspace(lo, hi, args.steps).tolist()
     if mode == "alpha":
-        grid = [(a, args.phi) for a in np.linspace(args.alpha_min, args.alpha_max, args.steps)]
+        grid = [(a, args.phi) for a in values]
     else:
-        grid = [(args.alpha, phi) for phi in np.linspace(args.phi_min, args.phi_max, args.steps)]
+        grid = [(args.alpha, phi) for phi in values]
 
-    if args.format == "csv":
-        lines: list[str] = []
-        for a, phi in grid:
-            reason = _scan_skip_reason(a, phi, args.margin)
-            if reason is None:
-                try:
-                    val = scattering.dsigma(phi, a, params, form=args.form)
-                except (DomainValidationError, AccuracyError) as exc:
-                    reason = type(exc).__name__
-            if reason is not None:
-                lines.append(
-                    f"# skipped alpha_prime={_fmt(a)} phi={_fmt(phi)} reason={reason}"
-                )
-                continue
-            lines.append(",".join((_fmt(a), _fmt(phi), _fmt(params.beta), _fmt(val))))
-        _emit_csv(args.out, "alpha_prime,phi,beta,dsigma", lines)
-        return 0
+    if args.format == "json":  # the amplitudes too, at the principal angle
+        columns = ("alpha_prime", "phi", "beta", "f0_re", "f0_im", "f1_re", "f1_im", "dsigma")
 
-    records: list[dict] = []
-    skipped: list[dict] = []
+        def evaluate(a: float, phi: float) -> tuple:
+            s = scattering.scatter_sample(phi, a, params, form=args.form)
+            f0, f1 = s.f0, s.f1
+            return (s.alpha_prime, s.phi, s.beta, f0.real, f0.imag, f1.real, f1.imag, s.dsigma)
+    else:
+        columns = ("alpha_prime", "phi", "beta", "dsigma")
+
+        def evaluate(a: float, phi: float) -> tuple:
+            return (a, phi, params.beta, scattering.dsigma(phi, a, params, form=args.form))
+
+    rows: list[tuple] = []
+    skipped: list[tuple[int, str, dict]] = []
     for a, phi in grid:
         reason = _scan_skip_reason(a, phi, args.margin)
-        sample = None
         if reason is None:
             try:
-                sample = scattering.scatter_sample(phi, a, params, form=args.form)
+                rows.append(evaluate(a, phi))
+                continue
             except (DomainValidationError, AccuracyError) as exc:
                 reason = type(exc).__name__
-        if sample is None:
-            skipped.append({"alpha_prime": a, "phi": phi, "reason": reason})
-            continue
-        records.append(
-            {
-                "alpha_prime": sample.alpha_prime,
-                "phi": sample.phi,
-                "beta": sample.beta,
-                "f0_re": sample.f0.real,
-                "f0_im": sample.f0.imag,
-                "f1_re": sample.f1.real,
-                "f1_im": sample.f1.imag,
-                "dsigma": sample.dsigma,
-            }
-        )
-    _emit_json(args.out, records, skipped)
+        rec = {"alpha_prime": a, "phi": phi, "reason": reason}
+        skipped.append((len(rows), _SCAN_SKIP_NOTE, rec))
+    _write(args, columns, rows, skipped)
     return 0
 
 
@@ -252,34 +263,16 @@ def _run_radial(args: argparse.Namespace) -> int:
         )
     if args.z_max < args.z_min:
         raise DomainValidationError("--z-max must be >= --z-min")
-    w = args.m + args.alpha
-    if abs(w - round(w)) < 1e-6:
-        raise DomainValidationError(
-            f"m + alpha = {w} is within 1e-6 of an integer; the mode pair is degenerate"
-        )
     zs = np.linspace(args.z_min, args.z_max, args.steps)
     f0 = radial.mode_f0(zs, args.m, args.alpha)
     f1 = radial.mode_f1(zs, args.m, args.alpha, params)
-
-    points = zip(zs.tolist(), f0.tolist(), f1.tolist())
-    if args.format == "csv":
-        row_fmt = f"{_NUM},{args.m},{_fmt(args.alpha)},{_NUM},{_NUM},{_NUM},{_NUM}"
-        lines = [row_fmt % (z, a.real, a.imag, b.real, b.imag) for z, a, b in points]
-        _emit_csv(args.out, "z,m,alpha_prime,re_f0,im_f0,re_f1,im_f1", lines)
-    else:
-        records = [
-            {
-                "z": z,
-                "m": args.m,
-                "alpha_prime": args.alpha,
-                "re_f0": a.real,
-                "im_f0": a.imag,
-                "re_f1": b.real,
-                "im_f1": b.imag,
-            }
-            for z, a, b in points
-        ]
-        _emit_json(args.out, records, [])
+    columns = ("z", "m", "alpha_prime", "re_f0", "im_f0", "re_f1", "im_f1")
+    n = len(zs)
+    rows = list(zip(
+        zs.tolist(), [args.m] * n, [args.alpha] * n,
+        f0.real.tolist(), f0.imag.tolist(), f1.real.tolist(), f1.imag.tolist(),
+    ))
+    _write(args, columns, rows, [])
     return 0
 
 
@@ -311,44 +304,25 @@ def _run_trajectory(args: argparse.Namespace) -> int:
         classical.ClassicalState(x0, p0, args.t0), fields, params, args.dt, args.steps
     )
 
-    keys = ["t"] + [f"x{i+1}" for i in range(d)] + [f"v{i+1}" for i in range(d)] + ["energy"]
+    columns = ("t", *(f"x{i+1}" for i in range(d)), *(f"v{i+1}" for i in range(d)), "energy")
     rows = [
         (t, *x, *v, e)
         for t, x, v, e in zip(
             traj.t.tolist(), traj.x.tolist(), traj.v.tolist(), traj.energy.tolist()
         )
     ]
-    if args.format == "csv":
-        row_fmt = ",".join([_NUM] * len(keys))
-        lines = [row_fmt % row for row in rows]
-        if not traj.complete:
-            lines.append(
-                f"# truncated after {len(traj) - 1} steps (field evaluation failed)"
-            )
-        _emit_csv(args.out, ",".join(keys), lines)
-    else:
-        records = [dict(zip(keys, row)) for row in rows]
-        skipped = (
-            []
-            if traj.complete
-            else [{"reason": f"truncated after {len(traj) - 1} steps"}]
-        )
-        _emit_json(args.out, records, skipped)
+    skipped = []
+    if not traj.complete:
+        rec = {"reason": f"truncated after {len(traj) - 1} steps"}
+        skipped.append((len(rows), _TRUNCATED_NOTE, rec))
+    _write(args, columns, rows, skipped)
     return 0
 
 
 def _run_width(args: argparse.Namespace) -> int:
     params = _params_from(args)
     val = scattering.width(args.n, args.phi, params)
-    if args.format == "csv":
-        line = ",".join((str(args.n), _fmt(args.phi), _fmt(params.beta), _fmt(val)))
-        _emit_csv(args.out, "n,phi,beta,width", [line])
-    else:
-        _emit_json(
-            args.out,
-            [{"n": args.n, "phi": args.phi, "beta": params.beta, "width": val}],
-            [],
-        )
+    _write(args, ("n", "phi", "beta", "width"), [(args.n, args.phi, params.beta, val)], [])
     return 0
 
 

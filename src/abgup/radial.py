@@ -85,7 +85,10 @@ def xi_coeffs(m: int, alpha_prime: float) -> XiSet:
 
 
 def _order_of(m: int, alpha_prime: float) -> float:
-    return abs(int(m) + float(alpha_prime))
+    a = float(alpha_prime)
+    if not math.isfinite(a):
+        raise DomainValidationError(f"alpha_prime must be finite, got {a}")
+    return abs(int(m) + a)
 
 
 def _require_generic_order(nu: float, what: str) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +44,7 @@ _PI_MARGIN = 1e-6          # amplitude evaluations: keep |phi| away from pi
 _SERIES_PHI_MARGIN = 1e-3  # series route additionally needs phi away from 0
 _ENDPOINT_GAMMA = 1e-4     # dsigma routes to the integer-limit formulas inside this band
 _INTEGER_TOL = 1e-6        # non-integer flux guard for the amplitude corrections
-_ABEL_R_DEFAULT = (0.99, 0.995, 0.9975)
+_ABEL_R = (0.99, 0.995, 0.9975)  # Abel regulators, extrapolated to r = 1
 _TAIL_FLOOR = 1e-18        # truncate Abel tails at this fraction of the leading term
 _TAIL_CAP = 400_000        # hard cap on tail length (hit only for r very close to 1)
 _LADDER_REL_TOL = 1e-3     # extrapolation correction above this flags non-convergence
@@ -58,8 +59,12 @@ def _principal(phi: float) -> float:
 
     The assembled amplitudes are 2 pi periodic (the half-angle factors and
     the e^{-i N phi} phases flip sign together), so the reduction is exact.
+    A non-finite angle raises DomainValidationError.
     """
-    t = math.fmod(float(phi), 2.0 * math.pi)
+    t = float(phi)
+    if not math.isfinite(t):
+        raise DomainValidationError(f"phi must be finite, got {t}")
+    t = math.fmod(t, 2.0 * math.pi)
     if t <= -math.pi:
         t += 2.0 * math.pi
     elif t > math.pi:
@@ -95,7 +100,7 @@ def _require_noninteger(alpha_prime: float, what: str) -> None:
 # Zeroth order amplitude
 # =====================================================================
 
-def f0_amp(phi: float, alpha_prime: float, k: float = 1.0, margin: float = _PI_MARGIN) -> complex:
+def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
     """Unperturbed scattering amplitude.
 
         f0 = (1/sqrt(2 pi i k)) (-i) e^{-iN(phi-pi)} sin(pi alpha')
@@ -107,8 +112,8 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0, margin: float = _PI_M
     Parameters
     ----------
     phi : float
-        Observation angle; any real value, reduced mod 2 pi. Must stay
-        ``margin`` away from the forward direction +-pi.
+        Observation angle; any finite value, reduced mod 2 pi. Must stay
+        1e-6 away from the forward direction +-pi.
     alpha_prime : float
         Flux parameter.
     k : float
@@ -120,7 +125,7 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0, margin: float = _PI_M
     """
     if k <= 0.0:
         raise DomainValidationError(f"wave number must be positive, got {k}")
-    t = _check_away_from_pi(phi, margin)
+    t = _check_away_from_pi(phi, _PI_MARGIN)
     split = flux_split(alpha_prime)
     n = split.n_part
     sin_a = (-1.0) ** n * math.sin(math.pi * split.gamma_part)
@@ -276,37 +281,51 @@ def _neville_to_zero(hs: list[float], ys: list[complex]) -> tuple[complex, float
     return level[0], abs(level[0] - prev_best)
 
 
+def _abel_limit(value_at: Callable[[float], complex], where: str) -> complex:
+    """Extrapolate ``value_at(r)`` over the Abel ladder to r = 1 by a
+    Neville polynomial in 1 - r.
+
+    Raises AccuracyError, with the per-r values in the message, if the
+    extrapolation correction exceeds 1e-3 of the result.
+    """
+    ys = [value_at(r) for r in _ABEL_R]
+    value, corr = _neville_to_zero([1.0 - r for r in _ABEL_R], ys)
+    if corr > _LADDER_REL_TOL * (abs(value) + 1e-12):
+        detail = ", ".join(f"r={r}: {y}" for r, y in zip(_ABEL_R, ys))
+        raise AccuracyError(
+            f"Abel ladder did not converge {where}: "
+            f"correction {corr:.3e} vs value {abs(value):.3e} [{detail}]"
+        )
+    return value
+
+
 def f1_series(
     phi: float,
     alpha_prime: float,
     params: PhysicalParams,
     m_max: int = 2000,
-    abel_r: tuple[float, ...] = _ABEL_R_DEFAULT,
-    margin: float = _SERIES_PHI_MARGIN,
 ) -> complex:
     """First-order amplitude by Abel-regularized partial-wave summation.
 
-    For each regulator r the bilateral mode sum (weighted by r^|m|) is
-    evaluated explicitly to |m| = m_max plus its exact analytic tails, then
-    the ladder is extrapolated to r = 1 by a Neville polynomial in 1 - r.
-    The per-mode summands do not decay in |m| (their magnitude approaches a
-    constant), which is why the bare partial sums oscillate and the Abel
-    factor is required.
+    For each regulator r of the ladder (0.99, 0.995, 0.9975) the bilateral
+    mode sum (weighted by r^|m|) is evaluated explicitly to |m| = m_max plus
+    its exact analytic tails, then the ladder is extrapolated to r = 1 by a
+    Neville polynomial in 1 - r. The per-mode summands do not decay in |m|
+    (their magnitude approaches a constant), which is why the bare partial
+    sums oscillate and the Abel factor is required.
 
     This is the expensive-but-direct oracle that arbitrates ``f1_amp``.
 
     Parameters
     ----------
     phi : float
-        Observation angle, at least ``margin`` away from both 0 and +-pi.
+        Observation angle, at least 1e-3 away from both 0 and +-pi.
     alpha_prime : float
         Non-integer flux parameter.
     params : PhysicalParams
         Supplies hbar and k.
     m_max : int
         Bilateral cutoff, >= 200.
-    abel_r : tuple of float
-        Regulator ladder, strictly inside (0, 1).
 
     Raises
     ------
@@ -317,12 +336,10 @@ def f1_series(
     _require_noninteger(alpha_prime, "f1_series")
     if m_max < 200:
         raise DomainValidationError(f"m_max must be >= 200, got {m_max}")
-    if len(abel_r) < 2 or any(not 0.0 < r < 1.0 for r in abel_r):
-        raise DomainValidationError(f"invalid Abel ladder {abel_r!r}")
-    t = _check_away_from_pi(phi, margin)
-    if abs(t) < margin:
+    t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
+    if abs(t) < _SERIES_PHI_MARGIN:
         raise DomainValidationError(
-            f"phi = {phi} is within {margin} of 0; the regularized series "
+            f"phi = {phi} is within {_SERIES_PHI_MARGIN} of 0; the regularized series "
             "loses its oscillatory convergence there (use f1_amp)"
         )
 
@@ -333,27 +350,17 @@ def f1_series(
     rot_j = cmath.exp(-1j * math.pi * gamma)
     rot_k = cmath.exp(1j * math.pi * gamma)
 
-    ladder = sorted(abel_r)
-    hs = [1.0 - r for r in ladder]
-    ys = []
-    for r in ladder:
+    def value_at(r: float) -> complex:
         s_j, s_k = _series_at_r(t, alpha_prime, n, gamma, r, int(m_max))
-        ys.append(pref * (rot_j * s_j - rot_k * s_k))
-    value, corr = _neville_to_zero(hs, ys)
-    if corr > _LADDER_REL_TOL * (abs(value) + 1e-12):
-        detail = ", ".join(f"r={r}: {y}" for r, y in zip(ladder, ys))
-        raise AccuracyError(
-            f"Abel ladder did not converge at phi={phi}, alpha'={alpha_prime}: "
-            f"correction {corr:.3e} vs value {abs(value):.3e} [{detail}]"
-        )
-    return value
+        return pref * (rot_j * s_j - rot_k * s_k)
+
+    return _abel_limit(value_at, f"at phi={phi}, alpha'={alpha_prime}")
 
 
 def regularized_alternating_gamma_sum(
     phi: float,
     alpha_prime: float,
     m_max: int = 2000,
-    abel_r: tuple[float, ...] = _ABEL_R_DEFAULT,
 ) -> complex:
     """Abel-regularized sum of e^{i m phi} Gamma(1+m+a') Gamma(-m-a') over
     the modes with m + a' > 0.
@@ -369,18 +376,15 @@ def regularized_alternating_gamma_sum(
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
     sigma = (-1.0) ** n * math.sin(math.pi * gamma)
+    ms = np.arange(-n, m_max + 1, dtype=float)
+    signs = np.where(np.mod(ms, 2.0) == 0.0, 1.0, -1.0)
+    j_cut = m_max + n
 
-    ladder = sorted(abel_r)
-    hs = [1.0 - r for r in ladder]
-    ys = []
-    for r in ladder:
-        ms = np.arange(-n, m_max + 1, dtype=float)
-        signs = np.where(np.mod(ms, 2.0) == 0.0, 1.0, -1.0)
+    def value_at(r: float) -> complex:
         # Gamma(1+w) Gamma(-w) = -pi / sin(pi w)
         terms = r ** np.abs(ms) * np.exp(1j * ms * t) * (-math.pi / sigma) * signs
         explicit = complex(np.sum(terms))
         q = -r * cmath.exp(1j * t)
-        j_cut = m_max + n
         tail = (
             -(math.pi / sigma)
             * cmath.exp(-1j * n * t)
@@ -389,11 +393,9 @@ def regularized_alternating_gamma_sum(
             * q ** (j_cut + 1)
             / (1.0 - q)
         )
-        ys.append(explicit + tail)
-    value, corr = _neville_to_zero(hs, ys)
-    if corr > _LADDER_REL_TOL * (abs(value) + 1e-12):
-        raise AccuracyError(f"gamma-sum ladder did not converge: correction {corr:.3e}")
-    return value
+        return explicit + tail
+
+    return _abel_limit(value_at, "in the gamma sum")
 
 
 # =====================================================================
@@ -413,7 +415,7 @@ class GValue:
     x: complex
 
 
-def g_fn(alpha_prime: float, phi: float, margin: float = _PI_MARGIN) -> GValue:
+def g_fn(alpha_prime: float, phi: float) -> GValue:
     """Assemble the correction kernel G(alpha', phi).
 
     Six hypergeometric evaluations F(c; .) = 2F1(1, 1; c; .) at the locus
@@ -436,7 +438,7 @@ def g_fn(alpha_prime: float, phi: float, margin: float = _PI_MARGIN) -> GValue:
         The kernel value and the locus point x.
     """
     _require_noninteger(alpha_prime, "g_fn")
-    t = _check_away_from_pi(phi, margin)
+    t = _check_away_from_pi(phi, _PI_MARGIN)
     a = float(alpha_prime)
     gamma = flux_split(alpha_prime).gamma_part
 
@@ -463,7 +465,7 @@ def g_fn(alpha_prime: float, phi: float, margin: float = _PI_MARGIN) -> GValue:
     return GValue(g=g, x=x)
 
 
-def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams, margin: float = _PI_MARGIN) -> complex:
+def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
     """First-order amplitude, closed hypergeometric form.
 
         f1 = i pi hbar^2 k^2 e^{-i(N + 1/2) phi}
@@ -473,8 +475,8 @@ def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams, margin: float
     (gamma reflection sums vs contiguous-shifted continued fractions) are
     the main cross-validation of this module.
     """
-    t = _check_away_from_pi(phi, margin)
-    kernel = g_fn(alpha_prime, t, margin=margin)
+    t = _check_away_from_pi(phi, _PI_MARGIN)
+    kernel = g_fn(alpha_prime, t)
     n = flux_split(alpha_prime).n_part
     hk2 = (params.hbar * params.k) ** 2
     pref = (
@@ -521,7 +523,6 @@ def dsigma(
     alpha_prime: float,
     params: PhysicalParams,
     form: str = "linearized",
-    margin: float = _PI_MARGIN,
     with_flag: bool = False,
 ):
     """Differential cross section per unit angle.
@@ -553,7 +554,7 @@ def dsigma(
     """
     if form not in ("linearized", "modulus"):
         raise DomainValidationError(f"unknown cross-section form {form!r}")
-    t = _check_away_from_pi(phi, margin)
+    t = _check_away_from_pi(phi, _PI_MARGIN)
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
     k = params.k
@@ -571,7 +572,7 @@ def dsigma(
         val = dsigma_integer_limits(n + 1, t, params)[1]
         return (val, "endpoint-lower") if with_flag else val
 
-    kernel = g_fn(alpha_prime, t, margin=margin)
+    kernel = g_fn(alpha_prime, t)
     hk2 = (params.hbar * k) ** 2
     if form == "modulus":
         amp = sin_g - (math.pi * hk2 * params.beta / 4.0) * kernel.g

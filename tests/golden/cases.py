@@ -115,7 +115,10 @@ def column_difference(old: str, new: str, name: str) -> str:
             rel = abs(b - a) / scale if scale > 0.0 else math.inf
             if not rel <= worst:
                 worst, where = rel, key
-    text = f"largest difference {worst:.3g} of max|column| in {where}"
+    if worst == 0.0:
+        text = "same values, different text"
+    else:
+        text = f"largest difference {worst:.3g} of max|column| in {where}"
     return text if old_skips == new_skips else text + "; skip entries changed"
 
 

@@ -309,6 +309,16 @@ class TestIntegrate:
         with pytest.raises(DomainValidationError):
             ab_flux_field(0.5, PB, r_min=bad)
 
+    def test_flux_line_needs_charge(self):
+        neutral = PhysicalParams(beta=0.01, charge=0.0)
+        with pytest.raises(DomainValidationError, match="charge"):
+            ab_flux_field(0.5, neutral)
+        # a uniform field acts on a neutral particle as no field at all
+        st = ClassicalState(np.zeros(2), np.array([1.0, 0.5]))
+        traj = integrate(st, uniform_field(d=2, b_field=1.0), neutral, 0.01, 10)
+        free = integrate(st, uniform_field(d=2), neutral, 0.01, 10)
+        assert traj.complete and np.array_equal(traj.x, free.x)
+
 
 # =====================================================================
 # Float RK4 against a numpy restatement

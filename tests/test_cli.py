@@ -1,6 +1,7 @@
 """Command-line interface: emission formats, skip annotations,
 determinism and exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from abgup import PhysicalParams, dsigma, flux_split, width
-from abgup.cli import _build_parser, _emit_json, main
+from abgup.cli import _build_parser, _json_document, _write, main
 
 
 def _rows(path):
@@ -161,6 +162,34 @@ class TestScans:
         assert captured.startswith("alpha_prime,phi,beta,dsigma\n")
         assert len(captured.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["alpha-scan", "--phi=0.5", "--alpha-min=0.2", "--alpha-max=0.8"], "--phi"),
+            (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--phi-min"),
+            (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--phi-max"),
+            (["alpha-scan", "--phi=0.5", "--alpha-min=0.2", "--alpha-max=0.8"], "--margin"),
+            (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--margin"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_angle_or_margin_exits_1(self, tmp_path, capsys, argv, flag, bad, fmt):
+        out = tmp_path / "x.out"
+        rc = main([*argv, "--steps=3", "--beta=0.01", f"{flag}={bad}",
+                   f"--format={fmt}", "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_margin_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["phi-scan", "--alpha=0.3", "--phi-min=3.1", "--phi-max=3.2",
+                   "--steps=3", "--margin=-0.1", "--out", str(out)])
+        assert rc == 1
+        assert "--margin" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_steps_validation(self, tmp_path):
         rc = main(
             [
@@ -199,6 +228,14 @@ class TestRadial:
     def test_degenerate_mode_rejected(self, tmp_path):
         rc = main(["radial", "--m", "1", "--alpha", "1.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exits_1(self, tmp_path, capsys, bad):
+        out = tmp_path / "x.csv"
+        rc = main(["radial", "--m", "1", f"--alpha={bad}", "--steps=3", "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrajectory:
@@ -258,6 +295,17 @@ class TestTrajectory:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_neutral_particle(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["trajectory", "--field", "ab", "--charge=0", "--out", str(out)])
+        assert rc == 1
+        assert "charge" in capsys.readouterr().err
+        assert not out.exists()
+        # the uniform fields take a neutral particle
+        rc = main(["trajectory", "--field", "uniform-b", "--charge=0", "--steps=3",
+                   "--out", str(out)])
+        assert rc == 0 and len(_rows(out)[1]) == 4
+
     def test_json_records(self, tmp_path):
         out = tmp_path / "traj.json"
         assert main(
@@ -288,9 +336,18 @@ class TestWidth:
         )
         assert val == pytest.approx(0.0222144, abs=1e-6)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_phi_exits_1(self, tmp_path, capsys, bad, fmt):
+        out = tmp_path / "w.out"
+        rc = main(["width", "--n", "1", f"--phi={bad}", f"--format={fmt}", "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # =====================================================================
-# JSON writer
+# Output writer
 # =====================================================================
 
 def _reference_json(records, skipped):
@@ -312,12 +369,20 @@ class TestJsonWriter:
                 ],
                 [{"reason": 'a, "quoted"\nline\tand \\ and \u00e9', "phi": np.float64(-2.5)}],
             ),
+            # text that looks like the break between two records
+            ([{"s": "},\n      {"}, {"s": "}, {"}], [{"s": "}"}]),
         ],
     )
     def test_matches_json_dumps_indent_2(self, tmp_path, records, skipped):
-        out = tmp_path / "doc.json"
-        _emit_json(str(out), records, skipped)
-        assert out.read_text() == _reference_json(records, skipped)
+        # the writer's JSON document; through _write when the records share keys
+        assert _json_document(records, skipped) == _reference_json(records, skipped)
+        if len({tuple(rec) for rec in records}) == 1:
+            columns = tuple(records[0])
+            out = tmp_path / "doc.json"
+            args = argparse.Namespace(format="json", out=str(out))
+            _write(args, columns, [tuple(rec.values()) for rec in records],
+                   [(0, "", rec) for rec in skipped])
+            assert out.read_text() == _reference_json(records, skipped)
 
     @pytest.mark.parametrize(
         "argv",
@@ -338,6 +403,30 @@ class TestJsonWriter:
         doc = json.loads(text)
         assert doc["records"] and (doc["skipped"] or argv[0] == "radial")
         assert text == _reference_json(doc["records"], doc["skipped"])
+
+
+class TestCsvWriter:
+    def test_template_and_skips_in_place(self, tmp_path):
+        out = tmp_path / "doc.csv"
+        args = argparse.Namespace(format="csv", out=str(out))
+        rows = [(1, 0.1, -0.0), (-2, 1e-300, math.inf), (30, 2.5, math.nan)]
+        skipped = [
+            (0, "skipped at=%(at)d", {"at": 0}),
+            (2, "skipped x=%(x).17g why=%(why)s", {"x": 0.3, "why": "a b"}),
+            (2, "%(reason)s, twice", {"reason": "again"}),
+            (3, "end", {}),
+        ]
+        _write(args, ("n", "x", "y"), rows, skipped)
+        assert out.read_text() == (
+            "n,x,y\n"
+            "# skipped at=0\n"
+            "1,0.10000000000000001,-0\n"
+            "-2,1e-300,inf\n"
+            "# skipped x=0.29999999999999999 why=a b\n"
+            "# again, twice\n"
+            "30,2.5,nan\n"
+            "# end\n"
+        )
 
 
 # =====================================================================

@@ -301,6 +301,18 @@ class TestG1G2:
 # =====================================================================
 
 class TestModes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_flux_rejected(self, bad):
+        z = np.linspace(0.5, 2.0, 4)
+        for call in (
+            lambda: mode_f0(z, 1, bad),
+            lambda: mode_f1(z, 1, bad, PARAMS),
+            lambda: uv_pair(z, 1, bad, PARAMS),
+            lambda: g1_g2(1, bad, PARAMS),
+        ):
+            with pytest.raises(DomainValidationError, match="finite"):
+                call()
+
     def test_f0_is_scaled_bessel(self):
         z = np.linspace(0.5, 10.0, 32)
         nu = abs(1 + 0.3)

@@ -22,6 +22,7 @@ from abgup import (
     g_fn,
     regularized_alternating_gamma_sum,
     scatter_sample,
+    scattering,
     symmetry_probe,
     width,
 )
@@ -125,6 +126,11 @@ class TestSeries:
     def test_integer_flux_rejected(self):
         with pytest.raises(PoleError):
             f1_series(0.5, 1.0, PB)
+
+    def test_ladder_failure_names_every_rung(self):
+        # 1/(1-r)^3 is no polynomial in 1 - r, so the extrapolation does not settle
+        with pytest.raises(AccuracyError, match=r"at phi=0\.5.*r=0\.99: .*r=0\.995: .*r=0\.9975: "):
+            scattering._abel_limit(lambda r: complex((1.0 - r) ** -3), "at phi=0.5")
 
     def test_regularized_gamma_sum_closed_form(self):
         for a, phi in ((0.5, math.pi / 3), (0.3, 1.9), (1.7, -0.8)):
@@ -254,6 +260,25 @@ class TestWidth:
 
     def test_beta_zero(self):
         assert width(1, math.pi / 4, P0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_rejected(bad):
+    calls = [
+        lambda: f0_amp(bad, 0.7),
+        lambda: g_fn(0.7, bad),
+        lambda: f1_amp(bad, 0.7, PB),
+        lambda: dsigma(bad, 0.7, PB),
+        lambda: dsigma(bad, 0.7, P0),
+        lambda: scatter_sample(bad, 0.7, PB),
+        lambda: dsigma_integer_limits(1, bad, PB),
+        lambda: width(1, bad, PB),
+        lambda: f1_series(bad, 0.7, PB, m_max=200),
+        lambda: regularized_alternating_gamma_sum(bad, 0.7, m_max=200),
+    ]
+    for call in calls:
+        with pytest.raises(DomainValidationError, match="finite"):
+            call()
 
 
 class TestSymmetryProbe:
