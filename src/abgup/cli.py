@@ -264,8 +264,10 @@ def _run_radial(args: argparse.Namespace) -> int:
     if args.z_max < args.z_min:
         raise DomainValidationError("--z-max must be >= --z-min")
     zs = np.linspace(args.z_min, args.z_max, args.steps)
-    f0 = radial.mode_f0(zs, args.m, args.alpha)
+    # f1 first: it rejects a z range beyond the radial panel cap before any
+    # Bessel evaluation on z
     f1 = radial.mode_f1(zs, args.m, args.alpha, params)
+    f0 = radial.mode_f0(zs, args.m, args.alpha)
     columns = ("z", "m", "alpha_prime", "re_f0", "im_f0", "re_f1", "im_f1")
     n = len(zs)
     rows = list(zip(

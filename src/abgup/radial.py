@@ -36,11 +36,15 @@ from .core import (
     PhysicalParams,
     SingularConfigError,
 )
-from .specfun import bessel_j, digamma, gamma_fn, pfq_series
+from .specfun import _bessel_negative, bessel_j, digamma, gamma_fn, pfq_series
 
 _INTEGER_ORDER_GUARD = 1e-6
 _DEGENERATE_TOL = 1e-9
-_SERIES_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature continuation above
+_ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature continuation above
+# Largest z the degenerate-order panels carry F1 to. Their nodes grow as 24 per
+# unit of z (panels at most 0.25 wide): at this cap that is 240k nodes per
+# order, and one uv_pair call takes about 0.45 s and 27 MB of extra peak memory.
+_PANEL_Z_MAX = 1.0e4
 _SMALL_GAP = 2.5e-3    # grid gaps up to this use a single 2-point Gauss panel
 _GL2_NODES, _GL2_WEIGHTS = np.polynomial.legendre.leggauss(2)
 _GL6_NODES, _GL6_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -171,7 +175,13 @@ def _f1_opposite_series(z: float, mubar: float) -> float:
 
 
 class _BesselTable:
-    """J at any order on one fixed point set, each order evaluated once."""
+    """J at any order on one fixed point set, each order evaluated once.
+
+    A nonnegative order is one ``bessel_j`` call. A negative order is carried
+    down from the table's own rows at its two nonnegative seed orders (see
+    ``specfun._bessel_negative``), so it costs only the recurrence steps and
+    returns the same floats ``bessel_j`` would.
+    """
 
     def __init__(self, points):
         self.points = points
@@ -180,20 +190,25 @@ class _BesselTable:
     def __call__(self, order: float):
         row = self._rows.get(order)
         if row is None:
-            row = self._rows[order] = bessel_j(order, self.points)
+            if order >= 0.0:
+                row = bessel_j(order, self.points)
+            else:
+                row = _bessel_negative(order, self.points, self)
+            self._rows[order] = row
         return row
 
 
 class _PanelPlan:
     """Gauss panels carrying a degenerate F1 from its series anchor to a grid.
 
-    The grid is sorted; run 0 covers [_SERIES_Z_MAX, z_0] when the smallest
+    The grid is sorted; run 0 covers [_ANCHOR_Z_MAX, z_0] when the smallest
     point lies above the series range, and run i >= 1 covers the gap
     [z_(i-1), z_i]. Gaps up to _SMALL_GAP take one 2-point panel; longer runs
     take 6-point panels no wider than min(1/4, lo/4), which keeps the error
     bound scale-free against the t^(-n) steepening near 0. All nodes sit in
     one array ``t`` (6-point panels first), so each order is evaluated on
-    them in a single ``bessel_j`` call, kept in the order table ``on_nodes``.
+    them once, kept in the order table ``on_nodes``. The node count grows
+    with the largest z, so a grid reaching above _PANEL_Z_MAX is rejected.
     """
 
     def __init__(self, z):
@@ -202,6 +217,11 @@ class _PanelPlan:
             raise DomainValidationError("f1_integral needs finite z")
         self.order = np.argsort(flat, kind="stable")
         self.zs = zs = flat[self.order]
+        if zs[-1] > _PANEL_Z_MAX:
+            raise DomainValidationError(
+                f"F1 of degenerate orders needs z <= {_PANEL_Z_MAX:g}, where its "
+                f"panel quadrature ends; got z = {zs[-1]:g}"
+            )
         gaps = np.diff(zs)
 
         lo6: list[float] = []
@@ -217,8 +237,8 @@ class _PanelPlan:
                 run6.append(run)
                 lo = hi
 
-        if zs[0] > _SERIES_Z_MAX:
-            add_run(_SERIES_Z_MAX, zs[0], 0)
+        if zs[0] > _ANCHOR_Z_MAX:
+            add_run(_ANCHOR_Z_MAX, zs[0], 0)
         for i in np.nonzero(gaps > _SMALL_GAP)[0]:
             add_run(zs[i], zs[i + 1], i + 1)
         lo = np.array(lo6)
@@ -259,8 +279,9 @@ class _F1Grid:
     Two order tables back every pair: J on z itself, for the generic closed
     form, and J on the Gauss nodes of the panel plan (built on the first
     degenerate pair), for the degenerate pairs. Both fill lazily, so each
-    order is evaluated once per point set however many pairs use it, and an
-    equal-order product squares one array.
+    order is evaluated once per point set however many pairs use it (a
+    negative order by recurrence from the table's nonnegative seed rows),
+    and an equal-order product squares one array.
     """
 
     def __init__(self, z):
@@ -304,7 +325,7 @@ class _F1Grid:
         plan = self._plan
         runs = plan.run_integrals(mu, nu)
         out_sorted = np.empty_like(plan.zs)
-        out_sorted[0] = series_fn(min(float(plan.zs[0]), _SERIES_Z_MAX), mu) + runs[0]
+        out_sorted[0] = series_fn(min(float(plan.zs[0]), _ANCHOR_Z_MAX), mu) + runs[0]
         out_sorted[1:] = out_sorted[0] + np.cumsum(runs[1:])
         if not self.shape:
             return float(out_sorted[0])
@@ -320,7 +341,9 @@ def f1_integral(z, mu: float, nu: float):
     ----------
     z : float or array_like
         Evaluation point(s), > 0 (z = 0 is allowed on the generic branch
-        when mu + nu > 0).
+        when mu + nu > 0). Degenerate pairs need z <= 1e4: their panel
+        quadrature grows with z, and a larger z raises
+        DomainValidationError.
     mu, nu : float
         Bessel orders. The pair may be generic, equal, or opposite; order
         pairs that are merely *near* degenerate (0 < |mu^2 - nu^2| < ~1e-3)
@@ -350,8 +373,11 @@ def f1_integral(z, mu: float, nu: float):
     which keeps the result smooth to machine precision (no order-limit noise
     for the second differences to amplify). The panels of every gap share
     one node array, so each order is evaluated once over all of them, and an
-    equal-order product squares one array. This is the one-pair case of the
-    order table ``uv_pair`` shares across its eleven pairs.
+    equal-order product squares one array. A negative non-integer order
+    comes from the table's rows at its two nonnegative seed orders by the
+    downward recurrence of ``bessel_j``, so it costs no ``bessel_j`` call
+    and returns the same floats. This is the one-pair case of the order
+    table ``uv_pair`` shares across its eleven pairs.
     """
     return _F1Grid(z).f1(mu, nu)
 
@@ -498,7 +524,9 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     Parameters
     ----------
     z : float or array_like
-        Scaled radius, > 0.
+        Scaled radius, > 0 and at most 1e4: the degenerate pairs are carried
+        from z = 4 by panel quadrature whose cost grows with z, and a larger
+        z raises DomainValidationError.
     m : int
         Angular index.
     alpha_prime : float
@@ -518,8 +546,9 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     The eleven F1 share one order table (see ``f1_integral``). The five
     generic pairs need J on z at ±nu, ±nu ± 1, nu + 2, nu + 3 and 2 - nu; the
     three equal and three opposite pairs need J at ±nu and ±(nu ± 1) on the
-    Gauss nodes of one panel plan. Each of these is evaluated once, so a
-    call costs one ``bessel_j`` call per distinct order and point set.
+    Gauss nodes of one panel plan. Each of these is evaluated once. The
+    negative orders come from the table's seed rows by recurrence, so a call
+    costs one ``bessel_j`` call per distinct nonnegative order and point set.
     """
     nu = _order_of(m, alpha_prime)
     _require_generic_order(nu, "uv_pair")

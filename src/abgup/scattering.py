@@ -48,6 +48,7 @@ _ABEL_R = (0.99, 0.995, 0.9975)  # Abel regulators, extrapolated to r = 1
 _TAIL_FLOOR = 1e-18        # truncate Abel tails at this fraction of the leading term
 _TAIL_CAP = 400_000        # hard cap on tail length (hit only for r very close to 1)
 _LADDER_REL_TOL = 1e-3     # extrapolation correction above this flags non-convergence
+_PHI_ABS_MAX = 1e6         # largest |phi| taken as an angle; doubles there are 1.2e-10 apart
 
 
 # =====================================================================
@@ -59,11 +60,16 @@ def _principal(phi: float) -> float:
 
     The assembled amplitudes are 2 pi periodic (the half-angle factors and
     the e^{-i N phi} phases flip sign together), so the reduction is exact.
-    A non-finite angle raises DomainValidationError.
+    An angle that is not finite or exceeds 1e6 in magnitude raises
+    DomainValidationError: neighbouring doubles are 1.2e-10 apart at 1e6 and
+    ever further beyond it, so a larger value no longer fixes an angle to
+    the accuracy the amplitudes carry.
     """
     t = float(phi)
-    if not math.isfinite(t):
-        raise DomainValidationError(f"phi must be finite, got {t}")
+    if not abs(t) <= _PHI_ABS_MAX:  # also rejects nan and +-inf
+        raise DomainValidationError(
+            f"phi must be finite with |phi| <= {_PHI_ABS_MAX:g}, got {t}"
+        )
     t = math.fmod(t, 2.0 * math.pi)
     if t <= -math.pi:
         t += 2.0 * math.pi

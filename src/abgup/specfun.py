@@ -9,6 +9,9 @@ against quadrature stay genuinely two-route:
 * ``digamma``    -- recurrence into the asymptotic region plus Bernoulli tail.
 * ``bessel_j``   -- J_nu for real order and z >= 0, vectorised over z, with an
                     ascending series / backward-recurrence / asymptotic split.
+                    Negative orders come from ``_bessel_negative``, the one
+                    downward order recurrence; the radial order table seeds it
+                    from its own cached rows.
 * ``hyp2f1_11``  -- 2F1(1, 1; c; x) via power series, Gauss continued fraction
                     and a contiguous downshift in c. The direct evaluations
                     are memoised (last 16, keyed on the exact (c, x)), so a
@@ -310,6 +313,35 @@ def _bessel_nonneg(nu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bessel_negative(nu: float, z, seed):
+    """J_nu(z) for nu < 0 from the nonnegative rows ``seed(mu)`` on the same z.
+
+    ``z`` is a float or a flat array and ``seed(mu)`` returns J_mu on it for
+    mu >= 0. A negative integer order is (-1)^n J_n. Otherwise the two seeds
+    J_mu0 and J_(mu0+1), with mu0 = nu - floor(nu) in (0, 1), are carried
+    down by the recurrence J_(mu-1) = (2 mu / z) J_mu - J_(mu+1) (DLMF
+    10.6.1). ``bessel_j`` seeds from fresh evaluations; the radial order
+    table seeds from its own cached rows, so both return the same floats.
+    """
+    if abs(nu - round(nu)) < 1e-12:
+        n = int(round(-nu))
+        return (-1.0) ** n * seed(float(n))
+    if np.any(z == 0.0):
+        # J of negative non-integer order diverges at the origin; the
+        # closed forms never need it, so reject instead of guessing.
+        raise DomainValidationError("bessel_j at z = 0 needs nu >= 0 or integer nu")
+    steps = int(math.ceil(-nu))  # mu0 - nu, an integer
+    mu = nu + steps
+    j_hi = seed(mu + 1.0)
+    j_cur = seed(mu)
+    for _ in range(steps):
+        j_lo = (2.0 * mu / z) * j_cur - j_hi
+        j_hi = j_cur
+        j_cur = j_lo
+        mu -= 1.0
+    return j_cur
+
+
 def bessel_j(nu: float, z):
     """Bessel function of the first kind, real order, non-negative argument.
 
@@ -317,7 +349,8 @@ def bessel_j(nu: float, z):
     ----------
     nu : float
         Order. Any real value; negative non-integer orders are reached by
-        downward recurrence from the fractional seed orders.
+        downward recurrence from the fractional seed orders
+        (``_bessel_negative``).
     z : float or array_like
         Argument(s), >= 0.
 
@@ -346,28 +379,8 @@ def bessel_j(nu: float, z):
 
     if nu >= 0.0:
         res = _bessel_nonneg(nu, flat)
-    elif abs(nu - round(nu)) < 1e-12:
-        # Negative integer order: J_{-n} = (-1)^n J_n, no recurrence needed.
-        n = int(round(-nu))
-        res = (-1.0) ** n * _bessel_nonneg(float(n), flat)
     else:
-        # Downward recurrence from the two seed orders mu0, mu0 + 1 where
-        # mu0 = nu - floor(nu) is the fractional part in [0, 1).
-        if np.any(flat == 0.0):
-            # J of negative non-integer order diverges at the origin; the
-            # closed forms never need it, so reject instead of guessing.
-            raise DomainValidationError("bessel_j at z = 0 needs nu >= 0 or integer nu")
-        steps = int(math.ceil(-nu))  # mu0 - nu, an integer
-        mu0 = nu + steps
-        j_hi = _bessel_nonneg(mu0 + 1.0, flat)   # J_{mu0+1}
-        j_cur = _bessel_nonneg(mu0, flat)        # J_{mu0}
-        mu = mu0
-        for _ in range(steps):
-            j_lo = (2.0 * mu / flat) * j_cur - j_hi
-            j_hi = j_cur
-            j_cur = j_lo
-            mu -= 1.0
-        res = j_cur
+        res = _bessel_negative(nu, flat, lambda mu: _bessel_nonneg(mu, flat))
 
     if scalar:
         return float(res[0])

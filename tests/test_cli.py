@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,16 +164,21 @@ class TestScans:
         assert len(captured.strip().splitlines()) == 4
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "bad, argv, flag",
         [
-            (["alpha-scan", "--phi=0.5", "--alpha-min=0.2", "--alpha-max=0.8"], "--phi"),
-            (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--phi-min"),
-            (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--phi-max"),
-            (["alpha-scan", "--phi=0.5", "--alpha-min=0.2", "--alpha-max=0.8"], "--margin"),
-            (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--margin"),
+            # angles also beyond the |phi| <= 1e6 limit; a huge margin is valid
+            pytest.param(bad, argv, flag, id=f"{bad}-argv{i}-{flag}")
+            for bad in ("nan", "inf", "-inf", "1e300", "-1e300")
+            for i, (argv, flag) in enumerate([
+                (["alpha-scan", "--phi=0.5", "--alpha-min=0.2", "--alpha-max=0.8"], "--phi"),
+                (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--phi-min"),
+                (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--phi-max"),
+                (["alpha-scan", "--phi=0.5", "--alpha-min=0.2", "--alpha-max=0.8"], "--margin"),
+                (["phi-scan", "--alpha=0.3", "--phi-min=0.2", "--phi-max=0.8"], "--margin"),
+            ])
+            if flag != "--margin" or "e300" not in bad
         ],
     )
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_angle_or_margin_exits_1(self, tmp_path, capsys, argv, flag, bad, fmt):
         out = tmp_path / "x.out"
@@ -235,6 +241,17 @@ class TestRadial:
         rc = main(["radial", "--m", "1", f"--alpha={bad}", "--steps=3", "--out", str(out)])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_z_beyond_panel_cap_exits_1(self, tmp_path, capsys):
+        # the degenerate-order panels would need about 2e309 nodes; rejected at once
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["radial", "--alpha", "0.3", "--steps", "2", "--z-max", "1e308",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "z <= 10000" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -336,7 +353,7 @@ class TestWidth:
         )
         assert val == pytest.approx(0.0222144, abs=1e-6)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e300", "-1e300"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_phi_exits_1(self, tmp_path, capsys, bad, fmt):
         out = tmp_path / "w.out"

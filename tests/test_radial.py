@@ -3,6 +3,7 @@ finite-difference oracles."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from abgup import (
     uv_pair,
     xi_coeffs,
 )
+from abgup import specfun
 from abgup.specfun import bessel_j
 
 PARAMS = PhysicalParams(hbar=1.0, k=1.0, beta=0.01)
@@ -120,6 +122,24 @@ class TestF1:
         # a degenerate pair would otherwise lay panels out to infinity
         with pytest.raises(DomainValidationError):
             f1_integral(np.array([1.0, np.inf]), mu, nu)
+
+    @pytest.mark.parametrize("z", [np.array([0.0, 1.0]), 0.0])
+    def test_negative_order_at_origin_rejected(self, z):
+        # J_-0.3 diverges at 0; the order table must reject z = 0 before it
+        # divides by it in the recurrence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainValidationError, match="z = 0"):
+                f1_integral(z, -0.3, 1.7)
+
+    @pytest.mark.parametrize("mu, nu", [(0.5, 0.5), (0.5, -0.5)])
+    def test_degenerate_z_beyond_panel_cap_rejected(self, mu, nu):
+        with pytest.raises(DomainValidationError, match="z <= 10000"):
+            f1_integral(np.array([1.0, 1.0001e4]), mu, nu)
+
+    def test_generic_has_no_z_cap(self):
+        # the closed form costs the same at any z; only the panels are capped
+        assert math.isfinite(f1_integral(1e6, 0.3, 1.7))
 
 
 def _panel_loop(a, b, mu, nu):
@@ -271,6 +291,50 @@ class TestUvPair:
         uv_pair(zs, m, a, PARAMS)
         assert len(keys) == len(set(keys))
         assert len({points for _, points in keys}) == 2  # z and the Gauss nodes
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda zs: uv_pair(zs, 1, 0.3, PARAMS),
+            lambda zs: uv_pair(zs, -3, 0.4, PARAMS),
+            lambda zs: f2_integral(zs, -0.3, 1.3),
+            lambda zs: f3_integral(zs, -1.3, 0.7),
+        ],
+        ids=["uv_pair-nu1.3", "uv_pair-nu2.6", "f2", "f3"],
+    )
+    def test_no_bessel_seed_evaluated_twice(self, call, monkeypatch):
+        # negative orders recur from the table's own nonnegative rows, so no
+        # (order, point set) reaches the nonnegative evaluator twice; the grid
+        # crosses z = 14, where bessel_j leaves its series for Miller's method
+        keys = []
+        nonneg = specfun._bessel_nonneg
+
+        def counting(nu, z):
+            keys.append((float(nu), z.tobytes()))
+            return nonneg(nu, z)
+
+        monkeypatch.setattr(specfun, "_bessel_nonneg", counting)
+        call(np.linspace(6.0, 20.0, 15))
+        assert keys
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("m, a", [(1, 0.3), (0, 0.5), (-1, 0.3), (2, 0.6)])
+    def test_negative_rows_match_bessel_j(self, m, a):
+        nu = abs(m + a)
+        zs = np.linspace(6.0, 20.0, 15)
+        negative = (-nu, -nu - 1.0, -nu + 1.0, 1.0 - nu)
+        for points in (zs, radial._PanelPlan(zs).t, 7.5):
+            table = radial._BesselTable(points)
+            for order in (nu, nu - 1.0, nu + 1.0, nu + 2.0, 2.0 - nu, *negative):
+                table(order)
+            for order in negative:
+                row, ref = table(order), bessel_j(order, points)
+                assert type(row) is type(ref)
+                assert np.asarray(row).tobytes() == np.asarray(ref).tobytes()
+
+    def test_z_beyond_panel_cap_rejected(self):
+        with pytest.raises(DomainValidationError, match="z <= 10000"):
+            uv_pair(np.array([2.0, 5e4]), 0, 0.5, PARAMS)
 
     def test_v_approaches_constant(self):
         _, g2 = g1_g2(0, 0.5, PARAMS)

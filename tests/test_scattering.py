@@ -262,7 +262,7 @@ class TestWidth:
         assert width(1, math.pi / 4, P0) == 0.0
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, -1e300])
 def test_non_finite_phi_rejected(bad):
     calls = [
         lambda: f0_amp(bad, 0.7),
