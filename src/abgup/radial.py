@@ -285,9 +285,10 @@ class _F1Grid:
     """
 
     def __init__(self, z):
-        self.z = z
-        self.shape = np.shape(z)
-        self.on_z = _BesselTable(z)
+        arr = np.asarray(z, dtype=float)  # a list or tuple behaves as its array
+        self.z = arr if arr.ndim else float(arr)
+        self.shape = arr.shape
+        self.on_z = _BesselTable(self.z)
         self._plan: _PanelPlan | None = None
 
     def f1(self, mu: float, nu: float):

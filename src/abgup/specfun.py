@@ -274,9 +274,14 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
 
 
 def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
-    """Large-argument asymptotic expansion of J_nu(z) (Hankel form)."""
+    """Large-argument asymptotic expansion of J_nu(z) (Hankel form).
+
+    The scale factors are formed as 0.125 / z and 0.5 / (pi z / 4), which
+    cannot overflow for any finite z; scaling by powers of two leaves every
+    rounding as in 1 / (8 z) and 2 / (pi z).
+    """
     mu = 4.0 * nu * nu
-    inv8z = 1.0 / (8.0 * z)
+    inv8z = 0.125 / z
     p = np.ones_like(z)
     q = np.zeros_like(z)
     term = np.ones_like(z)
@@ -292,7 +297,7 @@ def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
             break
         term[done] = 0.0  # a converged point takes no further terms
     omega = z - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * z)) * (p * np.cos(omega) - q * np.sin(omega))
+    return np.sqrt(0.5 / (0.25 * math.pi * z)) * (p * np.cos(omega) - q * np.sin(omega))
 
 
 def _bessel_nonneg(nu: float, z: np.ndarray) -> np.ndarray:
@@ -393,7 +398,7 @@ def bessel_j(nu: float, z):
 
 _SERIES_RADIUS = 0.7
 _MIN_DIRECT_C = 1.5
-_DIRECT_MEMO_SIZE = 16  # four anchors per kernel build, room for a few builds
+_DIRECT_MEMO_SIZE = 16  # three direct evaluations per kernel build, room for a few builds
 
 
 def _hyp_series(c: float, x: complex) -> complex:
@@ -501,18 +506,22 @@ def hyp2f1_11(c: float, x) -> complex:
     Notes
     -----
     |x| <= 0.7 sums the series directly. Larger |x| uses the Gauss continued
-    fraction. For c < 1.5 the value is reached by the three-term contiguous
-    recursion in c, stepping down from c + K >= 1.5 where both anchor values
-    come from the primary branches; the recursion runs toward the growing
-    solution, so it is stable. The 1/c blow-up of the function as c -> 0+ is
-    genuine, not a loss of accuracy.
+    fraction. For c < 1.5 the value is reached by the first-order contiguous
+    relation c (1 - x) F(c) = c - (c - 1) x F(c + 1), which is Gauss's
+    c (1 - x) F(a, b; c) - c F(a - 1, b; c) + (c - b) x F(a, b; c + 1) = 0
+    (DLMF §15.5(ii)) at a = b = 1, where F(0, 1; c; x) = 1. It steps down
+    from the one anchor F(c + K), c + K >= 1.5, taken from the primary
+    branches. Each step's c is formed from the original c, so the last step
+    divides by c itself and the 1/c blow-up of the function as c -> 0+
+    carries no rounding of c.
 
-    The direct evaluations (the value itself for c >= 1.5, the two anchors
-    of the recursion otherwise) go through a memo of the last 16 results,
-    keyed on the exact (c, x). The recursion from c, c + 1 and c + 2 reaches
-    the same anchors, so the six values of one kernel build cost four direct
-    evaluations, and a repeated build costs none. A hit is exact: it returns
-    the very value a fresh evaluation would.
+    The direct evaluations (the value itself for c >= 1.5, the anchor
+    otherwise) go through a memo of the last 16 results, keyed on the exact
+    (c, x). In a contiguous family c, c + 1, c + 2 at one x, each member
+    below 1.5 steps down from the family's lowest member at or above 1.5, so
+    the six values of one kernel build cost three direct evaluations (four
+    at gamma = 1/2), and a repeated build costs none. A hit is exact: it
+    returns the very value a fresh evaluation would.
     """
     c = float(c)
     x = complex(x)
@@ -528,21 +537,13 @@ def hyp2f1_11(c: float, x) -> complex:
         return _hyp_direct(c, x)
 
     shift = int(math.ceil(_MIN_DIRECT_C - c))
-    c_hi = c + shift
-    f_mid = _hyp_direct(c_hi, x)       # F(c_hi)
-    f_top = _hyp_direct(c_hi + 1.0, x)  # F(c_hi + 1)
-    # Contiguous relation (a = b = 1):
-    #   c0 (c0-1)(x-1) F(c0-1) + c0 [(c0-1) - (2 c0-3) x] F(c0) + (c0-1)^2 x F(c0+1) = 0
-    for _ in range(shift):
-        c0 = c_hi
-        f_lo = -(
-            c0 * ((c0 - 1.0) - (2.0 * c0 - 3.0) * x) * f_mid
-            + (c0 - 1.0) ** 2 * x * f_top
-        ) / (c0 * (c0 - 1.0) * (x - 1.0))
-        f_top = f_mid
-        f_mid = f_lo
-        c_hi -= 1.0
-    return f_mid
+    f = _hyp_direct(c + shift, x)  # the one anchor, F(c + shift)
+    # First-order contiguous relation (a = b = 1, since F(0, 1; c; x) = 1):
+    #   c (1 - x) F(c) = c - (c - 1) x F(c + 1)
+    for k in range(shift - 1, -1, -1):
+        ck = c + k  # from c itself, so the last step divides by the exact c
+        f = (ck - (ck - 1.0) * x * f) / (ck * (1.0 - x))
+    return f
 
 
 # =====================================================================

@@ -80,6 +80,18 @@ class TestF1:
         quad, _ = fn_quadrature(1, z, mu, mu)
         assert abs(closed - quad) < 1e-9
 
+    @pytest.mark.parametrize("mu, nu", [(0.3, 1.7), (0.5, 0.5), (0.6, -0.6)])
+    def test_z_as_list_tuple_or_float(self, mu, nu):
+        # generic, equal and opposite orders take any array_like z; a list
+        # once failed in the generic form with an untyped TypeError
+        ref = f1_integral(np.array([1.0, 2.0]), mu, nu)
+        for z in ([1.0, 2.0], (1.0, 2.0)):
+            got = f1_integral(z, mu, nu)
+            assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+        got = f1_integral(2.0, mu, nu)
+        assert type(got) is float
+        assert got == f1_integral(np.array([2.0]), mu, nu)[0]
+
     def test_negative_equal_orders_match_positive(self):
         # J_{-n+s} pairs: equal-series branch maps to the positive order
         assert f1_integral(4.0, -1.0, -1.0) == pytest.approx(

@@ -3,7 +3,9 @@ assembly, integer-flux behaviour and the mirror-symmetry probes."""
 
 import cmath
 import math
+import random
 
+import mpmath
 import pytest
 
 from abgup import (
@@ -146,6 +148,27 @@ class TestSeries:
 # Deformation kernel and corrected amplitude
 # =====================================================================
 
+def _near_integer_draws(seed: int = 8) -> dict[int, list[tuple[float, float]]]:
+    """(alpha', phi) near integer flux: alpha' = N + gamma and N + 1 - gamma for
+    N in -3..3, gamma log-uniform in [1e-6, 1e-2] (its floor just inside the
+    1e-6 integer-flux guard), |tan(phi/2)| log-uniform in [1e-3, 1e6] with
+    either sign; three fixed draws per (N, side)."""
+    rng = random.Random(seed)
+    draws: dict[int, list[tuple[float, float]]] = {}
+    for n in range(-3, 4):
+        draws[n] = []
+        for side in (1.0, -1.0):
+            for _ in range(3):
+                gamma = 10.0 ** rng.uniform(-5.999, -2.0)
+                tan_half = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 6.0)
+                a = n + gamma if side > 0 else n + 1.0 - gamma
+                draws[n].append((a, 2.0 * math.atan(tan_half)))
+    return draws
+
+
+_NEAR_INTEGER = _near_integer_draws()
+
+
 class TestKernel:
     def test_argument_on_half_line(self):
         for phi in (0.4, -1.2, 2.8):
@@ -166,6 +189,35 @@ class TestKernel:
     def test_integer_flux_rejected(self):
         with pytest.raises(PoleError):
             g_fn(2.0, 0.5)
+
+    @staticmethod
+    def _g_mpmath(a: float, gamma: float, x: complex):
+        """G at 50 digits from mpmath.hyp2f1, on the kernel's own a, gamma and x."""
+        with mpmath.workdps(50):
+            a, g = mpmath.mpf(a), mpmath.mpf(gamma)
+            x = mpmath.mpc(x.real, x.imag)
+            xc = mpmath.conj(x)
+            f = lambda c, z: mpmath.hyp2f1(1, 1, c, z)
+            ep, em = mpmath.expjpi(g), mpmath.expjpi(-g)
+            return (
+                2 * a * a * (ep / (1 - g) * f(2 - g, xc) - em / g * f(1 + g, x))
+                + 12 * a * mpmath.cospi(g)
+                + a * a * (1 - a / 2) * (ep / (2 - g) * f(3 - g, xc) + em / (1 - g) * f(g, x))
+                - a * a * (1 + a / 2) * (ep / g * f(1 - g, xc) + em / (1 + g) * f(2 + g, x))
+            )
+
+    @pytest.mark.parametrize("n", sorted(_NEAR_INTEGER))
+    def test_against_mpmath_near_integer_flux(self, n):
+        # the 1/gamma terms carry the size of G here, so hyp2f1_11 at c = gamma
+        # and 1 - gamma must keep the relative accuracy of c itself
+        worst = 0.0
+        for a, phi in _NEAR_INTEGER[n]:
+            val = g_fn(a, phi)
+            ref = self._g_mpmath(a, flux_split(a).gamma_part, val.x)
+            with mpmath.workdps(50):
+                err = abs(mpmath.mpc(val.g.real, val.g.imag) - ref) / abs(ref)
+            worst = max(worst, float(err))
+        assert worst < 1e-13
 
     @pytest.mark.parametrize("a, phi", [(0.3, 0.5), (0.7, -2.0), (1.7, 1.0)])
     def test_f1_flip_symmetry(self, a, phi):

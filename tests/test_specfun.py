@@ -3,6 +3,8 @@ scipy (the quadrature backend, an independent implementation)."""
 
 import cmath
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -163,6 +165,18 @@ class TestBesselJ:
                 assert bessel_j(-float(n), z) == pytest.approx(
                     (-1.0) ** n * bessel_j(float(n), z), rel=1e-10, abs=1e-14
                 )
+
+    @pytest.mark.parametrize("nu", [0.3, -1.3])
+    @pytest.mark.parametrize("z", [1e308, sys.float_info.max])
+    def test_largest_arguments_warn_nothing(self, nu, z):
+        # the asymptotic branch forms 1/(8 z) and 2/(pi z) without
+        # overflowing 8 z or pi z; |J| <= sqrt(2/(pi z)) ~ 8e-155 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = bessel_j(nu, z)
+            batch = bessel_j(nu, np.array([1e3, z]))
+        assert math.isfinite(single) and abs(single) < 1e-154
+        assert batch[1] == single
 
     def test_array_input(self):
         z = np.linspace(0.5, 20.0, 64)
@@ -335,11 +349,14 @@ class TestHypDirectMemo:
     @pytest.mark.parametrize("alpha_prime", [2.3, -1.3, 1.7, 0.45])
     @pytest.mark.parametrize("phi", [0.4, 2.5, -3.0])
     def test_one_build_costs_four_misses(self, alpha_prime, phi):
+        # Three misses: each c < 1.5 steps down from one anchor, which is a
+        # direct value of its own family. (The name predates the first-order
+        # step, when a build cost four.)
         specfun._hyp_direct.cache_clear()
         first = g_fn(alpha_prime, phi)
-        assert specfun._hyp_direct.cache_info().misses == 4
+        assert specfun._hyp_direct.cache_info().misses == 3
         second = g_fn(alpha_prime, phi)
-        assert specfun._hyp_direct.cache_info().misses == 4
+        assert specfun._hyp_direct.cache_info().misses == 3
         assert _bits(first.g) == _bits(second.g)
 
     def test_size_stays_bounded_over_a_scan(self, capsys):
@@ -351,7 +368,7 @@ class TestHypDirectMemo:
         assert cli.main(argv) == 0
         capsys.readouterr()
         info = specfun._hyp_direct.cache_info()
-        assert info.misses == 4 * 120  # the JSON row's second build is all hits
+        assert info.misses == 3 * 120  # the JSON row's second build is all hits
         assert 0 < info.currsize <= info.maxsize == specfun._DIRECT_MEMO_SIZE
 
 
@@ -384,6 +401,23 @@ class TestHyp2f1Mpmath:
             warm = hyp2f1_11(c, x)
             assert specfun._hyp_direct.cache_info().hits > 0
             worst = max(worst, _mp_rel_err(cold, c, x), _mp_rel_err(warm, c, x))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-4, 1.0 - 1e-6, 1.0 + 1e-6])
+    def test_small_c(self, c):
+        # F ~ 1/c as c -> 0+, so the last contiguous step must divide by c
+        # itself: a c rounded on its way through c + 2 costs about 1e-10.
+        worst = max(_mp_rel_err(hyp2f1_11(c, x), c, complex(x)) for x in self._ARGS)
+        assert worst < 1e-14
+
+    # x near the branch point 1, where the anchor's continued fraction sets
+    # the error (4.1e-13 at x = 0.9999 for c = 2.3, which takes no step)
+    _NEAR_ONE = [0.99, 0.999, 0.9999, 0.99 + 0.01j, 0.99 - 0.01j,
+                 1.0 + 1e-3j, 1.0 - 1e-3j, 0.95 + 0.05j]
+
+    @pytest.mark.parametrize("c", [-6.5, -5.3, -4.1, -2.5, -1.2, -0.5])
+    def test_negative_c_near_one(self, c):
+        worst = max(_mp_rel_err(hyp2f1_11(c, x), c, complex(x)) for x in self._NEAR_ONE)
         assert worst < 1e-12
 
 
