@@ -9,7 +9,8 @@ specfun    gamma/digamma, Bessel J of real order, 2F1 and pFq building blocks
 classical  deformed Hamiltonian/Lagrangian dynamics, RK4, gauge checker
 radial     per-mode radial solutions, Bessel-product integrals, ODE residuals
 scattering amplitudes, cross sections, integer-flux limits, symmetry probes
-cli        command-line scans, dumps and the selftest harness
+selftest   the ``abgup selftest`` table of (name, check, tolerance) rows
+cli        command-line scans, dumps and trajectories; dispatches selftest
 """
 
 from .core import (

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainValidationError, PhysicalParams, SingularConfigError
+from .core import AccuracyError, DomainValidationError, PhysicalParams, SingularConfigError
 
 _VecField = Callable[[np.ndarray, float], np.ndarray]
 _ScalField = Callable[[np.ndarray, float], float]
@@ -481,7 +481,9 @@ def integrate(
     map) and the recorded energy H, which reuses that evaluation's A and
     adds one v_fn call. A field-evaluation failure (e.g. crossing the
     flux-line exclusion radius) truncates the run and marks the
-    trajectory incomplete rather than raising.
+    trajectory incomplete rather than raising. A sample whose t, x, p,
+    velocity or H is not finite (the state overflowed) raises
+    AccuracyError.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainValidationError(f"dt must be positive and finite, got {dt}")
@@ -500,6 +502,10 @@ def integrate(
         h = _dot(pma, pma) / (2.0 * m) + q * fields.v_fn(xa, t)
         if beta != 0.0:
             h += (beta / m) * _dot(p, p) * _dot(pma, p)
+        if not all(map(math.isfinite, (t, h, *x, *p, *xdot))):
+            raise AccuracyError(
+                f"trajectory state is not finite at t = {t}: x = {x}, p = {p}, H = {h}"
+            )
         return xdot, pdot, h
 
     def stage(x, p, t, s, kx, kp):

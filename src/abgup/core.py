@@ -63,6 +63,19 @@ class AccuracyError(RuntimeError):
 # Parameter containers
 # =====================================================================
 
+_K_MIN = 1e-300
+
+
+def square(x: float) -> float:
+    """x ** 2, or inf where that overflows a double, where ``x ** 2`` on a
+    float raises OverflowError. Callers check that what they return is
+    finite."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical constants for one run.
@@ -79,7 +92,8 @@ class PhysicalParams:
     charge : float
         Particle charge q.
     k : float
-        Incident wave number.
+        Incident wave number, >= 1e-300: below it the cross section's
+        denominator 2 pi k cos^2(phi/2) can underflow to 0.
 
     All five must be finite; a non-finite value raises DomainValidationError.
     """
@@ -101,8 +115,8 @@ class PhysicalParams:
             raise DomainValidationError(f"beta must be >= 0, got {self.beta}")
         if not (self.mass > 0.0):
             raise DomainValidationError(f"mass must be positive, got {self.mass}")
-        if not (self.k > 0.0):
-            raise DomainValidationError(f"k must be positive, got {self.k}")
+        if not (self.k >= _K_MIN):
+            raise DomainValidationError(f"k must be >= {_K_MIN:g}, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .core import (
     DomainValidationError,
     PhysicalParams,
     SingularConfigError,
+    square,
 )
 from .specfun import _bessel_negative, bessel_j, digamma, gamma_fn, pfq_series
 
@@ -556,7 +557,7 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     coeffs = xi_coeffs(m, alpha_prime)
     xi = coeffs.xi
     xim = coeffs.xi_minus
-    hk2 = (params.hbar * params.k) ** 2
+    hk2 = square(params.hbar * params.k)
     pref = _mode_prefactor(nu) * math.pi * hk2 / math.sin(nu * math.pi)
     f1 = _F1Grid(z).f1
 
@@ -608,7 +609,7 @@ def g1_g2(m: int, alpha_prime: float, params: PhysicalParams) -> tuple[complex, 
     coeffs = xi_coeffs(m, alpha_prime)
     xi = coeffs.xi
     xim = coeffs.xi_minus
-    hk2 = (params.hbar * params.k) ** 2
+    hk2 = square(params.hbar * params.k)
     a_m = _mode_prefactor(nu)
 
     combo = xi + xim / (2.0 * nu * (1.0 - nu))
@@ -695,12 +696,21 @@ def mode_f1(
     f1 = (C_m + u(z)) J_nu(z) + (D_m + v(z)) J_{-nu}(z), with C_m fixed by
     the outgoing-wave condition. This is the coefficient of the deformation
     parameter, not the full wave function.
+
+    Raises AccuracyError when a value is not finite: at large |m| and small
+    z, J_{-nu} overflows (|m| = 150 at z = 0.5 does).
     """
     nu = _order_of(m, alpha_prime)
     _require_generic_order(nu, "mode_f1")
     mode = radial_mode(m, alpha_prime, params, d_m=d_m)
     u, v = uv_pair(z, m, alpha_prime, params)
-    return (mode.c_m + u) * bessel_j(nu, z) + (mode.d_m + v) * bessel_j(-nu, z)
+    f1 = (mode.c_m + u) * bessel_j(nu, z) + (mode.d_m + v) * bessel_j(-nu, z)
+    if not np.all(np.isfinite(f1)):
+        raise AccuracyError(
+            f"mode_f1 is not finite at m = {m}, alpha' = {alpha_prime} on this z range "
+            "(J_-nu overflows at large |m| and small z)"
+        )
+    return f1
 
 
 # =====================================================================

@@ -37,6 +37,7 @@ from .core import (
     PhysicalParams,
     PoleError,
     flux_split,
+    square,
 )
 from .specfun import gamma_fn, hyp2f1_11
 
@@ -92,6 +93,14 @@ def _check_away_from_pi(phi: float, margin: float) -> float:
 def _sqrt_2pi_ik(k: float) -> complex:
     """Principal square root of 2 pi i k (k > 0)."""
     return math.sqrt(2.0 * math.pi * k) * cmath.exp(0.25j * math.pi)
+
+
+def _finite(value, what: str):
+    """``value`` (float or complex) if finite; AccuracyError otherwise, where
+    the parameters push it past the double range."""
+    if not cmath.isfinite(value):
+        raise AccuracyError(f"{what} is not finite at these parameters (overflow)")
+    return value
 
 
 def _require_noninteger(alpha_prime: float, what: str) -> None:
@@ -181,7 +190,7 @@ def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
     if abs(w - round(w)) < _INTEGER_TOL:
         raise PoleError(f"g2m: m + alpha' = {w} is integer (gamma pole)")
     nu = abs(w)
-    hk2 = (params.hbar * params.k) ** 2
+    hk2 = square(params.hbar * params.k)
     split = flux_split(alpha_prime)
     sin_pw = (-1.0) ** int(m) * math.sin(math.pi * split.gamma_part) * (-1.0) ** split.n_part
     gamma_pair = -math.pi / (w * sin_pw)
@@ -269,6 +278,22 @@ def _series_at_r(
     return s_j + tail_j, s_k + tail_k
 
 
+def _series_angle(phi: float, alpha_prime: float, m_max: int, what: str) -> float:
+    """The principal angle of a regularized-series call, after the checks the
+    series routes share: non-integer flux, m_max >= 200, and phi away from
+    +-pi and from 0."""
+    _require_noninteger(alpha_prime, what)
+    if not m_max >= 200:
+        raise DomainValidationError(f"m_max must be >= 200, got {m_max}")
+    t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
+    if abs(t) < _SERIES_PHI_MARGIN:
+        raise DomainValidationError(
+            f"phi = {phi} is within {_SERIES_PHI_MARGIN} of 0; the regularized series "
+            "loses its oscillatory convergence there"
+        )
+    return t
+
+
 def _neville_to_zero(hs: list[float], ys: list[complex]) -> tuple[complex, float]:
     """Polynomial extrapolation of (h, y) samples to h = 0.
 
@@ -339,19 +364,10 @@ def f1_series(
         If the extrapolation correction exceeds 1e-3 of the result,
         with the per-r values in the message.
     """
-    _require_noninteger(alpha_prime, "f1_series")
-    if m_max < 200:
-        raise DomainValidationError(f"m_max must be >= 200, got {m_max}")
-    t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
-    if abs(t) < _SERIES_PHI_MARGIN:
-        raise DomainValidationError(
-            f"phi = {phi} is within {_SERIES_PHI_MARGIN} of 0; the regularized series "
-            "loses its oscillatory convergence there (use f1_amp)"
-        )
-
+    t = _series_angle(phi, alpha_prime, m_max, "f1_series")
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
-    hk2 = (params.hbar * params.k) ** 2
+    hk2 = square(params.hbar * params.k)
     pref = -0.5j * hk2 * math.sin(math.pi * gamma) / _sqrt_2pi_ik(params.k)
     rot_j = cmath.exp(-1j * math.pi * gamma)
     rot_k = cmath.exp(1j * math.pi * gamma)
@@ -373,12 +389,10 @@ def regularized_alternating_gamma_sum(
 
     A self-check target for the series machinery: the same regularization
     used in ``f1_series`` applied to a term family with the known closed
-    form -pi e^{-i(N+1/2)phi} / (2 sin(pi gamma) cos(phi/2)).
+    form -pi e^{-i(N+1/2)phi} / (2 sin(pi gamma) cos(phi/2)). ``m_max``
+    (>= 200) is the explicit cutoff, as in ``f1_series``.
     """
-    _require_noninteger(alpha_prime, "regularized_alternating_gamma_sum")
-    t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
-    if abs(t) < _SERIES_PHI_MARGIN:
-        raise DomainValidationError("phi too close to 0 for the regularized sum")
+    t = _series_angle(phi, alpha_prime, m_max, "regularized_alternating_gamma_sum")
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
     sigma = (-1.0) ** n * math.sin(math.pi * gamma)
@@ -484,12 +498,12 @@ def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
     t = _check_away_from_pi(phi, _PI_MARGIN)
     kernel = g_fn(alpha_prime, t)
     n = flux_split(alpha_prime).n_part
-    hk2 = (params.hbar * params.k) ** 2
+    hk2 = square(params.hbar * params.k)
     pref = (
         1j * math.pi * hk2 * cmath.exp(-1j * (n + 0.5) * t)
         / (4.0 * math.cos(0.5 * t) * _sqrt_2pi_ik(params.k))
     )
-    return pref * kernel.g
+    return _finite(pref * kernel.g, "f1_amp")
 
 
 # =====================================================================
@@ -508,10 +522,10 @@ def dsigma_integer_limits(n: int, phi: float, params: PhysicalParams) -> tuple[f
     """
     n = int(n)
     c2 = math.cos(0.5 * _principal(phi)) ** 2
-    scale = params.beta * math.pi * params.hbar**2 * params.k * n * n / 2.0
+    scale = params.beta * math.pi * square(params.hbar) * params.k * n * n / 2.0
     upper = scale * (2.0 * (n - 2.0) * c2 + 6.0 - n)
     lower = scale * (n + 6.0 - 2.0 * (n + 2.0) * c2)
-    return upper, lower
+    return _finite(upper, "dsigma_integer_limits"), _finite(lower, "dsigma_integer_limits")
 
 
 def width(n: int, phi: float, params: PhysicalParams) -> float:
@@ -552,6 +566,9 @@ def dsigma(
     At beta = 0 the exact undeformed value sin^2(pi gamma)/(2 pi k cos^2)
     is returned directly, which is exactly 0 at integer flux.
 
+    A value past the double range (extreme hbar, k or beta) raises
+    AccuracyError.
+
     Parameters
     ----------
     with_flag : bool
@@ -567,29 +584,27 @@ def dsigma(
     c2 = math.cos(0.5 * t) ** 2
     sin_g = math.sin(math.pi * gamma)
 
+    flag = ""
     if params.beta == 0.0:
         val = sin_g * sin_g / (2.0 * math.pi * k * c2)
-        return (val, "") if with_flag else val
-
-    if gamma < _ENDPOINT_GAMMA:
-        val = dsigma_integer_limits(n, t, params)[0]
-        return (val, "endpoint-upper") if with_flag else val
-    if 1.0 - gamma < _ENDPOINT_GAMMA:
-        val = dsigma_integer_limits(n + 1, t, params)[1]
-        return (val, "endpoint-lower") if with_flag else val
-
-    kernel = g_fn(alpha_prime, t)
-    hk2 = (params.hbar * k) ** 2
-    if form == "modulus":
-        amp = sin_g - (math.pi * hk2 * params.beta / 4.0) * kernel.g
-        val = abs(amp) ** 2 / (2.0 * math.pi * k * c2)
+    elif gamma < _ENDPOINT_GAMMA:
+        val, flag = dsigma_integer_limits(n, t, params)[0], "endpoint-upper"
+    elif 1.0 - gamma < _ENDPOINT_GAMMA:
+        val, flag = dsigma_integer_limits(n + 1, t, params)[1], "endpoint-lower"
     else:
-        val = (
-            sin_g
-            * (sin_g - params.beta * (math.pi * hk2 / 2.0) * kernel.g.real)
-            / (2.0 * math.pi * k * c2)
-        )
-    return (val, "") if with_flag else val
+        kernel = g_fn(alpha_prime, t)
+        hk2 = square(params.hbar * k)
+        if form == "modulus":
+            amp = sin_g - (math.pi * hk2 * params.beta / 4.0) * kernel.g
+            val = square(abs(amp)) / (2.0 * math.pi * k * c2)
+        else:
+            val = (
+                sin_g
+                * (sin_g - params.beta * (math.pi * hk2 / 2.0) * kernel.g.real)
+                / (2.0 * math.pi * k * c2)
+            )
+    val = _finite(val, "dsigma")
+    return (val, flag) if with_flag else val
 
 
 def symmetry_probe(

@@ -2,6 +2,8 @@
 determinism and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from abgup import PhysicalParams, dsigma, flux_split, width
+from abgup import PhysicalParams, dsigma, flux_split, selftest, width
 from abgup.cli import _build_parser, _json_document, _write, main
 
 
@@ -23,6 +26,38 @@ def _rows(path):
     data = [ln for ln in lines[1:] if not ln.startswith("#")]
     skips = [ln for ln in lines[1:] if ln.startswith("# skipped")]
     return header, data, skips
+
+
+def _run_to_stdout(argv, warning_action="error"):
+    """main(argv) with output to stdout, warnings as errors by default;
+    returns (exit code, stdout, stderr). An exception main does not turn
+    into an exit code propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action)
+            rc = main([*argv, "--out", "-"])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_finite_rows(argv, out):
+    if out.startswith("{"):
+        values = [v for rec in json.loads(out)["records"] for v in rec.values()]
+    else:
+        rows = [ln for ln in out.splitlines()[1:] if not ln.startswith("#")]
+        values = [float(tok) for ln in rows for tok in ln.split(",")]
+    assert all(math.isfinite(v) for v in values), (argv, out)
+
+
+def _assert_finite_rows_or_one_line_error(argv):
+    """Exit 0 with only finite numbers in the output, or exit 1 or 2 with a
+    one-line message, no output and no warning."""
+    rc, out, err = _run_to_stdout(argv)
+    if rc == 0:
+        _assert_finite_rows(argv, out)
+    else:
+        assert rc in (1, 2), (argv, rc)
+        assert out == "" and err.startswith("abgup: ") and err.count("\n") == 1, (argv, err)
 
 
 # =====================================================================
@@ -243,6 +278,14 @@ class TestRadial:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("m", [150, 170, 200, -150])
+    def test_large_order_is_finite_or_typed(self, m):
+        # at the default z-min = 0.5, J_-nu overflows from about |m| = 150, and
+        # Gamma overflows in the opposite-order series and in g1_g2 beyond 170
+        _assert_finite_rows_or_one_line_error(
+            ["radial", "--alpha", "0.3", f"--m={m}", "--beta", "0.01", "--steps", "3"]
+        )
+
     def test_z_beyond_panel_cap_exits_1(self, tmp_path, capsys):
         # the degenerate-order panels would need about 2e309 nodes; rejected at once
         out = tmp_path / "x.csv"
@@ -311,6 +354,17 @@ class TestTrajectory:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--dt", "1e300", "--steps", "3"],
+        ["--x0", "1e300,0", "--beta", "0.01", "--steps", "3"],
+    ])
+    def test_overflowing_state_exits_2(self, argv):
+        # the state overflows to nan in the first step
+        rc, out, err = _run_to_stdout(["trajectory", *argv])
+        assert rc == 2 and out == ""
+        assert err.startswith("abgup: accuracy failure: trajectory state is not finite")
+        _assert_finite_rows_or_one_line_error(["trajectory", *argv])
 
     def test_neutral_particle(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -555,3 +609,149 @@ class TestExitCodes:
         assert rc == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+
+
+class TestSelftestRunner:
+    """``abgup selftest`` runs ``selftest.CHECKS``, one (name, check,
+    tolerance) row per printed line."""
+
+    def _run(self, monkeypatch, capsys, rows):
+        monkeypatch.setattr(selftest, "CHECKS", rows)
+        rc = main(["selftest"])
+        return rc, capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("figure, tol", [
+        (2e-3, 1e-3), (1e-3, 1e-3), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (5e-324, 0.0),
+    ])
+    def test_figure_outside_tolerance_fails(self, monkeypatch, capsys, figure, tol):
+        rows = [("first", lambda: 0.0, 0.0), ("second", lambda: figure, tol),
+                ("third", lambda: -1.0, 1e-3)]
+        rc, lines = self._run(monkeypatch, capsys, rows)
+        assert rc == 2
+        assert lines == [
+            "ok   first  (0.00e+00, tolerance 0)",
+            f"FAIL second  ({figure:.2e}, tolerance {tol:g})",
+            "ok   third  (-1.00e+00, tolerance 0.001)",
+            "selftest: 2/3 checks passed",
+        ]
+
+    def test_raising_check_fails_its_row_only(self, monkeypatch, capsys):
+        def crash():
+            return 1.0 / 0.0
+
+        rows = [("crash", crash, 1.0), ("next", lambda: 0.5, 1.0)]
+        rc, lines = self._run(monkeypatch, capsys, rows)
+        assert rc == 2
+        assert lines == [
+            "FAIL crash  (ZeroDivisionError: float division by zero)",
+            "ok   next  (5.00e-01, tolerance 1)",
+            "selftest: 1/2 checks passed",
+        ]
+
+    def test_all_rows_passing_exits_0(self, monkeypatch, capsys):
+        rows = [("a", lambda: 0.0, 0.0), ("b", lambda: 1e-9, 1e-8)]
+        rc, lines = self._run(monkeypatch, capsys, rows)
+        assert rc == 0
+        assert lines[-1] == "selftest: 2/2 checks passed"
+
+    def test_check_names_in_order(self):
+        assert [name for name, _, _ in selftest.CHECKS] == [
+            "core: uncertainty bound floor",
+            "core: uncertainty bound above floor",
+            "core: flux split exactness",
+            "core: momentum map",
+            "core: commutator residual size",
+            "core: commutator residual O(h^2)",
+            "specfun: gamma reflection",
+            "specfun: digamma recurrence",
+            "specfun: bessel recurrence",
+            "specfun: 2f1 log identity",
+            "radial: product integral vs quadrature",
+            "radial: equal-order branch",
+            "radial: derivative identity",
+            "radial: homogeneous mode residual",
+            "radial: constant-term convergence",
+            "scattering: g2m closed value",
+            "scattering: regularized gamma sum",
+            "scattering: series vs closed form",
+            "scattering: jump identity",
+            "scattering: jump closed value",
+            "scattering: integer-flux zeros",
+            "scattering: flip symmetry",
+            "scattering: forms agree to O(beta^2)",
+            "scattering: sample assembly",
+            "classical: flow is gradient of H",
+            "classical: uniform-E force correction",
+            "classical: free-space correction vanishes",
+            "classical: cyclotron radius",
+            "classical: energy conservation",
+            "classical: action-consistency residual",
+            "classical: shifted-potential consistency",
+        ]
+
+    def test_selftest_takes_no_flags(self, capsys):
+        assert main(["selftest", "--m-max", "600"]) == 1
+        assert "unrecognized arguments: --m-max" in capsys.readouterr().err
+
+
+# =====================================================================
+# Property: every subcommand exits 0 with finite output, or 1 or 2
+# =====================================================================
+
+_EXTREME = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, sys.float_info.max,
+            math.nan, math.inf, -math.inf]
+_FLOAT = st.one_of(st.sampled_from(_EXTREME), st.floats(-20.0, 20.0), st.floats(0.0, 3.0),
+                   st.floats(0.0, 3.0))
+_STEPS = st.integers(-1, 50)  # bounded so that no draw allocates much
+
+
+def _vec(dims):
+    return st.lists(_FLOAT, min_size=dims, max_size=dims).map(lambda v: ",".join(map(repr, v)))
+
+
+_COMMON = {f"--{name}": _FLOAT for name in ("hbar", "k", "beta", "mass", "charge")}
+_SUBCOMMANDS = {
+    "alpha-scan": {"--phi": _FLOAT, "--alpha-min": _FLOAT, "--alpha-max": _FLOAT,
+                   "--steps": _STEPS, "--margin": _FLOAT,
+                   "--form": st.sampled_from(["linearized", "modulus"])},
+    "phi-scan": {"--alpha": _FLOAT, "--phi-min": _FLOAT, "--phi-max": _FLOAT,
+                 "--steps": _STEPS, "--margin": _FLOAT,
+                 "--form": st.sampled_from(["linearized", "modulus"])},
+    "radial": {"--m": st.integers(-300, 300), "--alpha": _FLOAT, "--z-min": _FLOAT,
+               "--z-max": _FLOAT, "--steps": _STEPS},
+    "trajectory": {"--field": st.sampled_from(["ab", "uniform-b", "uniform-e", "free"]),
+                   "--alpha": _FLOAT, "--b": _FLOAT, "--e0": _vec(2), "--x0": _vec(2),
+                   "--p0": _vec(2), "--t0": _FLOAT, "--dt": _FLOAT, "--steps": _STEPS},
+    "width": {"--n": st.integers(-(10**6), 10**6), "--phi": _FLOAT},
+}
+
+
+_REQUIRED = {"--phi", "--alpha-min", "--alpha-max", "--phi-min", "--phi-max", "--n"}
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command, "--format=" + draw(st.sampled_from(["csv", "json"]))]
+    for flag, values in {**_COMMON, **_SUBCOMMANDS[command]}.items():
+        # an optional flag is set with probability 1/2; "=" keeps "-inf" a value
+        required = flag in _REQUIRED or (flag == "--alpha" and command != "trajectory")
+        if required or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_subcommand_exits_typed(command, data):
+    # selftest takes no flags; TestExitCodes::test_selftest_passes runs it.
+    # Warnings are not part of the property (an overflow on the way to a
+    # typed error may print one).
+    argv = data.draw(_argv(command))
+    rc, out, err = _run_to_stdout(argv, warning_action="ignore")
+    if rc == 0:
+        _assert_finite_rows(argv, out)
+    else:
+        assert rc in (1, 2), (argv, rc, err)

@@ -40,6 +40,7 @@ class TestPhysicalParams:
             {"beta": -1e-9},
             {"mass": 0.0},
             {"k": -2.0},
+            {"k": 5e-324},  # below the 1e-300 floor
         ]
         + [
             {name: bad}

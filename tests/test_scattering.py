@@ -118,6 +118,8 @@ class TestSeries:
     def test_m_max_validation(self):
         with pytest.raises(DomainValidationError):
             f1_series(0.5, 0.7, PB, m_max=50)
+        with pytest.raises(DomainValidationError, match="m_max"):
+            regularized_alternating_gamma_sum(math.pi / 3, 0.5, m_max=-5)
 
     def test_phi_margins(self):
         with pytest.raises(DomainValidationError):
@@ -276,6 +278,19 @@ class TestDsigma:
     def test_unknown_form_rejected(self):
         with pytest.raises(DomainValidationError):
             dsigma(0.5, 0.7, PB, form="squared")
+
+    @pytest.mark.parametrize("params, alpha_prime, phi", [
+        (PhysicalParams(hbar=1e300, beta=2.0), 0.7, 0.5),  # (hbar k)^2 overflows
+        (PhysicalParams(hbar=1e200, beta=2.0), 1.0 + 1e-5, 0.5),  # endpoint limits
+        (PhysicalParams(k=1e-300), 0.7, 3.14159),  # 1 / (2 pi k cos^2) at beta = 0
+        (PhysicalParams(beta=1e308), 0.7, 0.5),
+    ])
+    def test_overflow_raises_accuracy_error(self, params, alpha_prime, phi):
+        for form in ("linearized", "modulus"):
+            with pytest.raises(AccuracyError, match="not finite"):
+                dsigma(phi, alpha_prime, params, form=form)
+            with pytest.raises(AccuracyError, match="not finite"):
+                scatter_sample(phi, alpha_prime, params, form=form)
 
     def test_forward_rejected(self):
         with pytest.raises(ForwardSingularityError):

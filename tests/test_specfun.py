@@ -60,6 +60,13 @@ class TestGamma:
         with pytest.raises(DomainValidationError):
             gamma_fn(math.inf)
 
+    @pytest.mark.parametrize("x", [171.7, 200.3, 1e300, -171.5, -185.5])
+    def test_overflow_is_typed(self, x):
+        # Gamma(x), or the reflection's Gamma(1 - x), exceeds the largest double
+        with pytest.raises(DomainValidationError, match="overflows a double"):
+            gamma_fn(x)
+        assert gamma_fn(171.6) == pytest.approx(math.gamma(171.6), rel=1e-12)
+
 
 class TestLogGamma:
     @pytest.mark.parametrize("x", [0.2, 1.0, 2.5, 17.0, 301.5])
@@ -177,6 +184,18 @@ class TestBesselJ:
             batch = bessel_j(nu, np.array([1e3, z]))
         assert math.isfinite(single) and abs(single) < 1e-154
         assert batch[1] == single
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 2.7, -1.3])
+    def test_asymptotic_phase_against_mpmath(self, nu):
+        # the phase z - (nu/2 + 1/4) pi is taken from cos z and sin z, so no
+        # digit of z is lost to the subtraction; error scaled by the envelope
+        zs = np.geomspace(1e3, 1e15, 25) * 1.0137
+        got = bessel_j(nu, zs)
+        with mpmath.workdps(60):
+            for z, value in zip(zs, got):
+                ref = mpmath.besselj(nu, mpmath.mpf(float(z)))
+                envelope = mpmath.sqrt(2 / (mpmath.pi * mpmath.mpf(float(z))))
+                assert float(abs(value - ref) / envelope) < 1e-13, z
 
     def test_array_input(self):
         z = np.linspace(0.5, 20.0, 64)
