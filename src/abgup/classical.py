@@ -465,6 +465,8 @@ def _check_dim(x: np.ndarray, fields: FieldSpec) -> None:
 # Integration
 # =====================================================================
 
+# an overflowed state is a non-finite sample, which raises AccuracyError below
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     initial: ClassicalState,
     fields: FieldSpec,

@@ -21,9 +21,8 @@ import sys
 import numpy as np
 
 from . import classical, radial, scattering
-from .core import AccuracyError, DomainValidationError, PhysicalParams, flux_split
+from .core import ENDPOINT_BAND, AccuracyError, DomainValidationError, PhysicalParams, flux_split
 
-_ALPHA_MARGIN = 1e-4  # scans skip flux values this close to an integer
 _PHI_MARGIN_DEFAULT = 1e-3  # scans skip angles this close to +-pi
 _NUM = "%.17g"  # every float written to CSV
 
@@ -185,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _scan_skip_reason(alpha_prime: float, phi: float, margin: float) -> str | None:
     split = flux_split(alpha_prime)
-    if min(split.gamma_part, 1.0 - split.gamma_part) < _ALPHA_MARGIN:
+    if min(split.gamma_part, 1.0 - split.gamma_part) < ENDPOINT_BAND:
         return "integer-flux margin"
     t = scattering._principal(phi)
     if math.pi - abs(t) < margin:
@@ -200,9 +199,11 @@ def _run_scan(args: argparse.Namespace, mode: str) -> int:
     if not (math.isfinite(args.margin) and args.margin >= 0.0):
         raise DomainValidationError(f"--margin must be finite and >= 0, got {args.margin}")
     lo, hi = (args.alpha_min, args.alpha_max) if mode == "alpha" else (args.phi_min, args.phi_max)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not math.isfinite(hi - lo):  # an end that is not finite, or a width that overflows
         raise DomainValidationError(f"the scan range must be finite, got [{lo}, {hi}]")
-    values = np.linspace(lo, hi, args.steps).tolist()
+    # only the last point's step can overflow, and linspace sets that point to hi
+    with np.errstate(over="ignore"):
+        values = np.linspace(lo, hi, args.steps).tolist()
     if mode == "alpha":
         grid = [(a, args.phi) for a in values]
     else:
@@ -252,10 +253,7 @@ def _run_radial(args: argparse.Namespace) -> int:
     if not args.z_min <= args.z_max < math.inf:
         raise DomainValidationError(f"--z-max must be finite and >= --z-min, got {args.z_max}")
     zs = np.linspace(args.z_min, args.z_max, args.steps)
-    # f1 first: it rejects a z range beyond the radial panel cap before any
-    # Bessel evaluation on z
-    f1 = radial.mode_f1(zs, args.m, args.alpha, params)
-    f0 = radial.mode_f0(zs, args.m, args.alpha)
+    f0, f1 = radial._mode_profiles(zs, args.m, args.alpha, params)
     columns = ("z", "m", "alpha_prime", "re_f0", "im_f0", "re_f1", "im_f1")
     n = len(zs)
     rows = list(zip(

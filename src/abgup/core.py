@@ -8,6 +8,7 @@ This module holds the pieces every other module leans on:
 * ``minimal_length``     -- the minimum of that bound over all momentum spreads.
 * ``momentum_map``       -- the cubic map from auxiliary to physical momentum.
 * ``commutator_residual_1d`` -- grid check that the deformed commutator closes.
+* ``INTEGER_GUARD``, ``require_noninteger``, ``ENDPOINT_BAND`` -- shared guards.
 
 The error taxonomy lives here as well so that every module can raise the same
 exception types without circular imports.
@@ -57,6 +58,35 @@ class AccuracyError(RuntimeError):
     tolerance (series that stop converging, extrapolation ladders that do not
     settle, quadratures whose error estimate stays too large).
     """
+
+
+# =====================================================================
+# Guards shared by the closed forms
+# =====================================================================
+
+# Distance from an integer inside which a flux alpha' or a Bessel order nu is
+# refused. The scattering kernel carries 1/gamma and 1/(1 - gamma), and the
+# radial closed forms 1/sin(pi nu), so both have a pole at every integer; the
+# kernel still matches mpmath to 3e-15 at gamma = 2e-6.
+INTEGER_GUARD = 1e-6
+
+# Band around integer flux inside which dsigma returns the gamma -> 0 limits
+# of dsigma_integer_limits instead of the kernel value, and which the scans
+# skip. Acceptance criterion 2 compares dsigma at gamma = 5e-5 with those
+# limits, so the band must reach past 5e-5.
+ENDPOINT_BAND = 1e-4
+
+
+def require_noninteger(value: float, what: str, error: type[DomainValidationError]) -> None:
+    """Raise ``error`` when ``value`` is within INTEGER_GUARD of an integer (a pole
+    of the closed forms ``what`` names), DomainValidationError if not finite."""
+    if not math.isfinite(value):
+        raise DomainValidationError(f"{what} must be finite, got {value}")
+    if abs(value - round(value)) < INTEGER_GUARD:
+        raise error(
+            f"{what} = {value} is within {INTEGER_GUARD:g} of an integer, "
+            "where the closed forms have poles"
+        )
 
 
 # =====================================================================

@@ -31,15 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    INTEGER_GUARD,
     AccuracyError,
     DomainValidationError,
     PhysicalParams,
     SingularConfigError,
+    require_noninteger,
     square,
 )
 from .specfun import _bessel_negative, bessel_j, digamma, gamma_fn, pfq_series
 
-_INTEGER_ORDER_GUARD = 1e-6
 _DEGENERATE_TOL = 1e-9
 _ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature continuation above
 # Largest z the degenerate-order panels carry F1 to. Their nodes grow as 24 per
@@ -94,14 +95,6 @@ def _order_of(m: int, alpha_prime: float) -> float:
     if not math.isfinite(a):
         raise DomainValidationError(f"alpha_prime must be finite, got {a}")
     return abs(int(m) + a)
-
-
-def _require_generic_order(nu: float, what: str) -> None:
-    if abs(nu - round(nu)) < _INTEGER_ORDER_GUARD:
-        raise SingularConfigError(
-            f"{what}: order nu = {nu} is within {_INTEGER_ORDER_GUARD} of an "
-            "integer, where the closed forms have poles"
-        )
 
 
 # =====================================================================
@@ -297,17 +290,17 @@ class _F1Grid:
         nu = float(nu)
         if abs(mu - nu) < _DEGENERATE_TOL:
             mubar = 0.5 * (mu + nu)
-            if abs(mubar) < _INTEGER_ORDER_GUARD:
+            if abs(mubar) < INTEGER_GUARD:
                 raise SingularConfigError(
                     "f1_integral: the (0, 0) order pair has a logarithmically "
                     "divergent antiderivative at the origin"
                 )
-            if mubar < 0.0 and abs(mubar - round(mubar)) < _INTEGER_ORDER_GUARD:
+            if mubar < 0.0 and abs(mubar - round(mubar)) < INTEGER_GUARD:
                 mubar = abs(mubar)  # J_(-n)^2 = J_n^2; the series needs the positive order
             return self._degenerate(mubar, mubar, _f1_equal_series)
         if abs(mu + nu) < _DEGENERATE_TOL:
             mubar = 0.5 * abs(mu - nu)
-            _require_generic_order(mubar, "f1_integral (opposite orders)")
+            require_noninteger(mubar, "f1_integral (opposite orders): nu", SingularConfigError)
             return self._degenerate(mubar, -mubar, _f1_opposite_series)
         return self._generic(mu, nu)
 
@@ -511,7 +504,7 @@ def _mode_prefactor(nu: float) -> complex:
 def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     """Running coefficients (u, v) of the first-order particular solution.
 
-    The first-order mode is ``f1 = (C + u(z)) J_nu + (D + v(z)) J_{-nu}``;
+    The first-order mode is ``f1 = (C + u(z)) J_nu + v(z) J_{-nu}``;
     this returns the z-dependent pair built from closed-form F1 values:
 
         u =  P [ -nu xi/(nu+1) F1(-nu, nu) + xi/(nu+1) F1(-nu, nu+2)
@@ -552,14 +545,19 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     negative orders come from the table's seed rows by recurrence, so a call
     costs one ``bessel_j`` call per distinct nonnegative order and point set.
     """
+    return _uv_on(_F1Grid(z), m, alpha_prime, params)
+
+
+def _uv_on(grid: _F1Grid, m: int, alpha_prime: float, params: PhysicalParams):
+    """``uv_pair`` on the z of ``grid``, from its order tables."""
     nu = _order_of(m, alpha_prime)
-    _require_generic_order(nu, "uv_pair")
+    require_noninteger(nu, "uv_pair: order nu", SingularConfigError)
     coeffs = xi_coeffs(m, alpha_prime)
     xi = coeffs.xi
     xim = coeffs.xi_minus
     hk2 = square(params.hbar * params.k)
     pref = _mode_prefactor(nu) * math.pi * hk2 / math.sin(nu * math.pi)
-    f1 = _F1Grid(z).f1
+    f1 = grid.f1
 
     u_brace = (
         -nu * xi / (nu + 1.0) * f1(-nu, nu)
@@ -605,7 +603,7 @@ def g1_g2(m: int, alpha_prime: float, params: PhysicalParams) -> tuple[complex, 
     (g1, g2) : pair of complex
     """
     nu = _order_of(m, alpha_prime)
-    _require_generic_order(nu, "g1_g2")
+    require_noninteger(nu, "g1_g2: order nu", SingularConfigError)
     coeffs = xi_coeffs(m, alpha_prime)
     xi = coeffs.xi
     xim = coeffs.xi_minus
@@ -645,37 +643,29 @@ def g1_g2(m: int, alpha_prime: float, params: PhysicalParams) -> tuple[complex, 
 class RadialMode:
     """Coefficient bundle of one angular-momentum mode.
 
-    ``order`` is nu = |m + alpha_prime|; ``a_m``/``b_m`` weight J_nu / J_{-nu}
-    at zeroth order (b_m = 0: regularity at the origin), ``c_m``/``d_m`` the
-    corresponding homogeneous weights of the first-order correction.
+    ``order`` is nu = |m + alpha_prime|; ``a_m`` and ``c_m`` weight J_nu at
+    zeroth and first order. J_{-nu} has no weight of its own: regularity at
+    the origin sets b_m = 0, and the first-order D_m is 0.
     """
 
     m: int
     order: float
     a_m: complex
     c_m: complex
-    b_m: complex = 0.0 + 0.0j
-    d_m: complex = 0.0 + 0.0j
 
 
-def radial_mode(
-    m: int,
-    alpha_prime: float,
-    params: PhysicalParams,
-    d_m: complex = 0.0 + 0.0j,
-) -> RadialMode:
+def radial_mode(m: int, alpha_prime: float, params: PhysicalParams) -> RadialMode:
     """Build the coefficient bundle for mode m.
 
     The first-order homogeneous weight C_m is fixed by requiring the
     correction to be purely outgoing at infinity:
 
-        C_m = -g1 - exp(-i pi nu) (D_m + g2)
+        C_m = -g1 - exp(-i pi nu) g2
     """
     nu = _order_of(m, alpha_prime)
-    _require_generic_order(nu, "radial_mode")
-    g1, g2 = g1_g2(m, alpha_prime, params)
-    c_m = -g1 - cmath.exp(-1j * math.pi * nu) * (d_m + g2)
-    return RadialMode(m=int(m), order=nu, a_m=_mode_prefactor(nu), c_m=c_m, d_m=d_m)
+    g1, g2 = g1_g2(m, alpha_prime, params)  # rejects an order near an integer
+    c_m = -g1 - cmath.exp(-1j * math.pi * nu) * g2
+    return RadialMode(m=int(m), order=nu, a_m=_mode_prefactor(nu), c_m=c_m)
 
 
 def mode_f0(z, m: int, alpha_prime: float):
@@ -684,33 +674,34 @@ def mode_f0(z, m: int, alpha_prime: float):
     return _mode_prefactor(nu) * bessel_j(nu, z)
 
 
-def mode_f1(
-    z,
-    m: int,
-    alpha_prime: float,
-    params: PhysicalParams,
-    d_m: complex = 0.0 + 0.0j,
-):
+def mode_f1(z, m: int, alpha_prime: float, params: PhysicalParams):
     """First-order mode profile.
 
-    f1 = (C_m + u(z)) J_nu(z) + (D_m + v(z)) J_{-nu}(z), with C_m fixed by
-    the outgoing-wave condition. This is the coefficient of the deformation
+    f1 = (C_m + u(z)) J_nu(z) + v(z) J_{-nu}(z), with C_m fixed by the
+    outgoing-wave condition. This is the coefficient of the deformation
     parameter, not the full wave function.
 
     Raises AccuracyError when a value is not finite: at large |m| and small
     z, J_{-nu} overflows (|m| = 150 at z = 0.5 does).
     """
-    nu = _order_of(m, alpha_prime)
-    _require_generic_order(nu, "mode_f1")
-    mode = radial_mode(m, alpha_prime, params, d_m=d_m)
-    u, v = uv_pair(z, m, alpha_prime, params)
-    f1 = (mode.c_m + u) * bessel_j(nu, z) + (mode.d_m + v) * bessel_j(-nu, z)
+    return _mode_profiles(z, m, alpha_prime, params)[1]
+
+
+def _mode_profiles(z, m: int, alpha_prime: float, params: PhysicalParams):
+    """(f0, f1) of mode m on z, as ``mode_f0`` and ``mode_f1`` give them, from
+    one ``_F1Grid``: J_nu and J_{-nu} on z are rows of the order table u and
+    v have filled, so no order is evaluated twice on z."""
+    grid = _F1Grid(z)
+    mode = radial_mode(m, alpha_prime, params)
+    u, v = _uv_on(grid, m, alpha_prime, params)
+    j_nu = grid.on_z(mode.order)
+    f1 = (mode.c_m + u) * j_nu + v * grid.on_z(-mode.order)
     if not np.all(np.isfinite(f1)):
         raise AccuracyError(
             f"mode_f1 is not finite at m = {m}, alpha' = {alpha_prime} on this z range "
             "(J_-nu overflows at large |m| and small z)"
         )
-    return f1
+    return mode.a_m * j_nu, f1
 
 
 # =====================================================================

@@ -31,20 +31,20 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    ENDPOINT_BAND,
     AccuracyError,
     DomainValidationError,
     ForwardSingularityError,
     PhysicalParams,
     PoleError,
     flux_split,
+    require_noninteger,
     square,
 )
 from .specfun import gamma_fn, hyp2f1_11
 
 _PI_MARGIN = 1e-6          # amplitude evaluations: keep |phi| away from pi
 _SERIES_PHI_MARGIN = 1e-3  # series route additionally needs phi away from 0
-_ENDPOINT_GAMMA = 1e-4     # dsigma routes to the integer-limit formulas inside this band
-_INTEGER_TOL = 1e-6        # non-integer flux guard for the amplitude corrections
 _ABEL_R = (0.99, 0.995, 0.9975)  # Abel regulators, extrapolated to r = 1
 _TAIL_FLOOR = 1e-18        # truncate Abel tails at this fraction of the leading term
 _TAIL_CAP = 400_000        # hard cap on tail length (hit only for r very close to 1)
@@ -101,14 +101,6 @@ def _finite(value, what: str):
     if not cmath.isfinite(value):
         raise AccuracyError(f"{what} is not finite at these parameters (overflow)")
     return value
-
-
-def _require_noninteger(alpha_prime: float, what: str) -> None:
-    if abs(alpha_prime - round(alpha_prime)) < _INTEGER_TOL:
-        raise PoleError(
-            f"{what}: alpha' = {alpha_prime} is within {_INTEGER_TOL} of an "
-            "integer, where the correction amplitude has a pole"
-        )
 
 
 # =====================================================================
@@ -187,8 +179,7 @@ def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
         If m + alpha' is within 1e-6 of an integer.
     """
     w = float(m) + float(alpha_prime)
-    if abs(w - round(w)) < _INTEGER_TOL:
-        raise PoleError(f"g2m: m + alpha' = {w} is integer (gamma pole)")
+    require_noninteger(w, "g2m: m + alpha'", PoleError)
     nu = abs(w)
     hk2 = square(params.hbar * params.k)
     split = flux_split(alpha_prime)
@@ -282,7 +273,7 @@ def _series_angle(phi: float, alpha_prime: float, m_max: int, what: str) -> floa
     """The principal angle of a regularized-series call, after the checks the
     series routes share: non-integer flux, m_max >= 200, and phi away from
     +-pi and from 0."""
-    _require_noninteger(alpha_prime, what)
+    require_noninteger(alpha_prime, f"{what}: alpha'", PoleError)
     if not m_max >= 200:
         raise DomainValidationError(f"m_max must be >= 200, got {m_max}")
     t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
@@ -457,7 +448,7 @@ def g_fn(alpha_prime: float, phi: float) -> GValue:
     GValue
         The kernel value and the locus point x.
     """
-    _require_noninteger(alpha_prime, "g_fn")
+    require_noninteger(alpha_prime, "g_fn: alpha'", PoleError)
     t = _check_away_from_pi(phi, _PI_MARGIN)
     a = float(alpha_prime)
     gamma = flux_split(alpha_prime).gamma_part
@@ -543,8 +534,7 @@ def dsigma(
     alpha_prime: float,
     params: PhysicalParams,
     form: str = "linearized",
-    with_flag: bool = False,
-):
+) -> float:
     """Differential cross section per unit angle.
 
     Forms
@@ -561,19 +551,13 @@ def dsigma(
     form the |G|^2 piece diverges as gamma -> 0 at fixed beta, an artifact
     of squaring the truncated amplitude.
 
-    Routing near integer flux: within 1e-4 of an integer the value is taken
-    from ``dsigma_integer_limits`` (flag "endpoint-upper"/"endpoint-lower").
-    At beta = 0 the exact undeformed value sin^2(pi gamma)/(2 pi k cos^2)
-    is returned directly, which is exactly 0 at integer flux.
+    Routing near integer flux: within 1e-4 (``core.ENDPOINT_BAND``) of an
+    integer the value is taken from ``dsigma_integer_limits``. At beta = 0
+    the exact undeformed value sin^2(pi gamma)/(2 pi k cos^2) is returned
+    directly, which is exactly 0 at integer flux.
 
     A value past the double range (extreme hbar, k or beta) raises
     AccuracyError.
-
-    Parameters
-    ----------
-    with_flag : bool
-        When true, return (value, flag) where flag is "" on the ordinary
-        path and names the endpoint branch otherwise.
     """
     if form not in ("linearized", "modulus"):
         raise DomainValidationError(f"unknown cross-section form {form!r}")
@@ -584,13 +568,12 @@ def dsigma(
     c2 = math.cos(0.5 * t) ** 2
     sin_g = math.sin(math.pi * gamma)
 
-    flag = ""
     if params.beta == 0.0:
         val = sin_g * sin_g / (2.0 * math.pi * k * c2)
-    elif gamma < _ENDPOINT_GAMMA:
-        val, flag = dsigma_integer_limits(n, t, params)[0], "endpoint-upper"
-    elif 1.0 - gamma < _ENDPOINT_GAMMA:
-        val, flag = dsigma_integer_limits(n + 1, t, params)[1], "endpoint-lower"
+    elif gamma < ENDPOINT_BAND:
+        val = dsigma_integer_limits(n, t, params)[0]
+    elif 1.0 - gamma < ENDPOINT_BAND:
+        val = dsigma_integer_limits(n + 1, t, params)[1]
     else:
         kernel = g_fn(alpha_prime, t)
         hk2 = square(params.hbar * k)
@@ -603,8 +586,7 @@ def dsigma(
                 * (sin_g - params.beta * (math.pi * hk2 / 2.0) * kernel.g.real)
                 / (2.0 * math.pi * k * c2)
             )
-    val = _finite(val, "dsigma")
-    return (val, flag) if with_flag else val
+    return _finite(val, "dsigma")
 
 
 def symmetry_probe(

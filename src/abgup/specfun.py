@@ -214,21 +214,21 @@ def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Backward (Miller) recurrence for J at orders ``nu_frac + orders``.
+def _bessel_miller(nu_frac: float, nu_int: int, z: np.ndarray) -> np.ndarray:
+    """Backward (Miller) recurrence for J at order ``nu_frac + nu_int``.
 
     Parameters
     ----------
     nu_frac : float
         Fractional base order in [0, 1).
-    orders : ndarray of int
-        Non-negative integer offsets; result row i holds J_{nu_frac+orders[i]}.
+    nu_int : int
+        Non-negative integer offset of the order.
     z : ndarray
         Arguments, all in the backward-recurrence window.
 
     Returns
     -------
-    ndarray, shape (len(orders), len(z))
+    ndarray, shape (len(z),)
 
     Notes
     -----
@@ -238,9 +238,8 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
 
     which reduces to ``J_0 + 2 J_2 + 2 J_4 + ... = 1`` at nu = 0.
     """
-    k_need = int(np.max(orders)) if orders.size else 0
     starts = (z + 12.0 * np.sqrt(np.maximum(z, 1.0)) + 30.0).astype(int)
-    starts = np.maximum(starts, k_need + 20)
+    starts = np.maximum(starts, nu_int + 20)
     start = int(np.max(starts))
 
     # Normalisation coefficients c_k = (nu + 2k) Gamma(nu + k) / k!.
@@ -259,8 +258,7 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
     f_hi = np.zeros_like(z)    # order nu_frac + j + 1
     f_cur = np.zeros_like(z)   # order nu_frac + j; 0 until the point's start
     norm = np.zeros_like(z)
-    saved = np.zeros((len(orders), len(z)))
-    order_row = {int(o): i for i, o in enumerate(orders)}
+    saved = np.zeros_like(z)
 
     for j in range(start, -1, -1):
         # each point starts its trial solution at its own order, so a batch
@@ -268,9 +266,8 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
         f_cur[starts == j] = 1e-30
         if j % 2 == 0:
             norm += coef[j // 2] * f_cur
-        row = order_row.get(j)
-        if row is not None:
-            saved[row] = f_cur
+        if j == nu_int:
+            saved[:] = f_cur
         if j > 0:
             f_lo = (2.0 * (nu_frac + j) / z) * f_cur - f_hi
             f_hi = f_cur
@@ -280,7 +277,7 @@ def _bessel_miller(nu_frac: float, orders: np.ndarray, z: np.ndarray) -> np.ndar
                 f_cur[big] *= 1e-250
                 f_hi[big] *= 1e-250
                 norm[big] *= 1e-250
-                saved[:, big] *= 1e-250
+                saved[big] *= 1e-250
 
     scale = (0.5 * z) ** nu_frac / norm
     return saved * scale
@@ -329,8 +326,7 @@ def _bessel_nonneg(nu: float, z: np.ndarray) -> np.ndarray:
     if np.any(mid):
         nu_int = int(math.floor(nu))
         nu_frac = nu - nu_int
-        vals = _bessel_miller(nu_frac, np.array([nu_int]), z[mid])
-        out[mid] = vals[0]
+        out[mid] = _bessel_miller(nu_frac, nu_int, z[mid])
     if np.any(big):
         out[big] = _bessel_asymptotic(nu, z[big])
     return out

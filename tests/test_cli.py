@@ -755,3 +755,18 @@ def test_every_subcommand_exits_typed(command, data):
         _assert_finite_rows(argv, out)
     else:
         assert rc in (1, 2), (argv, rc, err)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["trajectory", "--field", "uniform-b", "--mass", "3.2e-173", "--dt", "1.17",
+      "--x0", "3e-173,1e-45", "--p0", "3e-173,1e-45", "--steps", "20"], 2),
+    (["alpha-scan", "--phi", "0.5", "--alpha-min", "0.1",
+      "--alpha-max", "1.7976931348623157e308"], 0),
+    (["alpha-scan", "--phi", "0.5", "--alpha-min=-1e300",
+      "--alpha-max", "1.7976931348623157e308"], 1),
+], ids=["trajectory-field-nan", "scan-to-largest-double", "scan-width-overflows"])
+def test_extreme_inputs_warn_nothing(argv, rc):
+    # numpy overflows on the way to these results; warnings as errors shows
+    # whether one escapes
+    assert _run_to_stdout(argv)[0] == rc
+    _assert_finite_rows_or_one_line_error(argv)

@@ -3,6 +3,7 @@ finite-difference oracles."""
 
 import cmath
 import math
+import os
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from abgup import (
     uv_pair,
     xi_coeffs,
 )
-from abgup import specfun
+from abgup import cli, specfun
 from abgup.specfun import bessel_j
 
 PARAMS = PhysicalParams(hbar=1.0, k=1.0, beta=0.01)
@@ -311,11 +312,15 @@ class TestUvPair:
             lambda zs: uv_pair(zs, -3, 0.4, PARAMS),
             lambda zs: f2_integral(zs, -0.3, 1.3),
             lambda zs: f3_integral(zs, -1.3, 0.7),
+            lambda zs: mode_f1(zs, 1, 0.3, PARAMS),
+            lambda zs: cli.main(["radial", "--m", "1", "--alpha", "0.3", "--z-min", "6",
+                                 "--z-max", "20", "--steps", "15", "--out", os.devnull]),
         ],
-        ids=["uv_pair-nu1.3", "uv_pair-nu2.6", "f2", "f3"],
+        ids=["uv_pair-nu1.3", "uv_pair-nu2.6", "f2", "f3", "mode_f1", "cli-radial"],
     )
     def test_no_bessel_seed_evaluated_twice(self, call, monkeypatch):
-        # negative orders recur from the table's own nonnegative rows, so no
+        # negative orders recur from the table's own nonnegative rows, and f0
+        # and f1 take J_nu and J_-nu from the table u and v filled, so no
         # (order, point set) reaches the nonnegative evaluator twice; the grid
         # crosses z = 14, where bessel_j leaves its series for Miller's method
         keys = []
@@ -411,8 +416,6 @@ class TestModes:
         g1, g2 = g1_g2(0, 0.5, PARAMS)
         expect = -g1 - cmath.exp(-1j * math.pi * mode.order) * g2
         assert mode.c_m == pytest.approx(expect, rel=1e-13)
-        assert mode.b_m == 0.0
-        assert mode.d_m == 0.0
 
     def test_zeroth_order_residual(self):
         zs = np.arange(0.5, 10.0, 1e-3)

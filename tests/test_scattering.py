@@ -257,14 +257,12 @@ class TestDsigma:
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.05)
 
     def test_endpoint_routing_flags(self):
+        # inside the band dsigma is the limit itself; at alpha' = 0.5 the kernel's value
         phi = math.pi / 4
         up, lo = dsigma_integer_limits(1, phi, PB)
-        v_up, flag_up = dsigma(phi, 1.0 + 5e-5, PB, with_flag=True)
-        v_lo, flag_lo = dsigma(phi, 1.0 - 5e-5, PB, with_flag=True)
-        assert (v_up, flag_up) == (up, "endpoint-upper")
-        assert (v_lo, flag_lo) == (lo, "endpoint-lower")
-        _, flag_mid = dsigma(phi, 0.5, PB, with_flag=True)
-        assert flag_mid == ""
+        assert dsigma(phi, 1.0 + 5e-5, PB) == up
+        assert dsigma(phi, 1.0 - 5e-5, PB) == lo
+        assert dsigma(phi, 0.5, PB) not in (dsigma_integer_limits(0, phi, PB)[0], lo)
 
     def test_endpoint_limit_approach(self):
         # outside the routed band dsigma approaches the one-sided limit ~ linearly
@@ -342,6 +340,21 @@ def test_non_finite_phi_rejected(bad):
         lambda: width(1, bad, PB),
         lambda: f1_series(bad, 0.7, PB, m_max=200),
         lambda: regularized_alternating_gamma_sum(bad, 0.7, m_max=200),
+    ]
+    for call in calls:
+        with pytest.raises(DomainValidationError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_flux_rejected(bad):
+    # the pole guard runs first on these routes; it must not meet round(nan)
+    calls = [
+        lambda: g_fn(bad, 0.3),
+        lambda: g2m(0, bad, PB),
+        lambda: f1_amp(0.5, bad, PB),
+        lambda: f1_series(0.5, bad, PB, m_max=200),
+        lambda: regularized_alternating_gamma_sum(0.5, bad, m_max=200),
     ]
     for call in calls:
         with pytest.raises(DomainValidationError, match="finite"):
