@@ -24,13 +24,13 @@ equations of L to O(dt^2) + O(beta^2).
 
 Fields are supplied as a FieldSpec; derivatives not given analytically are
 synthesized by central differences. Two dimensions are supported by
-embedding into 3-vectors for the cross products.
+embedding into 3-vectors: for the cross products, and for the RK4 state,
+which carries x and p in three components with zero third components.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -40,6 +40,10 @@ from .core import AccuracyError, DomainValidationError, PhysicalParams, Singular
 
 _VecField = Callable[[np.ndarray, float], np.ndarray]
 _ScalField = Callable[[np.ndarray, float], float]
+# A point evaluation reads a field at (x1, x2, x3, t) as 15 floats: A, then
+# J^T row by row (J^T[i][l] = dA_l/dx_i), then grad V, with the zero third
+# components of the 3-vector embedding when d = 2.
+_PointEval = Callable[[float, float, float, float], tuple]
 
 
 def _embed3(u: np.ndarray) -> np.ndarray:
@@ -75,6 +79,14 @@ class FieldSpec:
 
     Conventions: jac_a returns J with J[l, i] = dA_l/dx_i. The physical
     fields are E = -grad V - dA/dt and B = curl A.
+
+    ``integrate`` and ``hamiltonian_flow`` read the field through one point
+    evaluation per stage, which returns A, J^T and grad V as floats in the
+    3-vector embedding. ``uniform_field`` and ``ab_flux_field`` attach a
+    closed-form one, of which their a_fn, jac_a and grad_v are array views.
+    Any other FieldSpec gets one that calls a_fn, jac_a and grad_v at an
+    array point. A built-in field keeps stepping with its closed form if
+    those callables are replaced after construction.
     """
 
     d: int
@@ -84,6 +96,7 @@ class FieldSpec:
     jac_a: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     da_dt: Optional[_VecField] = None
     h_fd: float = 1e-5
+    _point: Optional[_PointEval] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
@@ -135,6 +148,51 @@ class FieldSpec:
         )
 
 
+def _point_eval(fields: FieldSpec) -> _PointEval:
+    """The point evaluation of ``fields``: the closed form a built-in field
+    carries, else one that calls a_fn, jac_a and grad_v once each at an
+    array point."""
+    if fields._point is not None:
+        return fields._point
+    d = fields.d
+
+    def point(x1: float, x2: float, x3: float, t: float) -> tuple:
+        x = np.array((x1, x2, x3)[:d])
+        a = fields.a_fn(x, t).tolist()
+        jac_t = fields.jac_a(x, t).T.tolist()
+        g = fields.grad_v(x, t).tolist()
+        if d == 2:
+            (a1, a2), (j11, j12), (j21, j22), (g1, g2) = a, *jac_t, g
+            return a1, a2, 0.0, j11, j12, 0.0, j21, j22, 0.0, 0.0, 0.0, 0.0, g1, g2, 0.0
+        return (*a, *jac_t[0], *jac_t[1], *jac_t[2], *g)
+
+    return point
+
+
+def _closed_form_field(
+    d: int, v_fn: _ScalField, point: _PointEval, h_fd: float = 1e-5
+) -> FieldSpec:
+    """A static FieldSpec whose a_fn, jac_a and grad_v are array views of
+    the closed-form ``point``, which it also carries for ``integrate``."""
+    pad = (0.0,) * (3 - d)
+    zero_vec = np.zeros(d)
+
+    def at(x: np.ndarray, t: float) -> tuple:
+        return point(*np.asarray(x, dtype=float).tolist(), *pad, t)
+
+    spec = FieldSpec(
+        d=d,
+        v_fn=v_fn,
+        a_fn=lambda x, t: np.array(at(x, t)[:d]),
+        grad_v=lambda x, t: np.array(at(x, t)[12 : 12 + d]),
+        jac_a=lambda x, t: np.array(at(x, t)[3:12]).reshape(3, 3).T[:d, :d],
+        da_dt=lambda x, t: zero_vec,
+        h_fd=h_fd,
+    )
+    spec._point = point
+    return spec
+
+
 def uniform_field(d: int = 3, e_field=None, b_field=None, h_fd: float = 1e-5) -> FieldSpec:
     """Constant electric and/or magnetic field.
 
@@ -151,31 +209,27 @@ def uniform_field(d: int = 3, e_field=None, b_field=None, h_fd: float = 1e-5) ->
         raise DomainValidationError(f"e_field must be finite, got {e_vec.tolist()}")
 
     if b_field is None:
-        a_mat = np.zeros((d, d))
+        b_vec = [0.0, 0.0, 0.0]
     elif d == 2:
-        b = float(b_field)
-        a_mat = 0.5 * np.array([[0.0, -b], [b, 0.0]])
+        b_vec = [0.0, 0.0, float(b_field)]
     else:
         b = np.asarray(b_field, dtype=float)
         if b.shape != (3,):
             raise DomainValidationError("b_field must be a 3-vector when d=3")
-        a_mat = 0.5 * np.array(
-            [[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]]
-        )
-    if not np.isfinite(a_mat).all():  # its entries are 0 and +-b/2
+        b_vec = b.tolist()
+    if not all(map(math.isfinite, b_vec)):
         raise DomainValidationError(f"b_field must be finite, got {b_field}")
 
-    zero_vec = np.zeros(d)
-    grad_v = -e_vec
-    return FieldSpec(
-        d=d,
-        v_fn=lambda x, t: -float(e_vec @ x),
-        a_fn=lambda x, t: a_mat @ x,
-        grad_v=lambda x, t: grad_v,
-        jac_a=lambda x, t: a_mat,
-        da_dt=lambda x, t: zero_vec,
-        h_fd=h_fd,
-    )
+    # A = h x x with h = B/2, so J^T[i][l] = dA_l/dx_i is constant, as is
+    # grad V = -E
+    h1, h2, h3 = (0.5 * b for b in b_vec)
+    g = (-e_vec).tolist() + [0.0] * (3 - d)
+    tail = (0.0, h3, -h2, -h3, 0.0, h1, h2, -h1, 0.0, *g)
+
+    def point(x1: float, x2: float, x3: float, t: float) -> tuple:
+        return (h2 * x3 - h3 * x2, h3 * x1 - h1 * x3, h1 * x2 - h2 * x1, *tail)
+
+    return _closed_form_field(d, lambda x, t: -float(e_vec @ x), point, h_fd)
 
 
 def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> FieldSpec:
@@ -197,36 +251,23 @@ def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> 
         raise DomainValidationError(f"r_min must be positive and finite, got {r_min}")
     c = float(alpha) / params.charge
     r2_min = r_min * r_min
-    zero_vec = np.zeros(2)
 
-    def outside_core(x: np.ndarray) -> tuple[float, float, float]:
-        x1, x2 = x.tolist()
+    def point(x1: float, x2: float, x3: float, t: float) -> tuple:
         r2 = x1 * x1 + x2 * x2
         if r2 < r2_min:
             raise SingularConfigError(
                 f"flux-line potential evaluated at r = {math.sqrt(r2):.3e} < r_min = {r_min}"
             )
-        return x1, x2, r2
-
-    def a_fn(x: np.ndarray, t: float) -> np.ndarray:
-        x1, x2, r2 = outside_core(x)
-        return np.array([c * x2 / r2, -c * x1 / r2])
-
-    def jac_a(x: np.ndarray, t: float) -> np.ndarray:
-        x1, x2, r2 = outside_core(x)
         r4 = r2 * r2
         off = c * (x1 * x1 - x2 * x2) / r4
         diag = 2.0 * c * x1 * x2 / r4
-        return np.array([[-diag, off], [off, diag]])
+        return (
+            c * x2 / r2, -c * x1 / r2, 0.0,
+            -diag, off, 0.0, off, diag, 0.0, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0,
+        )
 
-    return FieldSpec(
-        d=2,
-        v_fn=lambda x, t: 0.0,
-        a_fn=a_fn,
-        grad_v=lambda x, t: zero_vec,
-        jac_a=jac_a,
-        da_dt=lambda x, t: zero_vec,
-    )
+    return _closed_form_field(2, lambda x, t: 0.0, point)
 
 
 # =====================================================================
@@ -374,39 +415,46 @@ def eom_accel(
     return lorentz + (params.beta * q / m) * gamma_term(v, x, t, fields, params)
 
 
-def _dot(u, w) -> float:
-    return sum(map(operator.mul, u, w))
-
-
-def _flow(
-    x: np.ndarray,
-    p: list[float],
-    t: float,
-    fields: FieldSpec,
-    params: PhysicalParams,
-) -> tuple[list[float], list[float], list[float]]:
+def _flow(s: tuple, t: float, point: _PointEval, q: float, m: float, beta: float):
     """Phase-space velocity of the first-order Hamiltonian, used by RK4.
 
-    One call of each of a_fn, jac_a and grad_v at the array point x; the
-    rest is float arithmetic on lists, for d = 2 and 3 alike. Returns
-    (xdot, pdot, p - qA), the last for the energy at the same point.
+    s = (x1, x2, x3, p1, p2, p3) in the 3-vector embedding. One point
+    evaluation of the field; the rest is straight-line float arithmetic,
+    for d = 2 and 3 alike (a zero third component adds exactly). Returns
+    (xdot + pdot as one 6-tuple, p - qA), the latter for the energy at the
+    same point.
     """
-    q, m, beta = params.charge, params.mass, params.beta
-    a = fields.a_fn(x, t).tolist()
-    jac_t = fields.jac_a(x, t).T.tolist()
-    grad_v = fields.grad_v(x, t).tolist()
-    pma = [pi - q * ai for pi, ai in zip(p, a)]
-    xdot = [u / m for u in pma]
-    pdot = [(q / m) * _dot(row, pma) - q * g for row, g in zip(jac_t, grad_v)]
+    x1, x2, x3, p1, p2, p3 = s
+    a1, a2, a3, j11, j12, j13, j21, j22, j23, j31, j32, j33, g1, g2, g3 = point(x1, x2, x3, t)
+    u1 = p1 - q * a1
+    u2 = p2 - q * a2
+    u3 = p3 - q * a3
+    qm = q / m
+    xd1 = u1 / m
+    xd2 = u2 / m
+    xd3 = u3 / m
+    pd1 = qm * (j11 * u1 + j12 * u2 + j13 * u3) - q * g1
+    pd2 = qm * (j21 * u1 + j22 * u2 + j23 * u3) - q * g2
+    pd3 = qm * (j31 * u1 + j32 * u2 + j33 * u3) - q * g3
     if beta != 0.0:
-        p2 = _dot(p, p)
-        ap = _dot(a, p)
-        xdot = [
-            xd + (beta / m) * (4.0 * p2 * pi - 2.0 * q * ap * pi - q * p2 * ai)
-            for xd, pi, ai in zip(xdot, p, a)
-        ]
-        pdot = [pd + (beta * q / m) * p2 * _dot(row, p) for pd, row in zip(pdot, jac_t)]
-    return xdot, pdot, pma
+        pp = p1 * p1 + p2 * p2 + p3 * p3
+        c4 = 4.0 * pp
+        c2 = 2.0 * q * (a1 * p1 + a2 * p2 + a3 * p3)
+        cq = q * pp
+        bm = beta / m
+        xd1 += bm * (c4 * p1 - c2 * p1 - cq * a1)
+        xd2 += bm * (c4 * p2 - c2 * p2 - cq * a2)
+        xd3 += bm * (c4 * p3 - c2 * p3 - cq * a3)
+        bp = beta * q / m * pp
+        pd1 += bp * (j11 * p1 + j12 * p2 + j13 * p3)
+        pd2 += bp * (j21 * p1 + j22 * p2 + j23 * p3)
+        pd3 += bp * (j31 * p1 + j32 * p2 + j33 * p3)
+    return (xd1, xd2, xd3, pd1, pd2, pd3), (u1, u2, u3)
+
+
+def _state6(x: np.ndarray, p: np.ndarray) -> tuple:
+    pad = (0.0,) * (3 - x.shape[0])
+    return (*x.tolist(), *pad, *p.tolist(), *pad)
 
 
 def hamiltonian_flow(
@@ -415,12 +463,17 @@ def hamiltonian_flow(
     """(xdot, pdot) of the truncated Hamiltonian; the exact gradient pair
     (dH/dp, -dH/dx) of ``hamiltonian``.
 
-    The same float-arithmetic flow that ``integrate`` steps with: one
-    evaluation of a_fn, jac_a and grad_v, returned as arrays.
+    The same float-arithmetic flow that ``integrate`` steps with: one point
+    evaluation of the field (see FieldSpec) at the state embedded in three
+    components, returned as length-d arrays.
     """
     _check_dim(state.x, fields)
-    xdot, pdot, _ = _flow(state.x, state.p.tolist(), state.t, fields, params)
-    return np.array(xdot), np.array(pdot)
+    d = fields.d
+    k, _ = _flow(
+        _state6(state.x, state.p), state.t, _point_eval(fields),
+        params.charge, params.mass, params.beta,
+    )
+    return np.array(k[:d]), np.array(k[3 : 3 + d])
 
 
 def hamiltonian(state: ClassicalState, fields: FieldSpec, params: PhysicalParams) -> float:
@@ -476,16 +529,16 @@ def integrate(
 ) -> Trajectory:
     """Classical RK4 on the Hamiltonian flow, recording (t, x, v, p, H).
 
-    The state is stepped in Python float arithmetic. Each of the four
-    stages evaluates a_fn, jac_a and grad_v once, at an array built once
-    for it. The evaluation at an accepted sample is also the next step's
-    first stage: it gives the recorded velocity (the deformed velocity
-    map) and the recorded energy H, which reuses that evaluation's A and
-    adds one v_fn call. A field-evaluation failure (e.g. crossing the
-    flux-line exclusion radius) truncates the run and marks the
-    trajectory incomplete rather than raising. A sample whose t, x, p,
-    velocity or H is not finite (the state overflowed) raises
-    AccuracyError.
+    The state is stepped as one 6-tuple of Python floats, x and p in three
+    components (the third ones zero when d = 2). Each of the four stages
+    makes one point evaluation of the field (see FieldSpec). The
+    evaluation at an accepted sample is also the next step's first stage:
+    it gives the recorded velocity (the deformed velocity map) and the
+    recorded energy H, which reuses that evaluation's A and adds one v_fn
+    call. A field-evaluation failure (e.g. crossing the flux-line exclusion
+    radius) truncates the run and marks the trajectory incomplete rather
+    than raising. A sample whose t, x, p, velocity or H is not finite (the
+    state overflowed) raises AccuracyError.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainValidationError(f"dt must be positive and finite, got {dt}")
@@ -493,69 +546,67 @@ def integrate(
         raise DomainValidationError(f"steps must be >= 1, got {steps}")
     _check_dim(initial.x, fields)
 
+    d = fields.d
+    point = _point_eval(fields)
     q, m, beta = params.charge, params.mass, params.beta
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    def first_stage(x: list[float], p: list[float], t: float):
-        """k1 of the step from (x, p) at t, and H there."""
-        xa = np.array(x)
-        xdot, pdot, pma = _flow(xa, p, t, fields, params)
-        h = _dot(pma, pma) / (2.0 * m) + q * fields.v_fn(xa, t)
+    def first_stage(s: tuple, t: float):
+        """k1 of the step from s at t, and H there."""
+        k, (u1, u2, u3) = _flow(s, t, point, q, m, beta)
+        x1, x2, x3, p1, p2, p3 = s
+        h = (u1 * u1 + u2 * u2 + u3 * u3) / (2.0 * m) + q * fields.v_fn(np.array(s[:d]), t)
         if beta != 0.0:
-            h += (beta / m) * _dot(p, p) * _dot(pma, p)
-        if not all(map(math.isfinite, (t, h, *x, *p, *xdot))):
+            h += (beta / m) * (p1 * p1 + p2 * p2 + p3 * p3) * (u1 * p1 + u2 * p2 + u3 * p3)
+        if not all(map(math.isfinite, (t, h, *s, *k[:3]))):
             raise AccuracyError(
-                f"trajectory state is not finite at t = {t}: x = {x}, p = {p}, H = {h}"
+                f"trajectory state is not finite at t = {t}: x = {list(s[:d])}, "
+                f"p = {list(s[3 : 3 + d])}, H = {h}"
             )
-        return xdot, pdot, h
+        return k, h
 
-    def stage(x, p, t, s, kx, kp):
-        """The flow at (x + s kx, p + s kp) and t."""
-        return _flow(
-            np.array([xi + s * k for xi, k in zip(x, kx)]),
-            [pi + s * k for pi, k in zip(p, kp)],
-            t,
-            fields,
-            params,
-        )
-
-    def advance(u, k1, k2, k3, k4):
-        return [
-            ui + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
-        ]
+    def stage(s: tuple, c: float, k: tuple, t: float) -> tuple:
+        """The flow at s + c k and t."""
+        x1, x2, x3, p1, p2, p3 = s
+        k1, k2, k3, k4, k5, k6 = k
+        s = (x1 + c * k1, x2 + c * k2, x3 + c * k3, p1 + c * k4, p2 + c * k5, p3 + c * k6)
+        return _flow(s, t, point, q, m, beta)[0]
 
     t0 = initial.t
-    x, p = initial.x.tolist(), initial.p.tolist()
-    k1x, k1p, h = first_stage(x, p, t0)
-    ts, xs, ps, vs, es = [t0], [x], [p], [k1x], [h]
+    s = _state6(initial.x, initial.p)
+    k1, h = first_stage(s, t0)
+    ts, states, vs, es = [t0], [s], [k1], [h]
     complete = True
 
     t = t0
     for n in range(1, steps + 1):
         try:
-            k2x, k2p, _ = stage(x, p, t + half, half, k1x, k1p)
-            k3x, k3p, _ = stage(x, p, t + half, half, k2x, k2p)
-            k4x, k4p, _ = stage(x, p, t + dt, dt, k3x, k3p)
-            x = advance(x, k1x, k2x, k3x, k4x)
-            p = advance(p, k1p, k2p, k3p, k4p)
+            k2 = stage(s, half, k1, t + half)
+            k3 = stage(s, half, k2, t + half)
+            k4 = stage(s, dt, k3, t + dt)
+            s = tuple(
+                [
+                    u + sixth * (a + 2.0 * b + 2.0 * c + e)
+                    for u, a, b, c, e in zip(s, k1, k2, k3, k4)
+                ]
+            )
             t = t0 + n * dt
-            k1x, k1p, h = first_stage(x, p, t)
+            k1, h = first_stage(s, t)
         except (DomainValidationError, SingularConfigError):
             complete = False
             break
         ts.append(t)
-        xs.append(x)
-        ps.append(p)
-        vs.append(k1x)
+        states.append(s)
+        vs.append(k1)
         es.append(h)
 
+    rec = np.array(states)
     return Trajectory(
         t=np.array(ts),
-        x=np.array(xs),
-        v=np.array(vs),
-        p=np.array(ps),
+        x=rec[:, :d],
+        v=np.array(vs)[:, :d],
+        p=rec[:, 3 : 3 + d],
         energy=np.array(es),
         dt=dt,
         complete=complete,

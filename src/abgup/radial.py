@@ -296,7 +296,15 @@ class _F1Grid:
                     "divergent antiderivative at the origin"
                 )
             if mubar < 0.0 and abs(mubar - round(mubar)) < INTEGER_GUARD:
-                mubar = abs(mubar)  # J_(-n)^2 = J_n^2; the series needs the positive order
+                # J_(-n)^2 = J_n^2 holds at the integer itself, where the series
+                # needs the positive order, and nowhere else in the guard
+                if mubar != round(mubar):
+                    raise SingularConfigError(
+                        f"f1_integral (equal orders): mu = {mubar} is within "
+                        f"{INTEGER_GUARD:g} of the negative integer {round(mubar)}; "
+                        "inside that guard only the integer itself is evaluated"
+                    )
+                mubar = -mubar
             return self._degenerate(mubar, mubar, _f1_equal_series)
         if abs(mu + nu) < _DEGENERATE_TOL:
             mubar = 0.5 * abs(mu - nu)
@@ -343,6 +351,8 @@ def f1_integral(z, mu: float, nu: float):
         Bessel orders. The pair may be generic, equal, or opposite; order
         pairs that are merely *near* degenerate (0 < |mu^2 - nu^2| < ~1e-3)
         lose accuracy in the generic formula and should be avoided.
+        Equal orders within 1e-6 of a negative integer, but not on it,
+        raise SingularConfigError.
 
     Returns
     -------

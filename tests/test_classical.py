@@ -107,6 +107,89 @@ class TestFluxLineField:
         assert np.allclose(1.0 * a1, -2.0 * a2, rtol=1e-13)
 
 
+_UNIFORM = {
+    "uniform-b-2d": ([0.0, 0.0], 1.3),
+    "uniform-eb-3d": ([0.1, -0.2, 0.05], [0.3, -0.5, 1.1]),
+}
+
+
+def _numpy_fields(kind):
+    """(A, J, grad V) callables restated in numpy from each field's formula."""
+    if kind == "ab":
+        c = 0.7 / PB.charge
+        return (
+            lambda x: c * np.array([x[1], -x[0]]) / (x @ x),
+            lambda x: c / (x @ x) ** 2 * np.array(
+                [
+                    [-2.0 * x[0] * x[1], x[0] ** 2 - x[1] ** 2],
+                    [x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1]],
+                ]
+            ),
+            lambda x: np.zeros(2),
+        )
+    e, b = _UNIFORM[kind]
+    if np.ndim(b) == 0:
+        a_mat = 0.5 * np.array([[0.0, -b], [b, 0.0]])
+    else:
+        a_mat = 0.5 * np.array([[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]])
+    return (lambda x: a_mat @ x, lambda x: a_mat, lambda x: -np.asarray(e, dtype=float))
+
+
+class TestPointEvaluation:
+    """The closed-form point evaluation the built-in fields carry for
+    ``integrate``: A, J^T and grad V in the 3-vector embedding."""
+
+    @staticmethod
+    def _field(kind):
+        if kind == "ab":
+            return ab_flux_field(0.7, PB)
+        e, b = _UNIFORM[kind]
+        return uniform_field(d=len(e), e_field=e, b_field=b)
+
+    @pytest.mark.parametrize("kind", ["uniform-b-2d", "uniform-eb-3d", "ab"])
+    def test_matches_array_callables(self, kind):
+        fld = self._field(kind)
+        d = fld.d
+        a_ref, jac_ref, grad_ref = _numpy_fields(kind)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            x = rng.uniform(-3.0, 3.0, d)
+            t = float(rng.uniform(0.0, 1.0))
+            vals = fld._point(*x.tolist(), *[0.0] * (3 - d), t)
+            a = np.array(vals[:3])
+            jac_t = np.array(vals[3:12]).reshape(3, 3)
+            grad = np.array(vals[12:])
+            # the array callables are views of the same floats
+            assert np.array_equal(a[:d], fld.a_fn(x, t))
+            assert np.array_equal(jac_t[:d, :d], fld.jac_a(x, t).T)
+            assert np.array_equal(grad[:d], fld.grad_v(x, t))
+            assert not np.any(a[d:]) and not np.any(jac_t[d:]) and not np.any(jac_t[:, d:])
+            assert not np.any(grad[d:])
+            # and the formula restated in numpy: the uniform field bitwise
+            # in 2-D, and A within one ulp of its largest term in 3-D, where
+            # numpy's matmul may sum in another order (or fused); the flux
+            # line, associated differently here, to rounding
+            assert np.array_equal(grad[:d], grad_ref(x))
+            if kind == "ab":
+                assert np.allclose(a[:d], a_ref(x), rtol=1e-15, atol=0.0)
+                assert np.allclose(jac_t[:d, :d], jac_ref(x).T, rtol=1e-15, atol=0.0)
+                continue
+            assert np.array_equal(jac_t[:d, :d], jac_ref(x).T)
+            if d == 2:
+                assert np.array_equal(a[:d], a_ref(x))
+            else:
+                assert np.all(np.abs(a - a_ref(x)) <= np.spacing(np.abs(jac_ref(x)) @ np.abs(x)))
+
+    def test_flux_line_core_raises_as_the_arrays_do(self):
+        fld = ab_flux_field(0.5, PB, r_min=1e-3)
+        with pytest.raises(SingularConfigError) as point_err:
+            fld._point(1e-4, 0.0, 0.0, 0.0)
+        for fn in (fld.a_fn, fld.jac_a):
+            with pytest.raises(SingularConfigError) as array_err:
+                fn(np.array([1e-4, 0.0]), 0.0)
+            assert str(array_err.value) == str(point_err.value)
+
+
 # =====================================================================
 # Force correction
 # =====================================================================
@@ -339,6 +422,14 @@ def _numpy_flow(x, p, t, fields, params):
     return xdot, pdot
 
 
+def _rebuilt(fields):
+    """The same field as a plain FieldSpec of its array callables."""
+    return FieldSpec(
+        d=fields.d, v_fn=fields.v_fn, a_fn=fields.a_fn, grad_v=fields.grad_v,
+        jac_a=fields.jac_a, da_dt=fields.da_dt, h_fd=fields.h_fd,
+    )
+
+
 def _numpy_rk4(state, fields, params, dt, steps):
     """Classical RK4 on ``_numpy_flow``: (x, p, v) per sample, stopping
     where a field evaluation fails."""
@@ -414,6 +505,19 @@ class TestFloatRk4:
             assert isinstance(got, np.ndarray)
             assert got.shape == (fields.d,) and got.dtype == np.float64
             assert np.allclose(got, ref, rtol=1e-15, atol=1e-15 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("case", sorted(_RK4_CASES))
+    def test_derived_evaluation_gives_same_trajectory(self, case):
+        # the closed-form point evaluation of a built-in field and the one
+        # read from its array callables step the same floats
+        fields, params, st = _RK4_CASES[case]
+        rebuilt = _rebuilt(fields)
+        assert fields._point is not None and rebuilt._point is None
+        closed = integrate(st, fields, params, 1e-3, 500)
+        derived = integrate(st, rebuilt, params, 1e-3, 500)
+        assert closed.complete and derived.complete
+        for col in ("t", "x", "p", "v", "energy"):
+            assert np.array_equal(getattr(closed, col), getattr(derived, col))
 
     def test_truncation_matches_numpy_stages(self):
         # the same run as test_truncation_on_singular_field: both routes stop

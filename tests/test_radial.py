@@ -99,6 +99,15 @@ class TestF1:
             f1_integral(4.0, 1.0, 1.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("mu", [-2.0000001, -2.0000005, -1.9999999])
+    def test_equal_orders_next_to_negative_integer_rejected(self, mu):
+        # J_-n^2 = J_n^2 at the integer only: next to it the |mu| antiderivative
+        # was off by up to 100% against quadrature
+        z = np.array([0.02, 0.05, 0.5, 1.0])
+        with pytest.raises(SingularConfigError):
+            f1_integral(z, mu, mu)
+        assert np.array_equal(f1_integral(z, -2.0, -2.0), f1_integral(z, 2.0, 2.0))
+
     @pytest.mark.parametrize("mu", [0.4, 1.3])
     def test_opposite_orders_difference_vs_quadrature(self, mu):
         # the additive constant is a convention; differences are unambiguous
