@@ -288,21 +288,19 @@ def momentum_map(p, beta: float):
 # =====================================================================
 
 def _central_d1(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Central first difference; output is 2 samples shorter (one per edge)."""
+    """Central first difference (f[i+1] - f[i-1]) / 2h along the first axis;
+    output is 2 samples shorter (one per edge). The one definition every
+    finite-difference check of sampled data uses."""
     return (values[2:] - values[:-2]) / (2.0 * spacing)
 
 
 def _central_d2(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Central second difference; output is 2 samples shorter."""
+    """Central second difference along the first axis; output is 2 samples
+    shorter."""
     return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (spacing * spacing)
 
 
-def commutator_residual_1d(
-    grid_points: int,
-    spacing: float,
-    beta: float,
-    params: PhysicalParams,
-) -> float:
+def commutator_residual_1d(grid_points: int, spacing: float, params: PhysicalParams) -> float:
     """Grid residual of the deformed commutator ``[X, P] = i hbar (1 + 3 beta p^2)``.
 
     The 1-d deformed momentum operator ``P = p (1 + beta p^2)`` with
@@ -320,18 +318,16 @@ def commutator_residual_1d(
         Number of grid samples, >= 16.
     spacing : float
         Grid spacing h, > 0.
-    beta : float
-        Deformation parameter, >= 0 (overrides params.beta so the check can
-        be run at several beta without rebuilding params).
     params : PhysicalParams
-        Supplies hbar.
+        Supplies hbar and beta.
 
     Returns
     -------
     float
         The scale-invariant residual: the max interior residual magnitude
         divided by ``hbar * max|f|`` over the interior, maximised over the
-        test panel. Normalising by the function scale keeps the answer
+        test panel; nan if any sample is not finite (a grid so wide that
+        x^4 overflows). Normalising by the function scale keeps the answer
         independent of the (arbitrary) normalisation of the test functions;
         the raw residual for f = x^2 is exactly ``hbar h^2`` regardless of
         grid extent, so only the normalised number is meaningful as an
@@ -349,30 +345,20 @@ def commutator_residual_1d(
     h = float(spacing)
     if not (h > 0.0):
         raise DomainValidationError(f"spacing must be positive, got {h}")
-    if beta < 0.0:
-        raise DomainValidationError(f"beta must be >= 0, got {beta}")
 
-    hbar = params.hbar
+    hbar, beta = params.hbar, params.beta
     x = (np.arange(n) - 0.5 * (n - 1)) * h
 
-    def apply_p(values: np.ndarray) -> tuple[np.ndarray, int]:
-        """Apply P_h; returns (array, margin) where margin samples are lost per edge."""
+    def apply_p(values: np.ndarray) -> np.ndarray:
+        """Apply P_h; 3 samples are lost per edge."""
         d1 = _central_d1(values, h)
         d3 = _central_d1(_central_d1(d1, h), h)
-        out = -1j * hbar * d1[2:-2] + 1j * beta * hbar**3 * d3
-        return out, 3
+        return -1j * hbar * d1[2:-2] + 1j * beta * hbar**3 * d3
 
-    worst = 0.0
-    for power in (2, 3, 4):
-        f = x**power
-        pf, margin = apply_p(f)
-        pxf, _ = apply_p(x * f)
-        xi = x[margin:-margin]
-        fi = f[margin:-margin]
-        commutator = xi * pf - pxf
-        d2 = _central_d2(f, h)[margin - 1 : -(margin - 1)]
-        target = 1j * hbar * fi - 3j * beta * hbar**3 * d2
-        resid = np.max(np.abs(commutator - target))
-        scale = hbar * max(np.max(np.abs(fi)), 1e-300)
-        worst = max(worst, resid / scale)
-    return float(worst)
+    def residual(f: np.ndarray) -> float:
+        xi, fi = x[3:-3], f[3:-3]
+        commutator = xi * apply_p(f) - apply_p(x * f)
+        target = 1j * hbar * fi - 3j * beta * hbar**3 * _central_d2(f, h)[2:-2]
+        return np.max(np.abs(commutator - target)) / (hbar * max(np.max(np.abs(fi)), 1e-300))
+
+    return float(np.max([residual(x**power) for power in (2, 3, 4)]))

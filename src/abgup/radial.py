@@ -36,6 +36,8 @@ from .core import (
     DomainValidationError,
     PhysicalParams,
     SingularConfigError,
+    _central_d1,
+    _central_d2,
     require_noninteger,
     square,
 )
@@ -162,7 +164,6 @@ def _f1_opposite_series(z: float, mubar: float) -> float:
         [1.0, 1.0, 1.5],
         [2.0 - mubar, 2.0 + mubar, 2.0, 2.0],
         -zz * zz,
-        max_terms=800,
     )
     log_term = math.log(zz) / (gamma_fn(1.0 - mubar) * gamma_fn(1.0 + mubar))
     return head * tail.real + log_term
@@ -785,8 +786,8 @@ def ode_residual(
     k2 = float(k) ** 2
     zi = z[1:-1]
     vi = vals[1:-1]
-    d1 = (vals[2:] - vals[:-2]) / (2.0 * h)
-    d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (h * h)
+    d1 = _central_d1(vals, h)
+    d2 = _central_d2(vals, h)
     lhs = k2 * (d2 + d1 / zi - w * w * vi / (zi * zi) + vi)
     scale_terms = k2 * (
         np.abs(d2) + np.abs(d1) / zi + w * w * np.abs(vi) / (zi * zi) + np.abs(vi)
@@ -803,7 +804,7 @@ def ode_residual(
         coeffs = xi_coeffs(m, alpha_prime)
         eta = coeffs.xi_plus - 2.0 * coeffs.xi * (1.0 + _order_of(m, alpha_prime))
         s0i = s0[1:-1]
-        s0p = (s0[2:] - s0[:-2]) / (2.0 * h)
+        s0p = _central_d1(s0, h)
         source = (
             2.0
             * hbar**2

@@ -7,6 +7,14 @@ deliberately separate:
                     asymptotic constants (the brute-force oracle);
 * ``f1_amp``     -- the closed hypergeometric form assembled by ``g_fn``.
 
+The series route sums each side of the mode sum (w = m + alpha_prime > 0
+and w < 0) with one helper, ``_abel_half``: explicit modes to |m| = m_max
+and the rest in closed form, from the per-mode rational factor written as
+partial fractions (a constant and three poles). The self-check
+``regularized_alternating_gamma_sum`` runs the same helper with the factor
+set to 1, against a known closed form, so it checks the code ``f1_series``
+runs.
+
 ``dsigma`` evaluates the differential cross section per unit angle, either
 as the squared modulus of the corrected amplitude or in the form linearized
 in the deformation parameter; ``dsigma_integer_limits`` and ``width`` give
@@ -146,20 +154,31 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
 # Per-mode asymptotic constant (closed form with gamma reflection)
 # =====================================================================
 
-def _mode_bracket(w, alpha_prime: float):
-    """The rational factor shared by g2m and the series summands:
+def _bracket_fractions(alpha_prime: float) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """The partial fractions (C, ((p, c_p), ...)) of the rational factor
 
-        -2 a'^2 / w + 6 a' + a'^2 (1 - a'/2)/(1 - w) - a'^2 (1 + a'/2)/(1 + w)
+        B(w) = C + sum_p c_p / (w - p)
+             = 6 a' - 2 a'^2 / w - a'^2 (1 - a'/2) / (w - 1) - a'^2 (1 + a'/2) / (w + 1)
 
-    (this is the g2m bracket divided through by w). Works element-wise.
+    shared by g2m and the series summands (the g2m bracket divided through
+    by w): the constant 6 a' and the poles w = 0, 1, -1.
     """
     a = alpha_prime
-    return (
-        -2.0 * a * a / w
-        + 6.0 * a
-        + a * a * (1.0 - 0.5 * a) / (1.0 - w)
-        - a * a * (1.0 + 0.5 * a) / (1.0 + w)
+    return 6.0 * a, (
+        (0.0, -2.0 * a * a),
+        (1.0, -a * a * (1.0 - 0.5 * a)),
+        (-1.0, -a * a * (1.0 + 0.5 * a)),
     )
+
+
+def _mode_bracket(w, fractions):
+    """B(w) = C + sum_p c_p / (w - p) for ``fractions`` = (C, ((p, c_p), ...)),
+    as ``_bracket_fractions`` gives them; element-wise, summed left to right."""
+    const, poles = fractions
+    out = const
+    for p, c in poles:
+        out = out + c / (w - p)
+    return out
 
 
 def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
@@ -189,7 +208,7 @@ def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
         -cmath.exp(-0.5j * math.pi * nu)
         * (hk2 / 4.0)
         * gamma_pair
-        * (w * _mode_bracket(w, alpha_prime))
+        * (w * _mode_bracket(w, _bracket_fractions(alpha_prime)))
     )
 
 
@@ -212,61 +231,58 @@ def _lerch_tail(q: complex, b: float, j_cut: int) -> complex:
     return complex(np.sum(powers / (js + b)))
 
 
-def _series_at_r(
-    phi: float,
-    alpha_prime: float,
-    n: int,
-    gamma: float,
-    r: float,
-    m_max: int,
-) -> tuple[complex, complex]:
-    """Explicit bilateral sums plus analytic tails at one Abel parameter.
+def _abel_half(
+    t: float, alpha_prime: float, r: float, m_max: int, fractions, upper: bool
+) -> complex:
+    """One side of the bilateral mode sum at one Abel regulator r.
 
-    Returns (S_J, S_K): the w > 0 and w < 0 partial-wave sums, each
-    including its infinite Abel tail beyond |m| = m_max.
+    Sums r^|m| e^{i m t} Gamma(w) Gamma(-w) w B(w), w = m + a', over the
+    modes with w > 0 (``upper``: m = -N .. m_max) or with w < 0 (m = -m_max
+    .. -N-1). B is given by its partial fractions, ``fractions`` = (C, ((p,
+    c_p), ...)) as ``_mode_bracket`` reads them. The modes are summed
+    explicitly to |m| = m_max and beyond it in closed form:
+
+    * w > 0, in j = m + N > m_max + N: w = j + gamma, so the summand is a
+      factor times q^j B(j + gamma) with q = -r e^{it}. C gives the
+      geometric tail and each pole c_p _lerch_tail(q, gamma - p).
+    * w < 0, in l = -m - N - 1 > m_max - N - 1: w = -(l + 1 - gamma), and
+      with q = -r e^{-it} C gives the geometric tail and each pole
+      -c_p _lerch_tail(q, 1 + p - gamma).
     """
-    a = alpha_prime
+    split = flux_split(alpha_prime)
+    n, gamma = split.n_part, split.gamma_part
     sigma = (-1.0) ** n * math.sin(math.pi * gamma)  # sin(pi alpha'), exact split
-
-    # ---- explicit positive-order part: m = -N .. m_max (w = m + a' > 0)
-    ms = np.arange(-n, m_max + 1, dtype=float)
-    w = ms + a
+    const, poles = fractions
+    if upper:
+        ms = np.arange(-n, m_max + 1, dtype=float)
+        q = -r * cmath.exp(1j * t)
+        cut = m_max + n
+        scale = -(math.pi / sigma) * cmath.exp(-1j * n * t) * (-1.0) ** n * r ** (-n)
+        lerch = [(c, gamma - p) for p, c in poles]
+    else:
+        ms = np.arange(-m_max, -n, dtype=float)
+        q = -r * cmath.exp(-1j * t)
+        cut = m_max - n - 1
+        scale = (-1.0) ** n * (math.pi / sigma) * cmath.exp(-1j * (n + 1) * t) * r ** (n + 1)
+        lerch = [(-c, (1.0 + p) - gamma) for p, c in poles]
     signs = np.where(np.mod(ms, 2.0) == 0.0, 1.0, -1.0)
-    gp1 = -signs * math.pi / sigma          # Gamma(w) Gamma(-w) w = -pi / sin(pi w)
-    weights = r ** np.abs(ms) * np.exp(1j * ms * phi)
-    s_j = complex(np.sum(weights * gp1 * _mode_bracket(w, a)))
+    gamma_pair = -signs * math.pi / sigma  # Gamma(w) Gamma(-w) w = -pi / sin(pi w)
+    weights = r ** np.abs(ms) * np.exp(1j * ms * t)
+    explicit = complex(np.sum(weights * gamma_pair * _mode_bracket(ms + alpha_prime, fractions)))
+    tail = const * q ** (cut + 1) / (1.0 - q)
+    for c, b in lerch:
+        tail = tail + c * _lerch_tail(q, b, cut)
+    return explicit + scale * tail
 
-    # ---- tail of the positive-order part in j = m + N > m_max + N
-    q = -r * cmath.exp(1j * phi)
-    j_cut = m_max + n
-    c_j = -(math.pi / sigma) * cmath.exp(-1j * n * phi) * (-1.0) ** n * r ** (-n)
-    tail_j = c_j * (
-        -2.0 * a * a * _lerch_tail(q, gamma, j_cut)
-        + 6.0 * a * q ** (j_cut + 1) / (1.0 - q)
-        - a * a * (1.0 - 0.5 * a) * _lerch_tail(q, gamma - 1.0, j_cut)
-        - a * a * (1.0 + 0.5 * a) * _lerch_tail(q, gamma + 1.0, j_cut)
+
+def _series_at_r(t: float, alpha_prime: float, r: float, m_max: int) -> tuple[complex, complex]:
+    """(S_J, S_K): the w > 0 and w < 0 partial-wave sums of ``f1_series`` at
+    one Abel regulator r, each with its infinite tail beyond |m| = m_max."""
+    fractions = _bracket_fractions(alpha_prime)
+    return (
+        _abel_half(t, alpha_prime, r, m_max, fractions, True),
+        _abel_half(t, alpha_prime, r, m_max, fractions, False),
     )
-
-    # ---- explicit negative-order part: m = -m_max .. -N-1 (w < 0)
-    ms2 = np.arange(-m_max, -n, dtype=float)
-    w2 = ms2 + a
-    signs2 = np.where(np.mod(ms2, 2.0) == 0.0, 1.0, -1.0)
-    gp2 = -signs2 * math.pi / sigma
-    weights2 = r ** np.abs(ms2) * np.exp(1j * ms2 * phi)
-    s_k = complex(np.sum(weights2 * gp2 * _mode_bracket(w2, a)))
-
-    # ---- tail of the negative-order part in l = -m - N - 1 > m_max - N - 1
-    qp = -r * cmath.exp(-1j * phi)
-    l_cut = m_max - n - 1
-    c_k = (-1.0) ** n * (math.pi / sigma) * cmath.exp(-1j * (n + 1) * phi) * r ** (n + 1)
-    tail_k = c_k * (
-        2.0 * a * a * _lerch_tail(qp, 1.0 - gamma, l_cut)
-        + 6.0 * a * qp ** (l_cut + 1) / (1.0 - qp)
-        + a * a * (1.0 - 0.5 * a) * _lerch_tail(qp, 2.0 - gamma, l_cut)
-        + a * a * (1.0 + 0.5 * a) * _lerch_tail(qp, -gamma, l_cut)
-    )
-
-    return s_j + tail_j, s_k + tail_k
 
 
 def _series_angle(phi: float, alpha_prime: float, m_max: int, what: str) -> float:
@@ -356,15 +372,14 @@ def f1_series(
         with the per-r values in the message.
     """
     t = _series_angle(phi, alpha_prime, m_max, "f1_series")
-    split = flux_split(alpha_prime)
-    n, gamma = split.n_part, split.gamma_part
+    gamma = flux_split(alpha_prime).gamma_part
     hk2 = square(params.hbar * params.k)
     pref = -0.5j * hk2 * math.sin(math.pi * gamma) / _sqrt_2pi_ik(params.k)
     rot_j = cmath.exp(-1j * math.pi * gamma)
     rot_k = cmath.exp(1j * math.pi * gamma)
 
     def value_at(r: float) -> complex:
-        s_j, s_k = _series_at_r(t, alpha_prime, n, gamma, r, int(m_max))
+        s_j, s_k = _series_at_r(t, alpha_prime, r, int(m_max))
         return pref * (rot_j * s_j - rot_k * s_k)
 
     return _abel_limit(value_at, f"at phi={phi}, alpha'={alpha_prime}")
@@ -378,35 +393,17 @@ def regularized_alternating_gamma_sum(
     """Abel-regularized sum of e^{i m phi} Gamma(1+m+a') Gamma(-m-a') over
     the modes with m + a' > 0.
 
-    A self-check target for the series machinery: the same regularization
-    used in ``f1_series`` applied to a term family with the known closed
+    A check of the series machinery ``f1_series`` runs: the same
+    ``_abel_half``, explicit modes and analytic tail, on its w > 0 side with
+    the bracket set to 1 (Gamma(1+w) Gamma(-w) = w Gamma(w) Gamma(-w)), and
+    the same extrapolation to r = 1. The regularized sum has the known closed
     form -pi e^{-i(N+1/2)phi} / (2 sin(pi gamma) cos(phi/2)). ``m_max``
     (>= 200) is the explicit cutoff, as in ``f1_series``.
     """
     t = _series_angle(phi, alpha_prime, m_max, "regularized_alternating_gamma_sum")
-    split = flux_split(alpha_prime)
-    n, gamma = split.n_part, split.gamma_part
-    sigma = (-1.0) ** n * math.sin(math.pi * gamma)
-    ms = np.arange(-n, m_max + 1, dtype=float)
-    signs = np.where(np.mod(ms, 2.0) == 0.0, 1.0, -1.0)
-    j_cut = m_max + n
-
-    def value_at(r: float) -> complex:
-        # Gamma(1+w) Gamma(-w) = -pi / sin(pi w)
-        terms = r ** np.abs(ms) * np.exp(1j * ms * t) * (-math.pi / sigma) * signs
-        explicit = complex(np.sum(terms))
-        q = -r * cmath.exp(1j * t)
-        tail = (
-            -(math.pi / sigma)
-            * cmath.exp(-1j * n * t)
-            * (-1.0) ** n
-            * r ** (-n)
-            * q ** (j_cut + 1)
-            / (1.0 - q)
-        )
-        return explicit + tail
-
-    return _abel_limit(value_at, "in the gamma sum")
+    return _abel_limit(
+        lambda r: _abel_half(t, alpha_prime, r, int(m_max), (1.0, ()), True), "in the gamma sum"
+    )
 
 
 # =====================================================================

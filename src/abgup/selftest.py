@@ -36,7 +36,7 @@ def _bound_shortfall() -> float:
     return float(np.max(1.0 - bounds / minimal_length(_P_BOUND), initial=0.0))
 
 def _commutator_residual(halvings: int) -> float:
-    return commutator_residual_1d(256 << halvings, 0.05 / 2**halvings, 0.01, _P0)
+    return commutator_residual_1d(256 << halvings, 0.05 / 2**halvings, _PB)
 
 def _log_identity() -> float:
     x = 0.5 + 0.8j
@@ -82,13 +82,11 @@ def _flow_gradient_gap() -> float:
     x, p = np.array([1.2, -0.6]), np.array([0.8, 0.4])
     xd, pd = classical.hamiltonian_flow(classical.ClassicalState(x, p), fab, _PB)
 
-    def ham(dx, dp):
-        return classical.hamiltonian(classical.ClassicalState(x + dx, p + dp), fab, _PB)
-    gaps = []
-    for j, e in enumerate(np.eye(2) * 1e-6):  # central differences, step 1e-6
-        gaps.append(xd[j] - (ham(0 * e, e) - ham(0 * e, -e)) / 2e-6)
-        gaps.append(pd[j] + (ham(e, 0 * e) - ham(-e, 0 * e)) / 2e-6)
-    return _worst(gaps)
+    def ham(y, q):
+        return classical.hamiltonian(classical.ClassicalState(y, q), fab, _PB)
+    dh_dx = classical._partials(lambda y: ham(y, p), x, 1e-6)  # step 1e-6 * max(1, |y|_inf)
+    dh_dp = classical._partials(lambda q: ham(x, q), p, 1e-6)
+    return _worst([xd - dh_dp, pd + dh_dx])
 
 def _uniform_e_correction() -> float:
     e_vec, v = np.array([0.2, -0.1, 0.4]), np.array([0.5, 0.3, -0.2])

@@ -579,8 +579,14 @@ def hyp2f1_11(c: float, x) -> complex:
 # Generic pFq series
 # =====================================================================
 
-def pfq_series(a_list, b_list, z, max_terms: int = 500) -> complex:
-    """Generalised hypergeometric series sum with term-ratio stopping.
+# Cap on pfq_series terms; its one caller, the 3F4 of the opposite-order F1
+# series at z <= 4, stops well inside it.
+_PFQ_MAX_TERMS = 800
+
+
+def pfq_series(a_list, b_list, z) -> complex:
+    """Generalised hypergeometric series sum with term-ratio stopping, at
+    most ``_PFQ_MAX_TERMS`` (800) terms.
 
     Parameters
     ----------
@@ -588,8 +594,6 @@ def pfq_series(a_list, b_list, z, max_terms: int = 500) -> complex:
         Upper and lower parameters.
     z : float or complex
         Argument.
-    max_terms : int
-        Hard cap on the number of terms.
 
     Returns
     -------
@@ -603,7 +607,7 @@ def pfq_series(a_list, b_list, z, max_terms: int = 500) -> complex:
         terminates through an upper parameter.
     AccuracyError
         If the terms have not fallen below the stopping threshold within
-        ``max_terms`` terms.
+        ``_PFQ_MAX_TERMS`` terms.
 
     Notes
     -----
@@ -618,7 +622,7 @@ def pfq_series(a_list, b_list, z, max_terms: int = 500) -> complex:
     term = 1.0 + 0.0j
     acc = 1.0 + 0.0j
     small_streak = 0
-    for n in range(max_terms):
+    for n in range(_PFQ_MAX_TERMS):
         num = 1.0
         for ai in a:
             num *= ai + n
@@ -640,5 +644,5 @@ def pfq_series(a_list, b_list, z, max_terms: int = 500) -> complex:
         else:
             small_streak = 0
     raise AccuracyError(
-        f"pfq_series did not converge in {max_terms} terms (a={a}, b={b}, z={z})"
+        f"pfq_series did not converge in {_PFQ_MAX_TERMS} terms (a={a}, b={b}, z={z})"
     )

@@ -43,6 +43,17 @@ class TestFields:
         assert np.allclose(fld.e_at(x, 0.0), e_vec, rtol=1e-12)
         assert np.allclose(fld.b3_at(x, 0.0), np.zeros(3), atol=1e-12)
 
+    def test_uniform_e_potential_is_a_left_to_right_sum(self):
+        # -E.x in plain floats, bit for bit, whatever order numpy's dot sums in
+        rng = np.random.default_rng(11)
+        for d in (2, 3):
+            for _ in range(500):
+                e, x = rng.normal(size=(2, d)).tolist()
+                total = e[0] * x[0]
+                for i in range(1, d):
+                    total += e[i] * x[i]
+                assert uniform_field(d=d, e_field=e).v_fn(np.array(x), 0.0) == -total
+
     def test_uniform_b_2d(self):
         fld = uniform_field(d=2, b_field=2.5)
         x = np.array([0.7, -0.4])
@@ -550,6 +561,15 @@ class TestElResidual:
         traj = integrate(st, fld, PB, 1e-3, 1000)
         assert el_residual(traj, fld, PB) < 1e-4
 
+    def test_non_finite_sample_reads_nan(self):
+        # a nan sample must fail every `residual <= tol` gate, not drop out of the max
+        fld = ab_flux_field(0.5, PB)
+        st = ClassicalState(np.array([2.0, 0.0]), np.array([-0.15, 0.35]))
+        traj = integrate(st, fld, PB, 1e-3, 50)
+        assert el_residual(traj, fld, PB) < 1e-4
+        traj.x[20, 0] = math.nan
+        assert math.isnan(el_residual(traj, fld, PB))
+
     def test_needs_enough_samples(self):
         fld = uniform_field(d=2)
         traj = integrate(ClassicalState(np.zeros(2), np.ones(2)), fld, P0, 0.1, 3)
@@ -573,6 +593,17 @@ class TestGaugeShift:
         _, checker = gauge_shift(free, lam, lam, PB)
         traj = integrate(ClassicalState(np.zeros(2), np.array([0.4, 0.3])), free, PB, 1e-3, 300)
         assert checker(traj) < 1e-10
+
+    def test_non_finite_scalar_reads_nan(self):
+        lam = _linear_scalar([1.0, 0.0])
+        free = uniform_field(d=2)
+        traj = integrate(ClassicalState(np.zeros(2), np.array([0.4, 0.3])), free, PB, 1e-3, 300)
+        t_bad = traj.t[150]
+        lam_bad = ScalarField(
+            value=lambda x, t: math.nan if t == t_bad else lam.value(x, t), grad=lam.grad
+        )
+        _, checker = gauge_shift(free, lam_bad, lam, PB)
+        assert math.isnan(checker(traj))
 
     def test_curved_trajectory_fd_floor(self):
         # on a curved path the residual is the central-difference O(dt^2) floor

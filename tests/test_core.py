@@ -186,28 +186,34 @@ class TestMomentumMap:
 
 class TestCommutatorResidual:
     def test_small_on_reference_grid(self):
-        res = commutator_residual_1d(256, 0.05, 0.01, PhysicalParams())
+        res = commutator_residual_1d(256, 0.05, PhysicalParams(beta=0.01))
         assert res < 1e-3
 
     def test_order_h_squared(self):
-        params = PhysicalParams()
-        r1 = commutator_residual_1d(256, 0.05, 0.01, params)
-        r2 = commutator_residual_1d(512, 0.025, 0.01, params)
+        params = PhysicalParams(beta=0.01)
+        r1 = commutator_residual_1d(256, 0.05, params)
+        r2 = commutator_residual_1d(512, 0.025, params)
         ratio = r1 / r2
         assert 2.5 < ratio < 7.0
 
     def test_beta_zero_still_second_order(self):
         params = PhysicalParams()
-        r1 = commutator_residual_1d(256, 0.05, 0.0, params)
-        r2 = commutator_residual_1d(512, 0.025, 0.0, params)
+        r1 = commutator_residual_1d(256, 0.05, params)
+        r2 = commutator_residual_1d(512, 0.025, params)
         assert r1 < 1e-3
         assert 2.5 < r1 / r2 < 7.0
 
     def test_validation(self):
         params = PhysicalParams()
         with pytest.raises(DomainValidationError):
-            commutator_residual_1d(8, 0.05, 0.0, params)
+            commutator_residual_1d(8, 0.05, params)
         with pytest.raises(DomainValidationError):
-            commutator_residual_1d(64, -0.1, 0.0, params)
+            commutator_residual_1d(64, -0.1, params)
         with pytest.raises(DomainValidationError):
-            commutator_residual_1d(64, 0.05, -0.2, params)
+            commutator_residual_1d(64, 0.05, PhysicalParams(beta=-0.2))
+
+    def test_overflowing_grid_reads_nan(self):
+        # x^4 overflows on this grid; a nan residual must not reduce to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = commutator_residual_1d(16, 1e200, PhysicalParams())
+        assert math.isnan(res)

@@ -136,6 +136,16 @@ class TestSeries:
         with pytest.raises(AccuracyError, match=r"at phi=0\.5.*r=0\.99: .*r=0\.995: .*r=0\.9975: "):
             scattering._abel_limit(lambda r: complex((1.0 - r) ** -3), "at phi=0.5")
 
+    @pytest.mark.parametrize("a", [1.3, -0.7])
+    def test_abel_tails_make_halves_independent_of_cutoff(self, a):
+        # at a fixed regulator each half, explicit modes plus analytic tail, is
+        # the whole r^|m|-weighted sum, so it must not move with m_max
+        for t in (0.8, -2.0):
+            base = scattering._series_at_r(t, a, 0.99, 200)
+            for m_max in (400, 1000, 3000):
+                for got, ref in zip(scattering._series_at_r(t, a, 0.99, m_max), base):
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
+
     def test_regularized_gamma_sum_closed_form(self):
         for a, phi in ((0.5, math.pi / 3), (0.3, 1.9), (1.7, -0.8)):
             n, gamma = flux_split(a).n_part, flux_split(a).gamma_part
