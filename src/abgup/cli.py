@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -65,6 +66,31 @@ def _json_document(records: list[dict], skipped: list[dict]) -> str:
     )
 
 
+def _csv_rows(rows: list[tuple]) -> list[str]:
+    """CSV lines of ``rows``: ``%d`` for int columns, ``%.17g`` otherwise.
+
+    A column that holds the very same object in every row (radial's ``m`` and
+    ``alpha_prime``, a scan's ``beta``) is formatted once into the row
+    template. The test is identity, not equality, so the lines are those of
+    formatting every row: equal values such as 0.0 and -0.0 stay per row.
+    """
+    if not rows:
+        return []
+    fields, varying = [], []
+    for i, v in enumerate(rows[0]):
+        spec = "%d" if isinstance(v, int) else _NUM
+        if all(row[i] is v for row in rows):
+            fields.append(spec % v)
+        else:
+            fields.append(spec)
+            varying.append(i)
+    row_fmt = ",".join(fields)
+    if len(varying) == len(fields):
+        return [row_fmt % row for row in rows]
+    pick = operator.itemgetter(*varying) if varying else (lambda row: ())
+    return [row_fmt % pick(row) for row in rows]
+
+
 def _write(
     args: argparse.Namespace,
     columns: tuple[str, ...],
@@ -73,8 +99,8 @@ def _write(
 ) -> None:
     """Write one subcommand's output to ``args.out`` in ``args.format``.
 
-    ``rows`` are tuples in ``columns`` order; CSV formats them with ``%d``
-    for int columns and ``%.17g`` otherwise. A skip entry
+    ``rows`` are tuples in ``columns`` order; CSV formats them with
+    ``_csv_rows``. A skip entry
     ``(position, note, record)`` puts ``record`` under ``"skipped"`` in JSON
     and the comment ``"# " + note % record`` before ``rows[position]`` in
     CSV.
@@ -84,14 +110,14 @@ def _write(
             [dict(zip(columns, row)) for row in rows], [rec for _, _, rec in skipped]
         )
     else:
-        row_fmt = ",".join("%d" if isinstance(v, int) else _NUM for v in rows[0]) if rows else ""
+        body = _csv_rows(rows)
         lines = [",".join(columns)]
         done = 0
         for position, note, rec in skipped:
-            lines += [row_fmt % row for row in rows[done:position]]
+            lines += body[done:position]
             lines.append("# " + note % rec)
             done = position
-        lines += [row_fmt % row for row in rows[done:]]
+        lines += body[done:]
         text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

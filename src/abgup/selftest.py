@@ -38,8 +38,7 @@ def _bound_shortfall() -> float:
 def _commutator_residual(halvings: int) -> float:
     return commutator_residual_1d(256 << halvings, 0.05 / 2**halvings, _PB)
 
-def _log_identity() -> float:
-    x = 0.5 + 0.8j
+def _log_identity(x: complex) -> float:
     return abs(hyp2f1_11(2.0, x) - (-cmath.log(1.0 - x) / x))
 
 def _f1_vs_quadrature(z: float, mu: float, nu: float) -> float:
@@ -134,7 +133,10 @@ CHECKS: list[tuple[str, Callable[[], float], float]] = [
     ("specfun: bessel recurrence", lambda: _worst([
         bessel_j(nu - 1.0, z) + bessel_j(nu + 1.0, z) - 2.0 * nu / z * bessel_j(nu, z)
         for nu in (0.3, 1.7, 4.4) for z in (0.7, 5.0, 40.0)]), 1e-8),
-    ("specfun: 2f1 log identity", _log_identity, 1e-10),
+    ("specfun: 2f1 log identity", lambda: _log_identity(0.5 + 0.8j), 1e-10),
+    # |x| >= 1.5 at exact c = 2: the 1/x series, whose poles cancel there
+    ("specfun: 2f1 log identity past |x| = 1.5",
+     lambda: _log_identity(0.5 + 20j) / abs(cmath.log(0.5 - 20j) / 20j), 1e-14),
     ("radial: product integral vs quadrature", lambda: _f1_vs_quadrature(5.0, 0.3, 1.3), 1e-8),
     ("radial: equal-order branch", lambda: _f1_vs_quadrature(3.0, 0.5, 0.5), 1e-10),
     ("radial: derivative identity", _f1_derivative, 1e-6),

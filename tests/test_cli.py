@@ -499,6 +499,26 @@ class TestCsvWriter:
             "# end\n"
         )
 
+    def test_constant_columns_read_as_formatted_per_row(self, tmp_path):
+        # a column holding one object in every row is formatted once; equal
+        # but distinct objects (0.0 and -0.0) must still be formatted per row
+        out = tmp_path / "doc.csv"
+        args = argparse.Namespace(format="csv", out=str(out))
+        neg, beta, big = -0.0, 0.1, 10**20
+        rows = [(0.0, neg, 7, beta, big), (-0.0, neg, 7, beta, big), (0.0, neg, 7, beta, big)]
+        _write(args, ("zero", "neg", "m", "beta", "big"), rows, [(1, "# mid", {})])
+        assert out.read_text() == (
+            "zero,neg,m,beta,big\n"
+            "0,-0,7,0.10000000000000001,100000000000000000000\n"
+            "# # mid\n"
+            "-0,-0,7,0.10000000000000001,100000000000000000000\n"
+            "0,-0,7,0.10000000000000001,100000000000000000000\n"
+        )
+        _write(args, ("x",), [(0.0,), (-0.0,)], [])  # one column, and it varies
+        assert out.read_text() == "x\n0\n-0\n"
+        _write(args, ("x", "y"), [(neg, 3)], [])  # one row: every column is constant
+        assert out.read_text() == "x,y\n-0,3\n"
+
 
 # =====================================================================
 # Exit codes and selftest
@@ -667,6 +687,7 @@ class TestSelftestRunner:
             "specfun: digamma recurrence",
             "specfun: bessel recurrence",
             "specfun: 2f1 log identity",
+            "specfun: 2f1 log identity past |x| = 1.5",
             "radial: product integral vs quadrature",
             "radial: equal-order branch",
             "radial: derivative identity",

@@ -367,16 +367,23 @@ class TestHypDirectMemo:
 
     @pytest.mark.parametrize("alpha_prime", [2.3, -1.3, 1.7, 0.45])
     @pytest.mark.parametrize("phi", [0.4, 2.5, -3.0])
-    def test_one_build_costs_four_misses(self, alpha_prime, phi):
-        # Three misses: each c < 1.5 steps down from one anchor, which is a
-        # direct value of its own family. (The name predates the first-order
-        # step, when a build cost four.)
+    def test_one_build_costs_three_misses(self, alpha_prime, phi):
+        # each c < 1.5 steps down from one anchor, which is a direct value of
+        # its own family
         specfun._hyp_direct.cache_clear()
         first = g_fn(alpha_prime, phi)
         assert specfun._hyp_direct.cache_info().misses == 3
         second = g_fn(alpha_prime, phi)
         assert specfun._hyp_direct.cache_info().misses == 3
         assert _bits(first.g) == _bits(second.g)
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 2.5, 3.0, 4.3, 6.0])
+    @pytest.mark.parametrize("re", [-1.5, -3.0, -1e6])
+    def test_inverse_series_zero_signs_agree(self, c, re):
+        # past |x| = 1.5 the real axis is a memo key shared by both signs of
+        # Im x = 0, so the 1/x series must give the same bits for both
+        direct = specfun._hyp_direct.__wrapped__
+        assert _bits(direct(c, complex(re, 0.0))) == _bits(direct(c, complex(re, -0.0)))
 
     def test_size_stays_bounded_over_a_scan(self, capsys):
         from abgup import cli
@@ -438,6 +445,94 @@ class TestHyp2f1Mpmath:
     def test_negative_c_near_one(self, c):
         worst = max(_mp_rel_err(hyp2f1_11(c, x), c, complex(x)) for x in self._NEAR_ONE)
         assert worst < 1e-12
+
+
+class TestHyp2f1Branches:
+    """The power series and the 1/x series at the ends of their term counts,
+    and the continued fraction confined to 0.7 < |x| < 1.5 for c <= 6."""
+
+    # c on both sides of each integer the 1/x series divides a factor out at
+    _CS = [1.5, 2.0 - 1e-10, 2.0, 2.0 + 1e-10, 2.3, 3.0 - 1e-10, 3.0, 3.7, 4.0, 6.0]
+    # the worst relative error measured on _inverse_args() and the edges of
+    # test_term_count_edges, times about 1.5: 6.3e-16 for c <= 3, 1.6e-15 for
+    # c <= 4 and 7.4e-15 at c = 6, where the terms cancel more at |x| ~ 1.5
+    _BOUND = {3.0: 1e-15, 4.0: 2.5e-15, 6.0: 1.1e-14}
+
+    @staticmethod
+    def _inverse_args() -> list[complex]:
+        """|x| from 1.5 to 1e6: the Re x = 1/2 locus, 14 directions, the
+        negative real axis with both zero signs, and just off the cut."""
+        args = []
+        for r in (1.5, 1.5 + 1e-12, 2.0, 3.0, 10.0, 1e3, 1e6):
+            t = math.sqrt(r * r - 0.25)
+            args += [0.5 + 1j * t, 0.5 - 1j * t, complex(-r, 0.0), complex(-r, -0.0),
+                     r + 1e-6j, r - 1e-8j]
+            args += [cmath.rect(r, th) for th in np.linspace(-math.pi, math.pi, 17)[1:-1]
+                     if abs(th) > 1e-9]
+        return [x for x in args if abs(x) >= specfun._INVERSE_RADIUS]  # rect may round below
+
+    @classmethod
+    def _bound_for(cls, c: float) -> float:
+        return next(b for top, b in sorted(cls._BOUND.items()) if c <= top)
+
+    @pytest.mark.parametrize("c", _CS)
+    def test_inverse_series_against_mpmath(self, c):
+        worst = max(_mp_rel_err(hyp2f1_11(c, x), c, x) for x in self._inverse_args())
+        assert worst < self._bound_for(c)
+
+    @pytest.mark.parametrize("c", [2.5, 0.3])
+    def test_found_points(self, c):
+        # just above the cut at |x| = 1.5: the continued fraction stalled here
+        # for 50,000 passes; c = 0.3 steps down from its anchor at 2.3
+        assert _mp_rel_err(hyp2f1_11(c, 1.5 + 1e-6j), c, 1.5 + 1e-6j) < 1e-15
+
+    @pytest.mark.parametrize("c", [1.6, 2.45, 3.3])
+    def test_far_along_the_locus(self, c):
+        # the continued fraction read up to 4.1e-14 here
+        for t in (10.0, 1e3, 1e4, 1e6):
+            for x in (0.5 + 1j * t, 0.5 - 1j * t):
+                assert _mp_rel_err(hyp2f1_11(c, x), c, x) < 1e-15
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 2.7, 4.0, 6.0])
+    @pytest.mark.parametrize(
+        "x",
+        [1e-300, -1e-20, 1e-8 + 1e-8j, 0.7, -0.7, np.nextafter(0.7, 0.0) * 1j,
+         0.5 + 0.4898979485566356j, 1.5j, -1.5, np.nextafter(1.5, 2.0) * 1j,
+         -np.nextafter(1.5, 2.0)],
+    )
+    def test_term_count_edges(self, c, x):
+        # tiny |x| takes two terms; |x| = 0.7 and 1.5 take the most
+        bound = 1e-15 if abs(x) <= 0.7 else self._bound_for(c)
+        assert _mp_rel_err(hyp2f1_11(c, x), c, complex(x)) < bound
+
+    @pytest.mark.parametrize("t", [0.5, -0.5, -0.3, 0.1234, 1e-10, -1e-10, 0.0])
+    def test_psi_offsets_against_mpmath(self, t):
+        # measured: at most 1.05e-16 absolute, at t = -0.3
+        rows = specfun._psi_offsets(t)
+        assert rows.tobytes() == specfun._psi_offsets.__wrapped__(t).tobytes()  # a hit is exact
+        assert not rows.flags.writeable
+        with mpmath.workdps(40):
+            ref = [mpmath.psi(0, n + mpmath.mpf(t)) - mpmath.psi(0, n) for n in range(1, len(rows) + 1)]
+            assert max(float(abs(r - v)) for r, v in zip(ref, rows)) < 2e-16
+
+    def test_continued_fraction_runs_only_in_between(self, monkeypatch):
+        entered = []
+
+        def spy(c, x):
+            entered.append(abs(x))
+            return cf(c, x)
+
+        cf = specfun._hyp_continued_fraction
+        monkeypatch.setattr(specfun, "_hyp_continued_fraction", spy)
+        specfun._hyp_direct.cache_clear()
+        for c in (0.3, 1.2, 1.5, 2.0, 2.6, 3.0, 4.5, 6.0):
+            for x in self._inverse_args():
+                hyp2f1_11(c, x)
+        assert entered == []
+        for x in (1.2 + 0.3j, 0.5 + 1.4j, -1.49):
+            hyp2f1_11(2.6, x)
+        assert len(entered) == 3 and all(0.7 < r < 1.5 for r in entered)
+        specfun._hyp_direct.cache_clear()
 
 
 class TestPfqSeries:
