@@ -24,7 +24,6 @@ on poles of the closed forms and are rejected.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ from .core import (
     require_noninteger,
     square,
 )
-from .specfun import _bessel_negative, bessel_j, digamma, gamma_fn, pfq_series
+from .specfun import _bessel_negative, _cis_pi, bessel_j, digamma, log_gamma, pfq_series
 
 _DEGENERATE_TOL = 1e-9
 _ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature continuation above
@@ -113,32 +112,47 @@ def _f1_equal_series(z: float, mu: float) -> float:
 
     and dividing by t and integrating term by term gives
 
-        F1 = sum_k (-1)^k (z/2)^(2mu+2k) P_k / ((2mu+2k) k! Gamma(mu+k+1)^2)
+        F1 = S sum_k (-1)^k (z/2)^(2k) P_k / ((2mu+2k) k! (mu+1)_k^2),
+        S = (z/2)^(2mu) / Gamma(mu+1)^2,
 
     with P_k = (2mu+k+1)_k written as a finite product. That form avoids
     the parameter collision the equivalent 2F3 suffers at negative
     half-integer mu (where an upper and a lower parameter vanish together).
+    The rising factorial (mu+1)_k = Gamma(mu+k+1) / Gamma(mu+1) is a running
+    product, and the one seed S is formed in logs with ``log_gamma``, by the
+    reflection Gamma(mu+1) Gamma(-mu) = pi / sin(pi (mu+1)) for mu <= -1, so
+    no Gamma of the order is formed and large |mu| stays finite. The sum
+    stops once two successive terms fall below 1e-17 of the partial sum; a
+    seed that underflows to 0 returns 0.
     """
     zz = float(z)
-    half_pow = math.exp(2.0 * mu * math.log(0.5 * zz))
+    if mu > -1.0:
+        log_g = log_gamma(mu + 1.0)
+    else:
+        log_g = math.log(math.pi / abs(_cis_pi(mu).imag)) - log_gamma(-mu)
+    try:
+        seed = math.exp(2.0 * (mu * math.log(0.5 * zz) - log_g))
+    except OverflowError:
+        raise AccuracyError(f"equal-order F1 at mu = {mu} overflows a double at z = {zz}") from None
     q = 0.25 * zz * zz
     acc = 0.0
     sign = 1.0
     pow_q = 1.0
     k_fact = 1.0
+    rising = 1.0  # (mu + 1)_k
     small_runs = 0
     for k in range(300):
         if k > 0:
             sign = -sign
             pow_q *= q
             k_fact *= k
+            rising *= mu + k
         poch = 1.0
         for j in range(k):
             poch *= 2.0 * mu + k + 1.0 + j
-        g = gamma_fn(mu + k + 1.0)
-        term = sign * half_pow * pow_q * poch / ((2.0 * mu + 2.0 * k) * k_fact * g * g)
+        term = sign * seed * pow_q * poch / ((2.0 * mu + 2.0 * k) * k_fact * rising * rising)
         acc += term
-        if abs(term) <= 1e-17 * max(1.0, abs(acc)):
+        if abs(term) <= 1e-17 * abs(acc):
             small_runs += 1
             if small_runs >= 2:
                 return acc
@@ -156,17 +170,21 @@ def _f1_opposite_series(z: float, mubar: float) -> float:
         -z^2 / (4 G(2-mu) G(2+mu)) 3F4(1,1,3/2; 2-mu,2+mu,2,2; -z^2)
         + ln(z) / (G(1-mu) G(1+mu)).
 
-    This fixes the normalisation the asymptotic constants g1, g2 use.
+    This fixes the normalisation the asymptotic constants g1, g2 use. The
+    Gamma pairs are their reflection products (DLMF 5.5.3),
+    1/(G(1-mu) G(1+mu)) = sin(pi mu) / (pi mu) and G(2-mu) G(2+mu) =
+    (1 - mu^2) pi mu / sin(pi mu), so no Gamma of the order is formed and
+    the value stays finite for any mubar.
     """
     zz = float(z)
-    head = -zz * zz / (4.0 * gamma_fn(2.0 - mubar) * gamma_fn(2.0 + mubar))
+    sinc = _cis_pi(mubar).imag / (math.pi * mubar)  # 1 / (G(1-mu) G(1+mu))
+    head = -zz * zz * sinc / (4.0 * (1.0 - mubar * mubar))
     tail = pfq_series(
         [1.0, 1.0, 1.5],
         [2.0 - mubar, 2.0 + mubar, 2.0, 2.0],
         -zz * zz,
     )
-    log_term = math.log(zz) / (gamma_fn(1.0 - mubar) * gamma_fn(1.0 + mubar))
-    return head * tail.real + log_term
+    return head * tail.real + math.log(zz) * sinc
 
 
 class _BesselTable:
@@ -509,7 +527,7 @@ def fn_quadrature(
 
 def _mode_prefactor(nu: float) -> complex:
     """A_m = (-i)^nu, the incident-wave mode normalisation."""
-    return cmath.exp(-0.5j * math.pi * nu)
+    return _cis_pi(-0.5 * nu)
 
 
 def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
@@ -567,7 +585,7 @@ def _uv_on(grid: _F1Grid, m: int, alpha_prime: float, params: PhysicalParams):
     xi = coeffs.xi
     xim = coeffs.xi_minus
     hk2 = square(params.hbar * params.k)
-    pref = _mode_prefactor(nu) * math.pi * hk2 / math.sin(nu * math.pi)
+    pref = _mode_prefactor(nu) * math.pi * hk2 / _cis_pi(nu).imag
     f1 = grid.f1
 
     u_brace = (
@@ -607,7 +625,9 @@ def g1_g2(m: int, alpha_prime: float, params: PhysicalParams) -> tuple[complex, 
         g2 =  (A hbar^2 k^2 Gamma(nu) Gamma(1-nu) / (2 (1+nu)))
               (xi + xi_minus / (2 nu (1-nu)))
 
-    with W = 2 ln 2 + psi(nu) + psi(1 - nu).
+    with W = 2 ln 2 + psi(nu) + psi(1 - nu). The Gamma pair is the reflection
+    product Gamma(nu) Gamma(1-nu) = pi / sin(pi nu), with the sine and A from
+    ``specfun._cis_pi``, so both stay finite for any |m|.
 
     Returns
     -------
@@ -635,14 +655,7 @@ def g1_g2(m: int, alpha_prime: float, params: PhysicalParams) -> tuple[complex, 
             / (2.0 * nu**3 * (1.0 + nu) * (1.0 - nu) ** 2)
         )
     )
-    g2 = (
-        a_m
-        * hk2
-        * gamma_fn(nu)
-        * gamma_fn(1.0 - nu)
-        / (2.0 * (1.0 + nu))
-        * combo
-    )
+    g2 = a_m * hk2 * (math.pi / _cis_pi(nu).imag) / (2.0 * (1.0 + nu)) * combo
     return g1, g2
 
 
@@ -675,7 +688,7 @@ def radial_mode(m: int, alpha_prime: float, params: PhysicalParams) -> RadialMod
     """
     nu = _order_of(m, alpha_prime)
     g1, g2 = g1_g2(m, alpha_prime, params)  # rejects an order near an integer
-    c_m = -g1 - cmath.exp(-1j * math.pi * nu) * g2
+    c_m = -g1 - _cis_pi(-nu) * g2
     return RadialMode(m=int(m), order=nu, a_m=_mode_prefactor(nu), c_m=c_m)
 
 

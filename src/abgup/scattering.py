@@ -49,7 +49,7 @@ from .core import (
     require_noninteger,
     square,
 )
-from .specfun import gamma_fn, hyp2f1_11
+from .specfun import _cis_pi, hyp2f1_11
 
 _PI_MARGIN = 1e-6          # amplitude evaluations: keep |phi| away from pi
 _SERIES_PHI_MARGIN = 1e-3  # series route additionally needs phi away from 0
@@ -100,7 +100,7 @@ def _check_away_from_pi(phi: float, margin: float) -> float:
 
 def _sqrt_2pi_ik(k: float) -> complex:
     """Principal square root of 2 pi i k (k > 0)."""
-    return math.sqrt(2.0 * math.pi * k) * cmath.exp(0.25j * math.pi)
+    return math.sqrt(2.0 * math.pi * k) * _cis_pi(0.25)
 
 
 def _finite(value, what: str):
@@ -121,8 +121,10 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
         f0 = (1/sqrt(2 pi i k)) (-i) e^{-iN(phi-pi)} sin(pi alpha')
              e^{-i phi/2} / cos(phi/2)
 
-    The sine is evaluated as (-1)^N sin(pi gamma) with the exact fractional
-    split, so integer flux returns exactly 0 (the reflectionless case).
+    with e^{iN pi} = (-1)^N. The sine comes from ``specfun._cis_pi``, which
+    reduces alpha' exactly to its nearest integer first, so it keeps full
+    relative accuracy next to integer flux and integer flux returns exactly
+    0 (the reflectionless case).
 
     Parameters
     ----------
@@ -143,10 +145,10 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
     t = _check_away_from_pi(phi, _PI_MARGIN)
     split = flux_split(alpha_prime)
     n = split.n_part
-    sin_a = (-1.0) ** n * math.sin(math.pi * split.gamma_part)
+    sin_a = _cis_pi(split.alpha_prime).imag
     if sin_a == 0.0:
         return 0.0 + 0.0j
-    num = -1j * cmath.exp(-1j * n * (t - math.pi)) * sin_a * cmath.exp(-0.5j * t)
+    num = -1j * (-1.0) ** n * cmath.exp(-1j * n * t) * sin_a * cmath.exp(-0.5j * t)
     return num / (math.cos(0.5 * t) * _sqrt_2pi_ik(k))
 
 
@@ -189,8 +191,10 @@ def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
 
     with w = m + alpha' and nu = |w|. The gamma pair is evaluated through
     the reflection identity Gamma(w)Gamma(-w) = -pi / (w sin(pi w)), with
-    sin(pi w) = (-1)^m sin(pi alpha') taken exactly, so the value stays
-    finite for |m| far beyond direct-gamma overflow.
+    sin(pi w) = (-1)^m sin(pi alpha'), so the value stays finite for |m| far
+    beyond direct-gamma overflow. sin(pi alpha') and the phase come from
+    ``specfun._cis_pi``, which keeps their relative accuracy next to integer
+    alpha'.
 
     Raises
     ------
@@ -201,11 +205,10 @@ def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
     require_noninteger(w, "g2m: m + alpha'", PoleError)
     nu = abs(w)
     hk2 = square(params.hbar * params.k)
-    split = flux_split(alpha_prime)
-    sin_pw = (-1.0) ** int(m) * math.sin(math.pi * split.gamma_part) * (-1.0) ** split.n_part
+    sin_pw = (-1.0) ** int(m) * _cis_pi(float(alpha_prime)).imag
     gamma_pair = -math.pi / (w * sin_pw)
     return (
-        -cmath.exp(-0.5j * math.pi * nu)
+        -_cis_pi(-0.5 * nu)
         * (hk2 / 4.0)
         * gamma_pair
         * (w * _mode_bracket(w, _bracket_fractions(alpha_prime)))
@@ -251,7 +254,7 @@ def _abel_half(
     """
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
-    sigma = (-1.0) ** n * math.sin(math.pi * gamma)  # sin(pi alpha'), exact split
+    sigma = _cis_pi(split.alpha_prime).imag
     const, poles = fractions
     if upper:
         ms = np.arange(-n, m_max + 1, dtype=float)
@@ -372,11 +375,11 @@ def f1_series(
         with the per-r values in the message.
     """
     t = _series_angle(phi, alpha_prime, m_max, "f1_series")
-    gamma = flux_split(alpha_prime).gamma_part
+    # sin(pi gamma) e^{-+i pi gamma} = sin(pi alpha') e^{-+i pi alpha'}
+    rot_k = _cis_pi(float(alpha_prime))
+    rot_j = rot_k.conjugate()
     hk2 = square(params.hbar * params.k)
-    pref = -0.5j * hk2 * math.sin(math.pi * gamma) / _sqrt_2pi_ik(params.k)
-    rot_j = cmath.exp(-1j * math.pi * gamma)
-    rot_k = cmath.exp(1j * math.pi * gamma)
+    pref = -0.5j * hk2 * rot_k.imag / _sqrt_2pi_ik(params.k)
 
     def value_at(r: float) -> complex:
         s_j, s_k = _series_at_r(t, alpha_prime, r, int(m_max))
@@ -452,15 +455,15 @@ def g_fn(alpha_prime: float, phi: float) -> GValue:
 
     x = 0.5 * (1.0 + 1j * math.tan(0.5 * t))
     xc = x.conjugate()
-    e_plus = cmath.exp(1j * math.pi * gamma)
-    e_minus = cmath.exp(-1j * math.pi * gamma)
+    e_plus = _cis_pi(gamma)
+    e_minus = e_plus.conjugate()
 
     g = (
         2.0 * a * a * (
             e_plus / (1.0 - gamma) * hyp2f1_11(2.0 - gamma, xc)
             - e_minus / gamma * hyp2f1_11(1.0 + gamma, x)
         )
-        + 12.0 * a * math.cos(math.pi * gamma)
+        + 12.0 * a * e_plus.real
         + a * a * (1.0 - 0.5 * a) * (
             e_plus / (2.0 - gamma) * hyp2f1_11(3.0 - gamma, xc)
             + e_minus / (1.0 - gamma) * hyp2f1_11(gamma, x)
@@ -553,6 +556,11 @@ def dsigma(
     the exact undeformed value sin^2(pi gamma)/(2 pi k cos^2) is returned
     directly, which is exactly 0 at integer flux.
 
+    sin(pi gamma) = (-1)^N sin(pi alpha') is taken from alpha' itself by
+    ``specfun._cis_pi``, not from the rounded gamma, so it keeps its relative
+    accuracy next to integer flux, and at beta = 0 the value is bitwise
+    invariant under (phi, alpha') -> (-phi, -alpha').
+
     A value past the double range (extreme hbar, k or beta) raises
     AccuracyError.
     """
@@ -563,7 +571,7 @@ def dsigma(
     n, gamma = split.n_part, split.gamma_part
     k = params.k
     c2 = math.cos(0.5 * t) ** 2
-    sin_g = math.sin(math.pi * gamma)
+    sin_g = (-1.0) ** n * _cis_pi(split.alpha_prime).imag  # sin(pi gamma), from alpha'
 
     if params.beta == 0.0:
         val = sin_g * sin_g / (2.0 * math.pi * k * c2)

@@ -154,6 +154,10 @@ CHECKS: list[tuple[str, Callable[[], float], float]] = [
      for n in (1, 2, 3) for phi in (math.pi / 4, -math.pi / 2)]), 0.0),
     ("scattering: flip symmetry", lambda: abs(scattering.f1_amp(math.pi / 3, 0.7, _PB)
      - scattering.f1_amp(-math.pi / 3, -0.7, _PB)), 1e-10),
+    # exact: sin^2(pi alpha') / cos^2(phi/2) is even in both, next to integer flux too
+    ("scattering: beta = 0 flip symmetry", lambda: _worst([
+        scattering.dsigma(phi, a, _P0) - scattering.dsigma(-phi, -a, _P0)
+        for a, phi in ((0.7, 0.4), (2.9999985, -1.3), (-3.000002, 2.9))]), 0.0),
     ("scattering: forms agree to O(beta^2)", lambda: abs(
         scattering.dsigma(math.pi / 4, 0.7, _PB, form="modulus")
         - scattering.dsigma(math.pi / 4, 0.7, _PB, form="linearized")), 10.0 * _PB.beta**2),

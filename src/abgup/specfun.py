@@ -4,6 +4,10 @@ Everything the closed-form amplitude/radial paths need is implemented here
 by hand so that comparisons against library routines (scipy, mpmath) and
 against quadrature stay genuinely two-route:
 
+* ``_cis_pi``    -- e^{i pi x} from the exact remainder x - round(x); the one
+                    place a sine, cosine or phase of pi times a flux, an order
+                    or an integer is formed, here and in ``scattering`` and
+                    ``radial``.
 * ``gamma_fn``   -- Lanczos approximation plus reflection.
 * ``log_gamma``  -- log form of the same approximation (positive arguments).
 * ``digamma``    -- recurrence into the asymptotic region plus Bernoulli tail.
@@ -54,6 +58,21 @@ _LANCZOS_COEF = (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _cis_pi(x: float) -> complex:
+    """e^{i pi x} for finite real x, with sin(pi x) as its ``.imag``.
+
+    With n = round(x) the remainder r = x - n is exact, so e^{i pi x} =
+    (-1)^n e^{i pi r} keeps full relative accuracy next to every integer,
+    where pi * x itself would round before the sine sees it. At an integer
+    the sine is a signed zero, and sin(-pi x) = -sin(pi x) exactly.
+    """
+    n = round(x)
+    r = math.pi * (x - n)
+    if n % 2:
+        return complex(-math.cos(r), -math.sin(r))
+    return complex(math.cos(r), math.sin(r))
 
 
 def _near_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -118,14 +137,8 @@ def gamma_fn(x: float) -> float:
         raise PoleError(f"gamma_fn pole at non-positive integer, x = {x}")
     if x >= 0.5:
         return _lanczos_core(x)
-    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x). With n = round(x) the
-    # remainder r = x - n is exact and sin(pi x) = (-1)^n sin(pi r), which keeps
-    # its full relative accuracy next to the poles, where pi * x would not.
-    n = round(x)
-    s = math.sin(math.pi * (x - n))
-    if n % 2:
-        s = -s
-    return math.pi / (s * _lanczos_core(1.0 - x))
+    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
+    return math.pi / (_cis_pi(x).imag * _lanczos_core(1.0 - x))
 
 
 def log_gamma(x: float) -> float:
@@ -309,10 +322,11 @@ def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
         if done.all():
             break
         term[done] = 0.0  # a converged point takes no further terms
-    # cos and sin of omega = z - c from those of the exact z: z - c in floating
-    # point would round omega to half an ulp of z, which is 0.06 at z = 1e15
-    c = (0.5 * nu + 0.25) * math.pi
-    cos_z, sin_z, cos_c, sin_c = np.cos(z), np.sin(z), math.cos(c), math.sin(c)
+    # cos and sin of omega = z - c, c = (nu/2 + 1/4) pi, from those of the exact
+    # z: z - c in floating point would round omega to half an ulp of z, which
+    # is 0.06 at z = 1e15
+    e_c = _cis_pi(0.5 * nu + 0.25)
+    cos_z, sin_z, cos_c, sin_c = np.cos(z), np.sin(z), e_c.real, e_c.imag
     cos_w = cos_z * cos_c + sin_z * sin_c
     sin_w = sin_z * cos_c - cos_z * sin_c
     return np.sqrt(0.5 / (0.25 * math.pi * z)) * (p * cos_w - q * sin_w)
@@ -619,7 +633,9 @@ def hyp2f1_11(c: float, x) -> complex:
     Raises
     ------
     DomainValidationError
-        If c or x is not finite, or x lies on the branch cut.
+        If c or x is not finite, x lies on the branch cut, or |x| exceeds
+        2^1022 (about 4.5e307), beyond which 1/x, the variable of the large-|x|
+        series, is no longer a normal double.
     PoleError
         If c is within 1e-10 of a non-positive integer.
 
@@ -654,6 +670,11 @@ def hyp2f1_11(c: float, x) -> complex:
     x = complex(x)
     if not (math.isfinite(c) and cmath.isfinite(x)):
         raise DomainValidationError(f"hyp2f1_11 needs finite c and x, got c = {c}, x = {x}")
+    if abs(0.5 * x) > 2.0 ** 1021:  # halved, so that abs cannot overflow
+        raise DomainValidationError(
+            f"hyp2f1_11 needs |x| <= 2**1022 (about 4.5e307), where 1/x is still a "
+            f"normal double; got x = {x}"
+        )
     if _near_nonpositive_integer(c, tol=1e-10):
         raise PoleError(f"hyp2f1_11 pole: c = {c} is (near) a non-positive integer")
     if x.imag == 0.0 and x.real >= 1.0:

@@ -280,11 +280,27 @@ class TestRadial:
 
     @pytest.mark.parametrize("m", [150, 170, 200, -150])
     def test_large_order_is_finite_or_typed(self, m):
-        # at the default z-min = 0.5, J_-nu overflows from about |m| = 150, and
-        # Gamma overflows in the opposite-order series and in g1_g2 beyond 170
+        # at the default z-min = 0.5, J_-nu overflows from about |m| = 150
         _assert_finite_rows_or_one_line_error(
             ["radial", "--alpha", "0.3", f"--m={m}", "--beta", "0.01", "--steps", "3"]
         )
+
+    def test_order_170_writes_finite_rows(self):
+        # Gamma(172.3) of the order itself overflows; the closed forms need only
+        # finite products of Gammas
+        argv = ["radial", "--alpha", "0.3", "--m", "170", "--beta", "0.01", "--steps", "3",
+                "--z-min", "5"]
+        rc, out, err = _run_to_stdout(argv)
+        assert rc == 0 and err == ""
+        _assert_finite_rows(argv, out)
+        assert len(out.splitlines()) == 4
+
+    def test_order_200_overflow_stays_typed(self):
+        # J_-nu itself exceeds the largest double on the panels from z = 4
+        rc, out, err = _run_to_stdout(["radial", "--alpha", "0.3", "--m", "200", "--beta",
+                                       "0.01", "--steps", "3", "--z-min", "5"])
+        assert rc == 2 and out == ""
+        assert "|J_-200.3| overflows" in err
 
     def test_z_beyond_panel_cap_exits_1(self, tmp_path, capsys):
         # the degenerate-order panels would need about 2e309 nodes; rejected at once
@@ -700,6 +716,7 @@ class TestSelftestRunner:
             "scattering: jump closed value",
             "scattering: integer-flux zeros",
             "scattering: flip symmetry",
+            "scattering: beta = 0 flip symmetry",
             "scattering: forms agree to O(beta^2)",
             "scattering: sample assembly",
             "classical: flow is gradient of H",

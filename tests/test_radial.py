@@ -6,12 +6,14 @@ import math
 import os
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as spi
 import scipy.special as sps
 
 from abgup import (
+    AccuracyError,
     DomainValidationError,
     PhysicalParams,
     SingularConfigError,
@@ -372,7 +374,87 @@ class TestUvPair:
         assert gaps[-1] < 0.02
 
 
+class TestClosedFormSeries:
+    """The exact small-z series of the degenerate F1 against mpmath."""
+
+    @staticmethod
+    def _equal_mpmath(z: float, mu: float):
+        with mpmath.workdps(40):
+            z, mu = mpmath.mpf(z), mpmath.mpf(mu)
+            acc = mpmath.mpf(0)
+            for k in range(400):
+                term = ((-1) ** k * (z / 2) ** (2 * mu + 2 * k) * mpmath.rf(2 * mu + k + 1, k)
+                        / ((2 * mu + 2 * k) * mpmath.factorial(k) * mpmath.gamma(mu + k + 1) ** 2))
+                acc += term
+                if k > 2 and abs(term) < mpmath.mpf(10) ** -38 * abs(acc):
+                    return acc
+            raise AssertionError("reference series did not converge")
+
+    @pytest.mark.parametrize("mu", [-0.7, -0.3, 0.3, 0.5, 1.7, 5.5, 12.3, 25.3, 40.3])
+    def test_equal_orders_against_mpmath(self, mu):
+        # a stopping test that is absolute wherever |F1| < 1 ends the sum early:
+        # 1e-2 at mu = 12.3, z = 2 and 2e-7 at mu = 5.5, z = 0.1. Measured with the
+        # relative test: at most 4.3e-14, growing with mu from the log-form seed.
+        for z in (0.1, 0.5, 1.0, 2.0, 3.0, 4.0):
+            ref = self._equal_mpmath(z, mu)
+            assert float(abs(radial._f1_equal_series(z, mu) - ref) / abs(ref)) < 1e-13, z
+
+    def test_equal_orders_underflowing_seed_reads_zero(self):
+        # (z/2)^(2 mu) / Gamma(mu + 1)^2 is about 1e-2017 here
+        assert radial._f1_equal_series(0.1, 300.3) == 0.0
+
+    @pytest.mark.parametrize("mu", [-1.3, -2.7, -40.3])
+    def test_equal_orders_below_minus_one(self, mu):
+        # Gamma(mu + 1) by reflection; measured at most 1.3e-14
+        for z in (0.5, 2.0, 4.0):
+            ref = self._equal_mpmath(z, mu)
+            assert float(abs(radial._f1_equal_series(z, mu) - ref) / abs(ref)) < 1e-13, z
+
+    def test_equal_orders_overflow_is_typed(self):
+        with pytest.raises(AccuracyError, match="overflows"):
+            radial._f1_equal_series(4.0, -170.3)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 1.7, 12.3, 40.3, 169.7, 170.3, 200.3, 299.7, 300.3])
+    def test_opposite_orders_against_mpmath(self, mu):
+        # Gamma(2 + mu) itself overflows from mu = 169.6; measured: at most
+        # 2.1e-14, where the two terms cancel (mu = 0.3, z = 4)
+        for z in (0.1, 0.5, 1.5, 2.0, 3.0, 4.0):
+            with mpmath.workdps(40):
+                zm, m = mpmath.mpf(z), mpmath.mpf(mu)
+                ref = (-zm * zm / (4 * mpmath.gamma(2 - m) * mpmath.gamma(2 + m))
+                       * mpmath.hyper([1, 1, 1.5], [2 - m, 2 + m, 2, 2], -zm * zm)
+                       + mpmath.log(zm) / (mpmath.gamma(1 - m) * mpmath.gamma(1 + m)))
+                err = abs(radial._f1_opposite_series(z, mu) - ref) / abs(ref)
+            assert float(err) < 5e-14, z
+
+
 class TestG1G2:
+    @staticmethod
+    def _mpmath(m: int, a: float):
+        """The docstring's closed forms at 50 digits, on the order nu = |m + a|
+        as the code rounds it."""
+        with mpmath.workdps(50):
+            nu, a = mpmath.mpf(abs(m + a)), mpmath.mpf(a)
+            xi = a * (3 * m + 2 * a)
+            xim = a * a * (m + a) * (2 * m + a) + 2 * xi * (1 - nu)
+            amp = mpmath.expjpi(-nu / 2) * PARAMS.hbar ** 2 * PARAMS.k ** 2
+            combo = xi + xim / (2 * nu * (1 - nu))
+            brace = 2 * mpmath.log(2) + mpmath.digamma(nu) + mpmath.digamma(1 - nu)
+            g1 = -amp / (2 * (1 + nu)) * (
+                combo * brace + (1 + 2 * nu) * xi / (nu * (1 + nu))
+                - (1 - nu - 3 * nu ** 2 + nu ** 3) * xim / (2 * nu ** 3 * (1 + nu) * (1 - nu) ** 2))
+            g2 = amp * mpmath.gamma(nu) * mpmath.gamma(1 - nu) / (2 * (1 + nu)) * combo
+            return g1, g2
+
+    @pytest.mark.parametrize("m", [0, 3, -5, 160, 200, 300, -300])
+    def test_against_mpmath(self, m):
+        # Gamma(nu) itself overflows from |m| of about 171; measured: at most
+        # 1.0e-15
+        for a in (0.3, 0.5, 1.7):
+            for got, ref in zip(g1_g2(m, a, PARAMS), self._mpmath(m, a)):
+                with mpmath.workdps(50):
+                    assert float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)) < 2e-15
+
     def test_g2_against_scattering_route(self):
         # same constant from two formula sets built in different modules
         for m in range(-4, 5):

@@ -28,6 +28,7 @@ from abgup import (
     symmetry_probe,
     width,
 )
+from abgup.core import ENDPOINT_BAND
 
 P0 = PhysicalParams(beta=0.0)
 PB = PhysicalParams(beta=0.01)
@@ -303,6 +304,100 @@ class TestDsigma:
     def test_forward_rejected(self):
         with pytest.raises(ForwardSingularityError):
             dsigma(math.pi, 0.7, PB)
+
+
+class TestNearIntegerFlux:
+    """The paper's two results where pi alpha' rounds worst: the beta = 0
+    flip invariance and the approach to integer flux."""
+
+    @staticmethod
+    def _flip_points() -> list[tuple[float, float]]:
+        rng = random.Random(15)
+        pts = [(rng.uniform(-3.0, 3.0), rng.uniform(-4.0, 4.0)) for _ in range(2000)]
+        for n in range(-4, 5):
+            for d in (1e-5, -1e-5, 3e-6, -1.5e-6, 2e-7, 1e-12, 0.0):
+                pts.append((rng.uniform(-3.0, 3.0), n + d))
+        return pts
+
+    def test_beta_zero_flip_is_exact(self):
+        # sin^2(pi alpha') / (2 pi k cos^2(phi/2)) is even in both, and so are its
+        # bits when the sine comes from the exactly reduced alpha'; a sine of the
+        # rounded pi gamma breaks it on 1,252 of the 2,000 seeded points
+        bad = [(phi, a) for phi, a in self._flip_points()
+               if dsigma(phi, a, P0) != dsigma(-phi, -a, P0)]
+        assert bad == []
+
+    _DELTAS = (2e-6, 1e-5, 1e-4)
+
+    @staticmethod
+    def _dsigma_mpmath(phi: float, a: float, beta: float):
+        """dsigma at 50 digits, routed as ``dsigma`` routes: the limits within
+        1e-4 of an integer at beta > 0, the kernel built by mpmath otherwise."""
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+            n = int(mpmath.floor(am))
+            g = am - n
+            c2 = mpmath.cos(mpmath.mpf(phi) / 2) ** 2
+            s = mpmath.sinpi(g)
+            pref = beta * mpmath.pi / 2
+            if beta == 0.0:
+                return s * s / (2 * mpmath.pi * c2)
+            if g < ENDPOINT_BAND:
+                return pref * n * n * (2 * (n - 2) * c2 + 6 - n)
+            if 1 - g < ENDPOINT_BAND:
+                return pref * (n + 1) ** 2 * (n + 7 - 2 * (n + 3) * c2)
+            x = mpmath.mpc(0.5, mpmath.tan(mpmath.mpf(phi) / 2) / 2)
+            kernel = TestKernel._g_mpmath(a, g, complex(x))
+            return s * (s - pref * mpmath.re(kernel)) / (2 * mpmath.pi * c2)
+
+    @pytest.mark.parametrize("beta, bound", [(0.0, 1e-15), (0.01, 1e-14)])
+    def test_dsigma_against_mpmath(self, beta, bound):
+        # a sine of the rounded pi gamma reads 1.4e-10 at alpha' = 2.9999985.
+        # Measured now: at most 3.6e-16 at beta = 0. At beta = 0.01 all but one
+        # of the points take the integer-flux limits, which read up to 6.8e-16,
+        # except 5.9e-15 at N = 2, phi = 0.3, where the lower limit's
+        # 8 - 8 cos^2(phi/2) cancels.
+        params = PhysicalParams(beta=beta)
+        worst = 0.0
+        for n in (1, 2, 3):
+            for a in [n - d for d in self._DELTAS] + [2.9999985]:
+                for phi in (0.3, -1.2, 2.5):
+                    ref = self._dsigma_mpmath(phi, a, beta)
+                    with mpmath.workdps(50):
+                        worst = max(worst, float(abs(dsigma(phi, a, params) - ref) / abs(ref)))
+        assert worst < bound
+
+    def test_f0_against_mpmath(self):
+        # measured: at most 3.5e-16
+        for n in (1, 2, 3):
+            for d in self._DELTAS:
+                a = n - d
+                for phi in (0.3, -1.2, 2.5):
+                    with mpmath.workdps(50):
+                        am, t = mpmath.mpf(a), mpmath.mpf(phi)
+                        nn = int(mpmath.floor(am))
+                        ref = (-1j * mpmath.expj(-nn * (t - mpmath.pi)) * mpmath.sinpi(am)
+                               * mpmath.expj(-t / 2) / mpmath.cos(t / 2)
+                               / (mpmath.sqrt(2 * mpmath.pi) * mpmath.expjpi(0.25)))
+                        got = f0_amp(phi, a)
+                        assert float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)) < 1e-15
+
+    def test_g2m_against_mpmath(self):
+        # a sine of the rounded pi gamma reads 4.2e-11 at g2m(0, 0.999998);
+        # measured: at most 2.5e-16
+        for n in (1, 2, 3):
+            for d in self._DELTAS:
+                a = n - d
+                for m in (-n - 3, 0, 2):
+                    with mpmath.workdps(50):
+                        w = m + mpmath.mpf(a)
+                        am = mpmath.mpf(a)
+                        bracket = (-2 * am * am + 6 * am * w
+                                   + am * am * w * ((1 - am / 2) / (1 - w) - (1 + am / 2) / (1 + w)))
+                        ref = (-mpmath.expjpi(-abs(w) / 2) / 4
+                               * mpmath.gamma(w) * mpmath.gamma(-w) * bracket)
+                        got = g2m(m, a, PhysicalParams())
+                        assert float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)) < 1e-15
 
 
 class TestWidth:

@@ -1,10 +1,13 @@
 """Hand-built special functions checked against identities and against
 scipy (the quadrature backend, an independent implementation)."""
 
+import ast
 import cmath
 import math
+import random
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -66,6 +69,83 @@ class TestGamma:
         with pytest.raises(DomainValidationError, match="overflows a double"):
             gamma_fn(x)
         assert gamma_fn(171.6) == pytest.approx(math.gamma(171.6), rel=1e-12)
+
+
+class TestCisPi:
+    """The one helper behind every phase of pi times a flux, order or integer."""
+
+    def test_gamma_reflection_bitwise_as_before(self):
+        # the reflection's sine (-1)^n sin(pi (x - n)), n = round(x), written out:
+        # the helper must give the same bits
+        rng = random.Random(15)
+        for _ in range(1000):
+            x = rng.uniform(-170.0, 0.5)
+            n = round(x)
+            s = math.sin(math.pi * (x - n))
+            if n % 2:
+                s = -s
+            assert gamma_fn(x) == math.pi / (s * specfun._lanczos_core(1.0 - x)), x
+
+    @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 7, 170, -301])
+    def test_integers_and_mirror(self, n):
+        e = specfun._cis_pi(float(n))
+        assert e.imag == 0.0 and e.real == (-1.0) ** n
+        for d in (1e-12, 2e-6, 0.25, 0.5):
+            x = n + d
+            assert specfun._cis_pi(-x) == specfun._cis_pi(x).conjugate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 160])
+    def test_against_mpmath_next_to_integers(self, n):
+        # pi * x rounds before the sine sees it; the exact remainder does not
+        for d in (2e-6, -2e-6, 1e-5, -1e-4, 1.5e-6, 1e-12):
+            x = n + d
+            got = specfun._cis_pi(x)
+            with mpmath.workdps(50):
+                ref = mpmath.expjpi(mpmath.mpf(x))
+                assert float(abs(mpmath.mpf(got.imag) - ref.imag) / abs(ref.imag)) < 2.5e-16
+                assert float(abs(mpmath.mpc(got.real, got.imag) - ref)) < 2.5e-16
+
+    # a sine, cosine or exponential of an argument that mentions math.pi
+    _PI_CALLS = {("math", "sin"), ("math", "cos"), ("cmath", "exp"),
+                 ("np", "sin"), ("np", "cos"), ("np", "exp")}
+
+    @classmethod
+    def _pi_phase_sites(cls, source: str) -> list[int]:
+        """Lines of the calls in ``cls._PI_CALLS`` whose arguments mention
+        math.pi, outside the body of ``_cis_pi``."""
+        def mentions_pi(node) -> bool:
+            return any(isinstance(n, ast.Attribute) and n.attr == "pi"
+                       and isinstance(n.value, ast.Name) and n.value.id == "math"
+                       for n in ast.walk(node))
+
+        sites = []
+
+        def visit(node, inside: bool) -> None:
+            inside = inside or (isinstance(node, ast.FunctionDef) and node.name == "_cis_pi")
+            func = getattr(node, "func", None)
+            if (not inside and isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and (func.value.id, func.attr) in cls._PI_CALLS
+                    and any(mentions_pi(arg) for arg in node.args)):
+                sites.append(node.lineno)
+            for child in ast.iter_child_nodes(node):
+                visit(child, inside)
+
+        visit(ast.parse(source), False)
+        return sites
+
+    def test_site_finder_sees_inline_phases(self):
+        src = ("import math, cmath\nimport numpy as np\n"
+               "def f(x):\n    return math.sin(math.pi * x) + np.exp(-1j * x * math.pi)\n"
+               "def _cis_pi(x):\n    return math.cos(math.pi * x)\n"
+               "def g(x):\n    return cmath.exp(1j * x) * math.tan(math.pi * x)\n")
+        assert self._pi_phase_sites(src) == [4, 4]
+
+    @pytest.mark.parametrize("module", ["specfun.py", "scattering.py", "radial.py"])
+    def test_only_cis_pi_forms_pi_phases(self, module):
+        # selftest's reference values are oracles and stay out of this scope
+        source = (Path(specfun.__file__).parent / module).read_text()
+        assert self._pi_phase_sites(source) == []
 
 
 class TestLogGamma:
@@ -300,6 +380,22 @@ class TestHyp2f1:
             x = complex(0.3, bad)
         with pytest.raises(DomainValidationError):
             hyp2f1_11(c, x)
+
+    @pytest.mark.parametrize("c", [0.3, 2.5, 7.0])
+    @pytest.mark.parametrize("x", [complex(1.5e308, 1.5e308), complex(1e308, 1e308)])
+    def test_huge_x_rejected(self, c, x):
+        # abs(x) overflows at the first point; at the second 1/x is subnormal, and
+        # the 1/x series loses the function, which is of order 1e-305
+        with pytest.raises(DomainValidationError, match="normal double"):
+            hyp2f1_11(c, x)
+
+    @pytest.mark.parametrize("c", [0.3, 2.0, 2.5])
+    def test_largest_x_against_mpmath(self, c):
+        # |x| up to 2^1022, where 1/x is the smallest normal double; measured
+        # at most 2.7e-16
+        top = 2.0 ** 1022
+        for x in (complex(-top, 0.0), complex(0.5, 0.99 * top), 0.7 * top * (1 + 1j)):
+            assert _mp_rel_err(hyp2f1_11(c, x), c, x) < 1e-15
 
     def test_pole_in_c_rejected(self):
         with pytest.raises(PoleError):
