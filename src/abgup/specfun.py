@@ -69,10 +69,8 @@ def _cis_pi(x: float) -> complex:
     the sine is a signed zero, and sin(-pi x) = -sin(pi x) exactly.
     """
     n = round(x)
-    r = math.pi * (x - n)
-    if n % 2:
-        return complex(-math.cos(r), -math.sin(r))
-    return complex(math.cos(r), math.sin(r))
+    e = cmath.exp(1j * (math.pi * (x - n)))  # (cos, sin) of the real pi (x - n)
+    return -e if n % 2 else e
 
 
 def _near_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -608,7 +606,12 @@ def _hyp_direct(c: float, x: complex) -> complex:
     one entry; every branch returns bitwise equal values for the two signs
     of a zero imaginary part, so a hit is still exact there.
     """
-    r = abs(x)
+    r = 2.0 * abs(0.5 * x)  # halved first: abs(x) overflows past the largest double
+    if r > 2.0 ** 1022:
+        raise DomainValidationError(
+            f"hyp2f1_11 needs |x| <= 2**1022 (about 4.5e307), where 1/x is still a "
+            f"normal double; got x = {x}"
+        )
     if r <= _SERIES_RADIUS:
         return _hyp_series(c, x)
     if r >= _INVERSE_RADIUS and c <= _INVERSE_MAX_C:
@@ -670,11 +673,6 @@ def hyp2f1_11(c: float, x) -> complex:
     x = complex(x)
     if not (math.isfinite(c) and cmath.isfinite(x)):
         raise DomainValidationError(f"hyp2f1_11 needs finite c and x, got c = {c}, x = {x}")
-    if abs(0.5 * x) > 2.0 ** 1021:  # halved, so that abs cannot overflow
-        raise DomainValidationError(
-            f"hyp2f1_11 needs |x| <= 2**1022 (about 4.5e307), where 1/x is still a "
-            f"normal double; got x = {x}"
-        )
     if _near_nonpositive_integer(c, tol=1e-10):
         raise PoleError(f"hyp2f1_11 pole: c = {c} is (near) a non-positive integer")
     if x.imag == 0.0 and x.real >= 1.0:

@@ -405,7 +405,7 @@ class TestClosedFormSeries:
 
     @pytest.mark.parametrize("mu", [-1.3, -2.7, -40.3])
     def test_equal_orders_below_minus_one(self, mu):
-        # Gamma(mu + 1) by reflection; measured at most 1.3e-14
+        # Gamma(mu + 1) by reflection; measured: at most 3.5e-14 (mu = -40.3)
         for z in (0.5, 2.0, 4.0):
             ref = self._equal_mpmath(z, mu)
             assert float(abs(radial._f1_equal_series(z, mu) - ref) / abs(ref)) < 1e-13, z

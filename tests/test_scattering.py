@@ -368,7 +368,7 @@ class TestNearIntegerFlux:
         assert worst < bound
 
     def test_f0_against_mpmath(self):
-        # measured: at most 3.5e-16
+        # measured: at most 3.7e-16
         for n in (1, 2, 3):
             for d in self._DELTAS:
                 a = n - d
@@ -383,8 +383,8 @@ class TestNearIntegerFlux:
                         assert float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)) < 1e-15
 
     def test_g2m_against_mpmath(self):
-        # a sine of the rounded pi gamma reads 4.2e-11 at g2m(0, 0.999998);
-        # measured: at most 2.5e-16
+        # a sine of the rounded pi gamma reads 4.2e-11 at g2m(0, 0.999998), now
+        # 2.5e-16; measured over all these points: at most 7.5e-16
         for n in (1, 2, 3):
             for d in self._DELTAS:
                 a = n - d
