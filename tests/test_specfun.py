@@ -74,7 +74,7 @@ class TestGamma:
 class TestCisPi:
     """The one helper behind every phase of pi times a flux, order or integer."""
 
-    def test_gamma_reflection_bitwise_as_before(self):
+    def test_gamma_reflection_bitwise(self):
         # the reflection's sine (-1)^n sin(pi (x - n)), n = round(x), written out:
         # the helper must give the same bits
         rng = random.Random(15)
