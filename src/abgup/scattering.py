@@ -483,7 +483,7 @@ def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
              / (4 cos(phi/2) sqrt(2 pi i k)) * G(alpha', phi)
 
     Must agree with the ``f1_series`` oracle; their independent code paths
-    (gamma reflection sums vs contiguous-shifted continued fractions) are
+    (gamma reflection sums vs contiguous-shifted 2F1 values) are
     the main cross-validation of this module.
     """
     t = _check_away_from_pi(phi, _PI_MARGIN)
@@ -509,13 +509,15 @@ def dsigma_integer_limits(n: int, phi: float, params: PhysicalParams) -> tuple[f
         lower (alpha' -> n from below):
             beta (pi hbar^2 k n^2 / 2) [ n + 6 - 2(n+2) cos^2(phi/2) ]
 
-    Both vanish identically at n = 0 and at beta = 0.
+    Both vanish identically at n = 0 and at beta = 0. With s = sin^2(phi/2)
+    they are formed as (n + 2) - 2(n - 2) s and (2 - n) + 2(n + 2) s, which
+    cancel nowhere: at n = 2 the lower bracket is 8 s, not 8 - 8 cos^2(phi/2).
     """
     n = int(n)
-    c2 = math.cos(0.5 * _principal(phi)) ** 2
+    s2 = math.sin(0.5 * _principal(phi)) ** 2
     scale = params.beta * math.pi * square(params.hbar) * params.k * n * n / 2.0
-    upper = scale * (2.0 * (n - 2.0) * c2 + 6.0 - n)
-    lower = scale * (n + 6.0 - 2.0 * (n + 2.0) * c2)
+    upper = scale * ((n + 2.0) - 2.0 * (n - 2.0) * s2)
+    lower = scale * ((2.0 - n) + 2.0 * (n + 2.0) * s2)
     return _finite(upper, "dsigma_integer_limits"), _finite(lower, "dsigma_integer_limits")
 
 

@@ -354,9 +354,7 @@ class TestNearIntegerFlux:
     def test_dsigma_against_mpmath(self, beta, bound):
         # a sine of the rounded pi gamma reads 1.4e-10 at alpha' = 2.9999985.
         # Measured now: at most 3.6e-16 at beta = 0. At beta = 0.01 all but one
-        # of the points take the integer-flux limits, which read up to 6.8e-16,
-        # except 5.9e-15 at N = 2, phi = 0.3, where the lower limit's
-        # 8 - 8 cos^2(phi/2) cancels.
+        # of the points take the integer-flux limits (test_integer_limits_against_mpmath).
         params = PhysicalParams(beta=beta)
         worst = 0.0
         for n in (1, 2, 3):
@@ -366,6 +364,22 @@ class TestNearIntegerFlux:
                     with mpmath.workdps(50):
                         worst = max(worst, float(abs(dsigma(phi, a, params) - ref) / abs(ref)))
         assert worst < bound
+
+    @pytest.mark.parametrize("n", [1, -1, 2, -2, 3, -3])
+    def test_integer_limits_against_mpmath(self, n):
+        # written in sin^2(phi/2), neither limit cancels; in cos^2(phi/2) the
+        # lower one at n = 2 (and the upper at n = -2) read 5.9e-15 at phi = 0.3,
+        # 4.6e-10 at 1e-3 and 8.9e-5 at 1e-6. Measured now: at most 2.9e-16.
+        worst = 0.0
+        for phi in (1e-6, -1e-6, 1e-3, 0.03, 0.3, -1.2, math.pi / 2, 2.5, 3.0):
+            got = dsigma_integer_limits(n, phi, PB)
+            with mpmath.workdps(50):
+                c2 = mpmath.cos(mpmath.mpf(phi) / 2) ** 2
+                scale = (mpmath.mpf(PB.beta) * mpmath.pi * mpmath.mpf(PB.hbar) ** 2
+                         * mpmath.mpf(PB.k) * n * n / 2)
+                ref = (scale * (2 * (n - 2) * c2 + 6 - n), scale * (n + 6 - 2 * (n + 2) * c2))
+                worst = max(worst, *(float(abs(g - r) / abs(r)) for g, r in zip(got, ref)))
+        assert worst < 1e-15
 
     def test_f0_against_mpmath(self):
         # measured: at most 3.7e-16

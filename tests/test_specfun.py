@@ -426,6 +426,20 @@ def _kernel_args(gamma: float, phi: float) -> list[tuple[float, complex]]:
     ]
 
 
+_X_SIDES = ("_series_x", "_inverse_x", "_euler_x")
+_C_SIDES = ("_series_c", "_inverse_c", "_euler_c")
+
+
+def _clear_sides() -> None:
+    specfun._hyp_direct.cache_clear()
+    for name in _X_SIDES + _C_SIDES:
+        getattr(specfun, name).cache_clear()
+
+
+def _side_misses(names) -> int:
+    return sum(getattr(specfun, name).cache_info().misses for name in names)
+
+
 class TestHypDirectMemo:
     """The memo under hyp2f1_11 returns exactly what a fresh evaluation gives."""
 
@@ -443,8 +457,8 @@ class TestHypDirectMemo:
         assert cold == fresh
         assert warm == fresh
 
-    # phi = 0.4 keeps |x| <= 0.7 (series), phi = 2.5 puts |x| near 1.6 (continued
-    # fraction); at gamma = 1/2 the x and x* families share their c values.
+    # phi = 0.4 keeps |x| <= 0.7 (series), phi = 2.5 puts |x| near 1.6 (1/x
+    # series); at gamma = 1/2 the x and x* families share their c values.
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("phi", [0.4, -0.4, 2.5, -2.5])
     def test_bitwise_equal_to_uncached(self, monkeypatch, gamma, phi):
@@ -484,7 +498,7 @@ class TestHypDirectMemo:
     def test_size_stays_bounded_over_a_scan(self, capsys):
         from abgup import cli
 
-        specfun._hyp_direct.cache_clear()
+        _clear_sides()
         argv = ["phi-scan", "--beta=0.01", "--alpha=1.3", "--phi-min=-3.1",
                 "--phi-max=3.1", "--steps=120", "--format=json"]
         assert cli.main(argv) == 0
@@ -492,6 +506,21 @@ class TestHypDirectMemo:
         info = specfun._hyp_direct.cache_info()
         assert info.misses == 3 * 120  # the JSON row's second build is all hits
         assert 0 < info.currsize <= info.maxsize == specfun._DIRECT_MEMO_SIZE
+        # c is fixed, so the c sides are built once per branch (measured 9), and
+        # x and x* share one x side per row (measured 115: rows at -phi and phi
+        # close enough to be still cached share it too)
+        assert _side_misses(_X_SIDES) <= 120
+        assert _side_misses(_C_SIDES) <= 12
+
+    def test_alpha_scan_builds_one_x_side(self, capsys):
+        from abgup import cli
+
+        _clear_sides()
+        argv = ["alpha-scan", "--beta=0.01", "--phi=2.2", "--alpha-min=-2.9",
+                "--alpha-max=2.9", "--steps=150"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert _side_misses(_X_SIDES) == 1
 
 
 def _mp_rel_err(value: complex, c: float, x: complex) -> float:
@@ -532,8 +561,8 @@ class TestHyp2f1Mpmath:
         worst = max(_mp_rel_err(hyp2f1_11(c, x), c, complex(x)) for x in self._ARGS)
         assert worst < 1e-14
 
-    # x near the branch point 1, where the anchor's continued fraction sets
-    # the error (4.1e-13 at x = 0.9999 for c = 2.3, which takes no step)
+    # x near the branch point 1, where the anchor sets the error: measured at
+    # most 8.0e-14 (Euler's integral; 4.7e-13 with the continued fraction)
     _NEAR_ONE = [0.99, 0.999, 0.9999, 0.99 + 0.01j, 0.99 - 0.01j,
                  1.0 + 1e-3j, 1.0 - 1e-3j, 0.95 + 0.05j]
 
@@ -545,7 +574,7 @@ class TestHyp2f1Mpmath:
 
 class TestHyp2f1Branches:
     """The power series and the 1/x series at the ends of their term counts,
-    and the continued fraction confined to 0.7 < |x| < 1.5 for c <= 6."""
+    and Euler's integral confined to 0.7 < |x| < 1.5 for c <= 6."""
 
     # c on both sides of each integer the 1/x series divides a factor out at
     _CS = [1.5, 2.0 - 1e-10, 2.0, 2.0 + 1e-10, 2.3, 3.0 - 1e-10, 3.0, 3.7, 4.0, 6.0]
@@ -605,21 +634,19 @@ class TestHyp2f1Branches:
     def test_psi_offsets_against_mpmath(self, t):
         # measured: at most 1.05e-16 absolute, at t = -0.3
         rows = specfun._psi_offsets(t)
-        assert rows.tobytes() == specfun._psi_offsets.__wrapped__(t).tobytes()  # a hit is exact
-        assert not rows.flags.writeable
         with mpmath.workdps(40):
             ref = [mpmath.psi(0, n + mpmath.mpf(t)) - mpmath.psi(0, n) for n in range(1, len(rows) + 1)]
             assert max(float(abs(r - v)) for r, v in zip(ref, rows)) < 2e-16
 
-    def test_continued_fraction_runs_only_in_between(self, monkeypatch):
+    def test_euler_rule_runs_only_in_between(self, monkeypatch):
         entered = []
 
-        def spy(c, x):
+        def spy(x):
             entered.append(abs(x))
-            return cf(c, x)
+            return rule_x(x)
 
-        cf = specfun._hyp_continued_fraction
-        monkeypatch.setattr(specfun, "_hyp_continued_fraction", spy)
+        rule_x = specfun._euler_x
+        monkeypatch.setattr(specfun, "_euler_x", spy)
         specfun._hyp_direct.cache_clear()
         for c in (0.3, 1.2, 1.5, 2.0, 2.6, 3.0, 4.5, 6.0):
             for x in self._inverse_args():
@@ -628,7 +655,131 @@ class TestHyp2f1Branches:
         for x in (1.2 + 0.3j, 0.5 + 1.4j, -1.49):
             hyp2f1_11(2.6, x)
         assert len(entered) == 3 and all(0.7 < r < 1.5 for r in entered)
+        # above c = 6 the rule runs at every |x| > 0.7
+        entered.clear()
+        args = self._inverse_args()
+        for x in args:
+            hyp2f1_11(7.3, x)
+        assert len(entered) == len(set(args)) and min(entered) >= 1.5  # +-0j share a key
         specfun._hyp_direct.cache_clear()
+
+
+def _rule_points() -> dict[str, list[tuple[float, complex]]]:
+    """Seeded (c, x) where Euler's integral runs or borders, by region."""
+    rng = random.Random(17)
+    locus = []
+    while len(locus) < 80:
+        # the annulus of the locus, |phi| in about (1.55, 2.46), then far forward
+        phi = (rng.uniform(1.5, 2.5) if len(locus) % 2 else
+               math.pi - 10 ** rng.uniform(-6.0, -0.3)) * rng.choice((-1.0, 1.0))
+        x = 0.5 * (1.0 + 1j * math.tan(0.5 * phi))
+        if abs(x) > specfun._SERIES_RADIUS:
+            locus.append((rng.uniform(1.5, 3.0), x))
+
+    def ring(n, c_lo, c_hi, r_lo, r_hi):
+        # every fourth point lies 1e-8 to 0.1 rad from the cut, at |x| > 1
+        pts = []
+        for i in range(n):
+            c = rng.uniform(c_lo, c_hi)
+            if i % 4:
+                r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+                th = rng.uniform(-math.pi, math.pi)
+            else:
+                r = math.exp(rng.uniform(0.0, math.log(r_hi)))
+                th = 10 ** rng.uniform(-8.0, -1.0) * rng.choice((-1.0, 1.0))
+            pts.append((c, cmath.rect(r, th)))
+        return pts
+
+    return {
+        "locus": locus,
+        "annulus": ring(100, 1.5, 6.0, 0.7, 1.5),
+        "large_c": ring(100, 6.0 + 1e-9, 20.0, 0.7, 1e3),
+        # Lentz stalled at these for 50,000 passes and raised AccuracyError
+        "lentz_stalls": [(2.5, 1.2 + 1e-6j), (2.5, 1.05 + 1e-8j), (2.5, 1.01 + 1e-6j),
+                         (7.0, 1.5 + 1e-6j), (7.0, 10.0 + 0.01j)],
+        # the pole 1/x of the integrand 1e-4 from the end t = 1 of the path
+        "near_one": [(1.5, 1.0001 + 1e-9j)],
+        # the pole next to a node of the first rule, 1e-6 to 1e-12 off the cut
+        "pole_at_node": [(c, complex(1.0 / specfun._RULES[0][0][k], eps))
+                         for k in (70, 85, 100) for eps in (1e-6, 1e-12)
+                         for c in (1.6, 2.5, 9.0)],
+    }
+
+
+@pytest.fixture(scope="module")
+def rule_table():
+    """hyp2f1_11 against mpmath at 50 digits on ``_rule_points``, once per module."""
+    with mpmath.workdps(50):
+        return {
+            region: [(c, x, mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(x.real, x.imag)))
+                     for c, x in pts]
+            for region, pts in _rule_points().items()
+        }
+
+
+class TestEulerRule:
+    """Euler's integral on its fixed tanh-sinh rule: 0.7 < |x| < 1.5, and
+    every |x| > 0.7 for c > 6."""
+
+    # measured: locus 4.3e-16, annulus 7.1e-16, large_c 2.1e-15, lentz_stalls
+    # 6.6e-16, near_one 9.4e-17, pole_at_node 2.6e-16 (1.1e-5 on the first rule alone)
+    _BOUND = {"locus": 1e-15, "annulus": 2e-15, "large_c": 6e-15,
+              "lentz_stalls": 2e-15, "near_one": 5e-16, "pole_at_node": 1e-15}
+
+    @pytest.mark.parametrize("region", sorted(_BOUND))
+    def test_against_mpmath(self, rule_table, region):
+        with mpmath.workdps(50):
+            worst = max(float(abs(mpmath.mpc(v.real, v.imag) - ref) / abs(ref))
+                        for c, x, ref in rule_table[region] for v in [hyp2f1_11(c, x)])
+        assert worst < self._BOUND[region]
+
+    @staticmethod
+    def _conjugate_points() -> list[tuple[float, complex]]:
+        rng = random.Random(29)
+        pts = []
+        for r_lo, r_hi in ((0.01, 0.7), (0.7, 1.5), (1.5, 1e4)):  # every branch
+            for c_lo, c_hi in ((0.1, 1.5), (1.5, 6.0), (6.0, 20.0)):  # shifted, direct
+                for _ in range(20):
+                    x = cmath.rect(rng.uniform(r_lo, r_hi), rng.uniform(-math.pi, math.pi))
+                    pts.append((rng.uniform(c_lo, c_hi), x))
+        for c in (0.3, 1.2, 2.5, 7.5):  # Im x = +-0.0 on both sides of x = 0 and past -1
+            pts += [(c, complex(re, 0.0)) for re in (0.3, -0.5, 0.9, -1.2, -40.0)]
+        return pts
+
+    def test_conjugate_is_bitwise(self):
+        # F(x*) = F(x)*, and a lower-half x is evaluated through x*: to the bit
+        bad = [(c, x) for c, x in self._conjugate_points()
+               if _bits(hyp2f1_11(c, x.conjugate())) != _bits(hyp2f1_11(c, x).conjugate())]
+        assert bad == []
+
+    @staticmethod
+    def _loops_reached_from(source: str, root: str) -> tuple[set[str], list[str]]:
+        """The module functions ``root`` reaches by name, and those of them
+        that hold a for, a while or a comprehension."""
+        defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+        seen, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in defs:
+                continue
+            seen.add(name)
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        return seen, sorted(name for name in seen
+                            if any(isinstance(n, loops) for n in ast.walk(defs[name])))
+
+    def test_loop_finder_sees_reached_loops(self):
+        src = ("def root(x):\n    return leaf(x) + other\n"
+               "def leaf(x):\n    return sum(i for i in x)\n"
+               "def unreached(x):\n    while x:\n        x -= 1\n")
+        assert self._loops_reached_from(src, "root") == ({"root", "leaf"}, ["leaf"])
+
+    def test_no_iteration_under_direct_evaluation(self):
+        # no branch of a direct 2F1 evaluation has an iteration cap
+        source = Path(specfun.__file__).read_text()
+        reached, loops = self._loops_reached_from(source, "_hyp_direct")
+        assert {"_series_x", "_inverse_c", "_psi_offsets", "_euler_x"} <= reached
+        assert loops == []
 
 
 class TestPfqSeries:
