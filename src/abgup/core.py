@@ -42,8 +42,7 @@ class ForwardSingularityError(DomainValidationError):
     """The scattering angle is inside the forward/backward margin.
 
     The amplitudes carry a 1/cos(phi/2) factor, so angles within a margin of
-    +-pi (and, for the partial-wave series, of 0) are rejected rather than
-    evaluated to garbage.
+    +-pi are rejected rather than evaluated to garbage.
     """
 
 
@@ -55,8 +54,8 @@ class AccuracyError(RuntimeError):
     """A numerical routine could not reach its accuracy target.
 
     Raised instead of silently returning a value that fails the requested
-    tolerance (series that stop converging, extrapolation ladders that do not
-    settle, quadratures whose error estimate stays too large).
+    tolerance (series that stop converging, quadratures whose error estimate
+    stays too large, values pushed past the double range).
     """
 
 
