@@ -55,6 +55,10 @@ from .specfun import _cis_pi, hyp2f1_11
 _PI_MARGIN = 1e-6          # amplitude evaluations: keep |phi| away from pi
 _SERIES_PHI_MARGIN = 1e-3  # series route additionally needs phi away from 0
 _LERCH_REACH = 8.0         # least distance a |1 - q| of a Lerch tail's pole from 0
+# The largest explicit cutoff of the series routes: their tails are exact, so a
+# larger one adds only rounding (worst gap to f1_amp on an 8 x 8 grid 5.7e-13 at
+# 200, 4.7e-12 at 2000, 2.0e-10 at 1e4) and arrays of m_max + 1 modes.
+_M_MAX_CAP = 10_000
 _LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(40)
 _PHI_ABS_MAX = 1e6         # largest |phi| taken as an angle; doubles there are 1.2e-10 apart
 
@@ -286,11 +290,14 @@ def _abel_half(t: float, alpha_prime: float, m_max: int, fractions, upper: bool)
 
 def _series_angle(phi: float, alpha_prime: float, m_max: int, what: str) -> float:
     """The principal angle of a regularized-series call, after the checks the
-    series routes share: non-integer flux, m_max an integral value >= 200,
-    and phi away from +-pi and from 0."""
+    series routes share: non-integer flux, m_max an integral value in
+    [200, 10^4], and phi away from +-pi and from 0."""
     require_noninteger(alpha_prime, f"{what}: alpha'", PoleError)
-    if not (m_max >= 200 and float(m_max).is_integer()):  # also rejects nan and inf
-        raise DomainValidationError(f"m_max must be an integral value >= 200, got {m_max}")
+    if not (200 <= m_max <= _M_MAX_CAP and float(m_max).is_integer()):  # also nan, inf
+        raise DomainValidationError(
+            f"m_max must be an integral value in [200, {_M_MAX_CAP}], got {m_max}; the "
+            "tails past it are exact, so a larger cutoff adds only rounding and memory"
+        )
     t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
     if abs(t) < _SERIES_PHI_MARGIN:
         raise DomainValidationError(
@@ -330,7 +337,7 @@ def f1_series(
     params : PhysicalParams
         Supplies hbar and k.
     m_max : int
-        Bilateral explicit cutoff, an integral value >= 200.
+        Bilateral explicit cutoff, an integral value in [200, 10^4].
     """
     t = _series_angle(phi, alpha_prime, m_max, "f1_series")
     # sin(pi gamma) e^{-+i pi gamma} = sin(pi alpha') e^{-+i pi alpha'}
@@ -358,7 +365,7 @@ def regularized_alternating_gamma_sum(
     Gamma(-w)), so the tail is the geometric one alone and exact. The
     regularized sum has the known closed form
     -pi e^{-i(N+1/2)phi} / (2 sin(pi gamma) cos(phi/2)). ``m_max`` (an
-    integral value >= 200) is the explicit cutoff, as in ``f1_series``.
+    integral value in [200, 10^4]) is the explicit cutoff, as in ``f1_series``.
     """
     t = _series_angle(phi, alpha_prime, m_max, "regularized_alternating_gamma_sum")
     return _abel_half(t, alpha_prime, int(m_max), (1.0, ()), True)

@@ -134,7 +134,7 @@ CHECKS: list[tuple[str, Callable[[], float], float]] = [
         bessel_j(nu - 1.0, z) + bessel_j(nu + 1.0, z) - 2.0 * nu / z * bessel_j(nu, z)
         for nu in (0.3, 1.7, 4.4) for z in (0.7, 5.0, 40.0)]), 1e-8),
     ("specfun: 2f1 log identity", lambda: _log_identity(0.5 + 0.8j), 1e-10),
-    # |x| >= 1.5 at exact c = 2: the 1/x series, whose poles cancel there
+    # |x| >= 1.5 at exact c = 2, where Euler's integral has a constant weight
     ("specfun: 2f1 log identity past |x| = 1.5",
      lambda: _log_identity(0.5 + 20j) / abs(cmath.log(0.5 - 20j) / 20j), 1e-14),
     ("radial: product integral vs quadrature", lambda: _f1_vs_quadrature(5.0, 0.3, 1.3), 1e-8),

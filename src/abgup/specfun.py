@@ -16,10 +16,9 @@ against quadrature stay genuinely two-route:
                     Negative orders come from ``_bessel_negative``, the one
                     downward order recurrence; the radial order table seeds it
                     from its own cached rows.
-* ``hyp2f1_11``  -- 2F1(1, 1; c; x) via the power series (|x| <= 0.7), the
-                    1/x log series of DLMF 15.8.8 (|x| >= 1.5, c <= 6),
-                    Euler's integral on a fixed tanh-sinh rule in between and
-                    for c > 6, and a contiguous downshift in c. Each direct
+* ``hyp2f1_11``  -- 2F1(1, 1; c; x) via the power series (|x| <= 0.7),
+                    Euler's integral on a fixed tanh-sinh rule (|x| > 0.7),
+                    and a contiguous downshift in c. Each direct
                     evaluation is one dot product of a vector of c alone with
                     one of x alone, each cached on its exact key; no branch
                     iterates. The direct evaluations are memoised (last 16,
@@ -442,12 +441,12 @@ def bessel_j(nu: float, z):
 # 2F1(1, 1; c; x)
 # =====================================================================
 
-_SERIES_RADIUS = 0.7
-_INVERSE_RADIUS = 1.5  # |x| >= this sums the 1/x series; Euler's integral runs in between
-_INVERSE_MAX_C = 6.0  # above it the 1/x series cancels more than Euler's integral loses
+_SERIES_RADIUS = 0.7  # |x| <= this sums the power series; Euler's integral runs above
 _MIN_DIRECT_C = 1.5
 _DIRECT_MEMO_SIZE = 16  # three direct evaluations per kernel build, room for a few builds
-_SIDE_MEMO_SIZE = 4  # the three direct c values of one kernel build, and one x
+# The rule's c side is keyed on (c, node set), so the three direct c values of
+# one kernel build take up to six entries.
+_SIDE_MEMO_SIZE = 6
 
 # Term counts come from one bound: every factor n / (c + n - 1) of a term
 # ratio is at most 1 for c >= 1, so the n-th term is at most |x|^n, which
@@ -457,10 +456,6 @@ _LOG_TOL = math.log(_TERM_TOL)
 _MAX_TERMS = int(_LOG_TOL / math.log(_SERIES_RADIUS)) + 2
 _K = np.arange(float(_MAX_TERMS))  # k = 0, 1, 2, ...
 _K1 = _K + 1.0
-_K2 = _K + 2.0
-_EULER = 0.57721566490153286061
-# psi(k + 1) = -euler + H_k, the digamma values of the 1/x series
-_PSI_INT = np.concatenate(([0.0], np.cumsum(1.0 / _K1[:-1]))) - _EULER
 
 
 def _term_count(r: float) -> int:
@@ -498,96 +493,7 @@ def _series_x(x: complex) -> np.ndarray:
     return _frozen(np.multiply.accumulate(np.full(_term_count(abs(x)), x)))
 
 
-_PSI_ROWS = _term_count(1.0 / _INVERSE_RADIUS)  # the most 1/x terms past the poles
-_N_PSI_DOWN = _K1[_PSI_ROWS - 1::-1].copy()  # 98, 97, ..., 1
-# The 1/x series has one length for every x: _PSI_ROWS terms past the last
-# vanishing factor of (2 - c)_k, which is k = round(c) - 2 <= 4 for c <= 6.
-_INVERSE_TERMS = _PSI_ROWS + round(_INVERSE_MAX_C) - 1
-
-
-def _psi_offsets(t: float) -> np.ndarray:
-    """psi(n + t) - psi(n) for n = 1 .. 98 and |t| <= 1/2, from
-
-        psi(n + t) - psi(n) = t sum_{j=n}^{98} 1 / (j (j + t)) + [psi(99 + t) - psi(99)].
-
-    The sum is of one sign and is taken from its small end, so each value is
-    good to about 1e-16 absolute; stepping psi(z + 1) = psi(z) + 1/z
-    up from psi(1 + t) = psi(11 + t) - sum 1/(1 + t + i), as ``digamma``
-    does, cancels to about 1e-15.
-    """
-    # the bracket by the asymptotic series of psi: its log and 1/(2z) terms
-    # and three Bernoulli terms (the first one left out is below 1e-19)
-    z0 = _PSI_ROWS + 1.0
-    z = z0 + t
-    i0, i1 = 1.0 / (z0 * z0), 1.0 / (z * z)
-    bracket = (
-        math.log1p(t / z0) + 0.5 * t / (z0 * z)
-        + (i0 - i1) / 12.0 - (i0 * i0 - i1 * i1) / 120.0 + (i0 ** 3 - i1 ** 3) / 252.0
-    )
-    sums = np.add.accumulate(t / (_N_PSI_DOWN * (_N_PSI_DOWN + t)))
-    return (sums + bracket)[::-1]
-
-
-@functools.lru_cache(maxsize=_SIDE_MEMO_SIZE)
-def _inverse_c(c: float) -> np.ndarray:
-    """The c side of the 1/x series of DLMF 15.8.8 at a = b = 1, for
-    1.5 <= c <= 6:
-
-        F = -(c - 1)/x sum_k (2 - c)_k / k! x^-k [ln(-x) + psi(k + 1) - psi(c - 1 - k)].
-
-    With n = round(c) and eps = c - n, the factor j0 = n - 2 of (2 - c)_k is
-    -eps, and psi(c - 1 - k) has its poles from k = j0 + 1 on. There the
-    reflection psi(c - 1 - k) = psi(k + 2 - c) - pi cot(pi eps) (DLMF 5.5.4)
-    and the vanishing factor divided out give
-
-        (2 - c)_k psi(c - 1 - k) = Q_k [-eps psi(k + 2 - c) + pi eps cot(pi eps)],
-
-    with Q_k the product of the other factors, so every term stays finite at
-    and near integer c. Each term is then u_k x^-(k+1) + v_k ln(-x) x^-(k+1)
-    with real u_k and v_k; the vector is u followed by v, _INVERSE_TERMS each,
-    against the x side of ``_inverse_x``. Past k = j0 the coefficients
-    Q_k / k! fall in size, so the _PSI_ROWS terms after it reach where
-    |1/x|^k is below _TERM_TOL for every |x| >= 1.5; the rest are zero.
-    """
-    n = round(c)
-    eps = c - n
-    j0 = n - 2
-    m = j0 + 1 + _PSI_ROWS
-    ratio = (_K2[: m - 1] - c) / _K1[: m - 1]  # (2 - c)_k / k! step by step
-    ratio[j0] = 1.0 / (j0 + 1.0)  # the vanishing factor -eps divided out
-    coef = np.empty(m)
-    coef[0] = -(c - 1.0)
-    np.multiply.accumulate(ratio, out=coef[1:])
-    coef[1:] *= coef[0]  # -(c - 1) Q_k / k!
-    cot = 1.0 if eps == 0.0 else math.pi * eps / math.tan(math.pi * eps)
-    row = np.zeros(2 * _INVERSE_TERMS, dtype=complex)
-    u, v = row[:_INVERSE_TERMS], row[_INVERSE_TERMS:]  # v: the ln(-x) terms
-    # k <= j0: psi(k + 1) - psi(c - 1 - k) + ln(-x), with c - 1 - k = j0 - k + 1 + eps
-    u[: j0 + 1] = coef[: j0 + 1] * (
-        _PSI_INT[: j0 + 1] - _PSI_INT[j0::-1] - _psi_offsets(eps)[j0::-1]
-    )
-    v[: j0 + 1] = coef[: j0 + 1]
-    # k > j0: eps [psi(k + 2 - c) - psi(k + 1) - ln(-x)] - pi eps cot(pi eps),
-    # with k + 2 - c = i + 1 - eps for i = k - j0 - 1
-    u[j0 + 1: m] = coef[j0 + 1:] * (
-        eps * (_psi_offsets(-eps) + _PSI_INT[:_PSI_ROWS] - _PSI_INT[j0 + 1: m]) - cot
-    )
-    v[j0 + 1: m] = -eps * coef[j0 + 1:]
-    return _frozen(row)
-
-
-@functools.lru_cache(maxsize=_SIDE_MEMO_SIZE)
-def _inverse_x(x: complex) -> np.ndarray:
-    """x^-1, ..., x^-m and ln(-x) times the same, m = _INVERSE_TERMS: the x
-    side of the 1/x series (``_inverse_c``) for |x| >= 1.5."""
-    m = _INVERSE_TERMS
-    powers = np.empty(2 * m, dtype=complex)
-    np.multiply.accumulate(np.full(m, 1.0 / x), out=powers[:m])
-    np.multiply(powers[:m], cmath.log(-x), out=powers[m:])
-    return _frozen(powers)
-
-
-# Euler's integral (DLMF 15.6.1) at a = b = 1, for c > 1:
+# Euler's integral (DLMF 15.6.1) at a = b = 1, for c > 1 and every |x| > 0.7:
 #     F(1, 1; c; x) = (c - 1) int_0^1 (1 - t)^(c - 2) / (1 - x t) dt,
 # by the tanh-sinh rule (Takahasi & Mori 1974): t = (1 + tanh(pi/2 sinh s)) / 2
 # with step h = 1/16 in s. Its nodes are fixed: s = (k + 1/2) h, |s| <= 4.59
@@ -670,7 +576,8 @@ def _euler_x(x: complex) -> tuple[int, np.ndarray, complex | None, complex]:
 @functools.lru_cache(maxsize=_DIRECT_MEMO_SIZE)
 def _hyp_direct(c: float, x: complex) -> complex:
     """One direct evaluation for c >= 1.5, memoised on exact (c, x): a dot
-    product of a c side and an x side, each cached on its own key.
+    product of a c side and an x side, each cached on its own key, from the
+    power series for |x| <= 0.7 and from Euler's integral otherwise.
 
     c is real, so F(x*) = F(x)*: a lower-half x is evaluated as the conjugate
     of the value at x*, and the two share one x side. Keys compare with
@@ -691,8 +598,6 @@ def _hyp_direct(c: float, x: complex) -> complex:
     if r <= _SERIES_RADIUS:
         powers = _series_x(x)
         f = 1.0 + complex(np.dot(_series_c(c)[: len(powers)], powers))
-    elif r >= _INVERSE_RADIUS and c <= _INVERSE_MAX_C:
-        f = complex(np.dot(_inverse_c(c), _inverse_x(x)))
     else:
         rule, g, base, resid = _euler_x(x)
         f = complex(np.dot(_euler_c(c, rule), g))
@@ -719,31 +624,28 @@ def hyp2f1_11(c: float, x) -> complex:
     ------
     DomainValidationError
         If c or x is not finite, x lies on the branch cut, or |x| exceeds
-        2^1022 (about 4.5e307), beyond which 1/x, the variable of the large-|x|
-        series, is no longer a normal double.
+        2^1022 (about 4.5e307), beyond which 1/x, the pole of Euler's
+        integral, is no longer a normal double.
     PoleError
         If c is within 1e-10 of a non-positive integer.
 
     Notes
     -----
-    Three branches give the value for c >= 1.5, each one dot product of a
+    Two branches give the value for c >= 1.5, each one dot product of a
     vector that depends on c alone with one that depends on x alone, so a
     scan that holds one of them fixed rebuilds only the other. |x| <= 0.7
-    sums the power series. |x| >= R = 1.5 sums the 1/x series of DLMF
-    15.8.8, whose log terms and psi poles are formed so that they stay
-    finite at and near integer c; against mpmath its relative error is
-    below 1e-15 for c <= 3, 2e-15 for c <= 4 and 1e-14 at c = 6. Above
-    c = 6 its terms cancel, so there, and for 0.7 < |x| < 1.5 at any c,
-    Euler's integral (DLMF 15.6.1) runs on a fixed tanh-sinh rule (148
-    nodes, or the 147 halfway between them when the integrand's pole 1/x
-    nears a node), with the pole subtracted in closed form near the cut.
-    Against mpmath it reads below 1e-15 on the kernel locus Re x = 1/2,
-    2e-15 in the annulus off it (also within 1e-8 of the cut) and 6e-15 for
-    c up to 20 at |x| up to 1e3. Its error grows with c (4e-15 at c = 100,
-    1e-12 at c = 1000) and next to x = 1 on the real axis at non-integer
-    c < 2.5 (1e-9 at x = 0.999999, c = 1.5), where the pole sits just past
-    the end t = 1 of the integral. A value at Im x < 0 is the conjugate of
-    the value at x*, to the bit.
+    sums the power series. Every |x| > 0.7 takes Euler's integral (DLMF
+    15.6.1) on a fixed tanh-sinh rule (148 nodes, or the 147 halfway
+    between them when the integrand's pole 1/x nears a node), with the pole
+    subtracted in closed form near the cut. Against mpmath it reads below
+    1e-15 on the kernel locus Re x = 1/2 and, for c up to 6, at |x| from 1.5
+    to 1e6 in every direction and at |x| = 2^1022; below 2e-15 in the
+    annulus 0.7 < |x| < 1.5 off the locus (also within 1e-8 of the cut) and
+    6e-15 for c up to 20 at |x| up to 1e3. Its error grows with c (4e-15 at
+    c = 100, 1e-12 at c = 1000) and next to x = 1 on the real axis at
+    non-integer c < 2.5 (1e-9 at x = 0.999999, c = 1.5), where the pole sits
+    just past the end t = 1 of the integral. A value at Im x < 0 is the
+    conjugate of the value at x*, to the bit.
 
     For c < 1.5 the value is reached by the first-order contiguous
     relation c (1 - x) F(c) = c - (c - 1) x F(c + 1), which is Gauss's

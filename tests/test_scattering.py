@@ -121,7 +121,7 @@ class TestSeries:
             f1_series(0.5, 0.7, PB, m_max=50)
         with pytest.raises(DomainValidationError, match="m_max"):
             regularized_alternating_gamma_sum(math.pi / 3, 0.5, m_max=-5)
-        for bad in (math.inf, math.nan, 200.7):
+        for bad in (math.inf, math.nan, 200.7, 10001, 1e13):
             with pytest.raises(DomainValidationError, match="m_max"):
                 f1_series(0.5, 0.7, PB, m_max=bad)
             with pytest.raises(DomainValidationError, match="m_max"):

@@ -384,8 +384,8 @@ class TestHyp2f1:
     @pytest.mark.parametrize("c", [0.3, 2.5, 7.0])
     @pytest.mark.parametrize("x", [complex(1.5e308, 1.5e308), complex(1e308, 1e308)])
     def test_huge_x_rejected(self, c, x):
-        # abs(x) overflows at the first point; at the second 1/x is subnormal, and
-        # the 1/x series loses the function, which is of order 1e-305
+        # abs(x) overflows at the first point; at the second 1/x, the pole of
+        # Euler's integral, is subnormal, and the function is of order 1e-305
         with pytest.raises(DomainValidationError, match="normal double"):
             hyp2f1_11(c, x)
 
@@ -426,8 +426,14 @@ def _kernel_args(gamma: float, phi: float) -> list[tuple[float, complex]]:
     ]
 
 
-_X_SIDES = ("_series_x", "_inverse_x", "_euler_x")
-_C_SIDES = ("_series_c", "_inverse_c", "_euler_c")
+def _side_caches(suffix: str) -> tuple[str, ...]:
+    """The x or c side caches: ``specfun``'s lru_cache functions named ``*suffix``."""
+    return tuple(sorted(name for name, obj in vars(specfun).items()
+                        if name.endswith(suffix) and hasattr(obj, "cache_info")))
+
+
+_X_SIDES = _side_caches("_x")
+_C_SIDES = _side_caches("_c")
 
 
 def _clear_sides() -> None:
@@ -457,8 +463,8 @@ class TestHypDirectMemo:
         assert cold == fresh
         assert warm == fresh
 
-    # phi = 0.4 keeps |x| <= 0.7 (series), phi = 2.5 puts |x| near 1.6 (1/x
-    # series); at gamma = 1/2 the x and x* families share their c values.
+    # phi = 0.4 keeps |x| <= 0.7 (series), phi = 2.5 puts |x| near 1.6
+    # (Euler's integral); at gamma = 1/2 the x and x* families share their c values.
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("phi", [0.4, -0.4, 2.5, -2.5])
     def test_bitwise_equal_to_uncached(self, monkeypatch, gamma, phi):
@@ -474,6 +480,10 @@ class TestHypDirectMemo:
         x, xc = args[1][1], args[0][1]
         assert x == xc and hash(x) == hash(xc) and _bits(x) != _bits(xc)
         self._assert_cached_equals_uncached(monkeypatch, args)
+
+    def test_side_lists_name_the_side_caches(self):
+        assert _X_SIDES and _C_SIDES
+        assert "_hyp_direct" not in _X_SIDES + _C_SIDES
 
     @pytest.mark.parametrize("alpha_prime", [2.3, -1.3, 1.7, 0.45])
     @pytest.mark.parametrize("phi", [0.4, 2.5, -3.0])
@@ -491,7 +501,7 @@ class TestHypDirectMemo:
     @pytest.mark.parametrize("re", [-1.5, -3.0, -1e6])
     def test_inverse_series_zero_signs_agree(self, c, re):
         # past |x| = 1.5 the real axis is a memo key shared by both signs of
-        # Im x = 0, so the 1/x series must give the same bits for both
+        # Im x = 0, so Euler's integral must give the same bits for both
         direct = specfun._hyp_direct.__wrapped__
         assert _bits(direct(c, complex(re, 0.0))) == _bits(direct(c, complex(re, -0.0)))
 
@@ -506,9 +516,9 @@ class TestHypDirectMemo:
         info = specfun._hyp_direct.cache_info()
         assert info.misses == 3 * 120  # the JSON row's second build is all hits
         assert 0 < info.currsize <= info.maxsize == specfun._DIRECT_MEMO_SIZE
-        # c is fixed, so the c sides are built once per branch (measured 9), and
-        # x and x* share one x side per row (measured 115: rows at -phi and phi
-        # close enough to be still cached share it too)
+        # c is fixed, so the c sides are built once per branch and node set
+        # (measured 9), and x and x* share one x side per row (measured 114:
+        # rows at -phi and phi close enough to be still cached share it too)
         assert _side_misses(_X_SIDES) <= 120
         assert _side_misses(_C_SIDES) <= 12
 
@@ -573,15 +583,14 @@ class TestHyp2f1Mpmath:
 
 
 class TestHyp2f1Branches:
-    """The power series and the 1/x series at the ends of their term counts,
-    and Euler's integral confined to 0.7 < |x| < 1.5 for c <= 6."""
+    """The power series at the ends of its term counts, Euler's integral from
+    |x| = 1.5 to 1e6, and the switch between them at |x| = 0.7."""
 
-    # c on both sides of each integer the 1/x series divides a factor out at
+    # c at and next to integers, and up to 6
     _CS = [1.5, 2.0 - 1e-10, 2.0, 2.0 + 1e-10, 2.3, 3.0 - 1e-10, 3.0, 3.7, 4.0, 6.0]
-    # the worst relative error measured on _inverse_args() and the edges of
-    # test_term_count_edges, times about 1.5: 6.3e-16 for c <= 3, 1.6e-15 for
-    # c <= 4 and 7.4e-15 at c = 6, where the terms cancel more at |x| ~ 1.5
-    _BOUND = {3.0: 1e-15, 4.0: 2.5e-15, 6.0: 1.1e-14}
+    # measured at most 4.4e-16 on _inverse_args() and 2.0e-16 at the |x| = 1.5
+    # edges of test_term_count_edges, for every c
+    _BOUND = 1e-15
 
     @staticmethod
     def _inverse_args() -> list[complex]:
@@ -594,16 +603,12 @@ class TestHyp2f1Branches:
                      r + 1e-6j, r - 1e-8j]
             args += [cmath.rect(r, th) for th in np.linspace(-math.pi, math.pi, 17)[1:-1]
                      if abs(th) > 1e-9]
-        return [x for x in args if abs(x) >= specfun._INVERSE_RADIUS]  # rect may round below
-
-    @classmethod
-    def _bound_for(cls, c: float) -> float:
-        return next(b for top, b in sorted(cls._BOUND.items()) if c <= top)
+        return [x for x in args if abs(x) >= 1.5]  # rect may round below
 
     @pytest.mark.parametrize("c", _CS)
     def test_inverse_series_against_mpmath(self, c):
         worst = max(_mp_rel_err(hyp2f1_11(c, x), c, x) for x in self._inverse_args())
-        assert worst < self._bound_for(c)
+        assert worst < self._BOUND
 
     @pytest.mark.parametrize("c", [2.5, 0.3])
     def test_found_points(self, c):
@@ -626,19 +631,11 @@ class TestHyp2f1Branches:
          -np.nextafter(1.5, 2.0)],
     )
     def test_term_count_edges(self, c, x):
-        # tiny |x| takes two terms; |x| = 0.7 and 1.5 take the most
-        bound = 1e-15 if abs(x) <= 0.7 else self._bound_for(c)
-        assert _mp_rel_err(hyp2f1_11(c, x), c, complex(x)) < bound
-
-    @pytest.mark.parametrize("t", [0.5, -0.5, -0.3, 0.1234, 1e-10, -1e-10, 0.0])
-    def test_psi_offsets_against_mpmath(self, t):
-        # measured: at most 1.05e-16 absolute, at t = -0.3
-        rows = specfun._psi_offsets(t)
-        with mpmath.workdps(40):
-            ref = [mpmath.psi(0, n + mpmath.mpf(t)) - mpmath.psi(0, n) for n in range(1, len(rows) + 1)]
-            assert max(float(abs(r - v)) for r, v in zip(ref, rows)) < 2e-16
+        # tiny |x| takes two terms and |x| = 0.7 the most; past 0.7 the rule runs
+        assert _mp_rel_err(hyp2f1_11(c, x), c, complex(x)) < self._BOUND
 
     def test_euler_rule_runs_only_in_between(self, monkeypatch):
+        # the rule runs at every |x| > 0.7, at any c, and never at |x| <= 0.7
         entered = []
 
         def spy(x):
@@ -647,20 +644,22 @@ class TestHyp2f1Branches:
 
         rule_x = specfun._euler_x
         monkeypatch.setattr(specfun, "_euler_x", spy)
-        specfun._hyp_direct.cache_clear()
-        for c in (0.3, 1.2, 1.5, 2.0, 2.6, 3.0, 4.5, 6.0):
-            for x in self._inverse_args():
+        args = self._inverse_args()
+        for c in (0.3, 1.2, 2.6, 6.0, 7.3):
+            specfun._hyp_direct.cache_clear()
+            entered.clear()
+            for x in args:
+                hyp2f1_11(c, x)
+            assert len(entered) == len(set(args)) and min(entered) >= 1.5  # +-0j share a key
+        entered.clear()
+        for x in (1.2 + 0.3j, 0.5 + 1.4j, -1.49, np.nextafter(0.7, 1.0)):
+            hyp2f1_11(2.6, x)
+        assert len(entered) == 4 and all(0.7 < r < 1.5 for r in entered)
+        entered.clear()
+        for c in (0.3, 2.6, 7.3):
+            for x in (0.7, -0.7, 0.7j, 0.5 + 0.48j, 0.3 - 0.2j, 1e-300):
                 hyp2f1_11(c, x)
         assert entered == []
-        for x in (1.2 + 0.3j, 0.5 + 1.4j, -1.49):
-            hyp2f1_11(2.6, x)
-        assert len(entered) == 3 and all(0.7 < r < 1.5 for r in entered)
-        # above c = 6 the rule runs at every |x| > 0.7
-        entered.clear()
-        args = self._inverse_args()
-        for x in args:
-            hyp2f1_11(7.3, x)
-        assert len(entered) == len(set(args)) and min(entered) >= 1.5  # +-0j share a key
         specfun._hyp_direct.cache_clear()
 
 
@@ -718,8 +717,7 @@ def rule_table():
 
 
 class TestEulerRule:
-    """Euler's integral on its fixed tanh-sinh rule: 0.7 < |x| < 1.5, and
-    every |x| > 0.7 for c > 6."""
+    """Euler's integral on its fixed tanh-sinh rule, which takes every |x| > 0.7."""
 
     # measured: locus 4.3e-16, annulus 7.1e-16, large_c 2.1e-15, lentz_stalls
     # 6.6e-16, near_one 9.4e-17, pole_at_node 2.6e-16 (1.1e-5 on the first rule alone)
@@ -778,7 +776,7 @@ class TestEulerRule:
         # no branch of a direct 2F1 evaluation has an iteration cap
         source = Path(specfun.__file__).read_text()
         reached, loops = self._loops_reached_from(source, "_hyp_direct")
-        assert {"_series_x", "_inverse_c", "_psi_offsets", "_euler_x"} <= reached
+        assert {"_series_x", "_series_c", "_euler_x", "_euler_c"} <= reached
         assert loops == []
 
 
