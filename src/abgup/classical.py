@@ -756,26 +756,13 @@ def gauge_shift(
         n = len(traj)
         if n < 3:
             raise DomainValidationError("checker needs at least 3 samples")
-        q, m, beta = params.charge, params.mass, params.beta
         scalars = np.empty(n)
         delta_l = np.empty(n)
         for i in range(n):
             x, v, t = traj.x[i], traj.v[i], traj.t[i]
-            a = fields.a_fn(x, t)
-            ap = shifted.a_prime(x, v, t)
-            vp = shifted.v_prime(x, t)
-            v0 = fields.v_fn(x, t)
-            dl = q * float(v @ (ap - a)) - q * (vp - v0)
-            if beta != 0.0:
-                h = m * v + q * a
-                hp = m * v + q * ap
-                dl -= beta * (
-                    float(hp @ hp) * float(v @ hp) - float(h @ h) * float(v @ h)
-                )
-            delta_l[i] = dl
-            s = lam.value(x, t)
-            s1 = lam1.value(x, t)
-            scalars[i] = s + beta * s1
+            delta_l[i] = (lagrangian(x, v, t, shifted.field_spec(v), params)
+                          - lagrangian(x, v, t, fields, params))
+            scalars[i] = lam.value(x, t) + params.beta * lam1.value(x, t)
         return float(np.max(np.abs(delta_l[1:-1] - _central_d1(scalars, traj.dt))))
 
     return shifted, checker

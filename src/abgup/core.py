@@ -8,7 +8,8 @@ This module holds the pieces every other module leans on:
 * ``minimal_length``     -- the minimum of that bound over all momentum spreads.
 * ``momentum_map``       -- the cubic map from auxiliary to physical momentum.
 * ``commutator_residual_1d`` -- grid check that the deformed commutator closes.
-* ``INTEGER_GUARD``, ``require_noninteger``, ``ENDPOINT_BAND`` -- shared guards.
+* ``INTEGER_GUARD``, ``require_noninteger``, ``require_integral``,
+  ``ENDPOINT_BAND`` -- shared guards.
 
 The error taxonomy lives here as well so that every module can raise the same
 exception types without circular imports.
@@ -17,6 +18,7 @@ exception types without circular imports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,19 @@ def require_noninteger(value: float, what: str, error: type[DomainValidationErro
             f"{what} = {value} is within {INTEGER_GUARD:g} of an integer, "
             "where the closed forms have poles"
         )
+
+
+def require_integral(value, what: str) -> int:
+    """``value`` as an int, or DomainValidationError unless it is a finite
+    integral value within the double range. A bare int() would truncate 2.5
+    to 2 and raise an untyped ValueError on nan."""
+    try:
+        v = float(value)
+    except OverflowError:
+        raise DomainValidationError(f"{what} is an integer past the double range") from None
+    if not (math.isfinite(v) and v.is_integer()):
+        raise DomainValidationError(f"{what} must be a finite integral value, got {value}")
+    return int(value) if isinstance(value, numbers.Integral) else int(v)
 
 
 # =====================================================================

@@ -37,6 +37,7 @@ from .core import (
     SingularConfigError,
     _central_d1,
     _central_d2,
+    require_integral,
     require_noninteger,
     square,
 )
@@ -49,6 +50,7 @@ _ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature con
 # order, and one uv_pair call takes about 0.45 s and 27 MB of extra peak memory.
 _PANEL_Z_MAX = 1.0e4
 _SMALL_GAP = 2.5e-3    # grid gaps up to this use a single 2-point Gauss panel
+_QUAD_TOL = 1e-10      # fn_quadrature's requested absolute tolerance
 _GL2_NODES, _GL2_WEIGHTS = np.polynomial.legendre.leggauss(2)
 _GL6_NODES, _GL6_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
@@ -78,17 +80,24 @@ class XiSet:
 
 
 def xi_coeffs(m: int, alpha_prime: float) -> XiSet:
-    """Compute the per-mode source-strength coefficients."""
-    m = int(m)
+    """Compute the per-mode source-strength coefficients.
+
+    m must be a finite integral value and alpha' finite (DomainValidationError
+    otherwise); a coefficient past the double range raises AccuracyError.
+    """
+    m = require_integral(m, "xi_coeffs: m")
+    nu = _order_of(m, alpha_prime)
     a = float(alpha_prime)
-    nu = abs(m + a)
     xi = a * (3.0 * m + 2.0 * a)
     eta = a * a * (m + a) * (2.0 * m + a)
-    return XiSet(
+    out = XiSet(
         xi=xi,
         xi_plus=eta + 2.0 * xi * (1.0 + nu),
         xi_minus=eta + 2.0 * xi * (1.0 - nu),
     )
+    if not all(map(math.isfinite, (out.xi, out.xi_plus, out.xi_minus))):
+        raise AccuracyError(f"xi_coeffs overflows a double at m = {m:g}, alpha' = {a}")
+    return out
 
 
 def _order_of(m: int, alpha_prime: float) -> float:
@@ -307,6 +316,8 @@ class _F1Grid:
     def f1(self, mu: float, nu: float):
         mu = float(mu)
         nu = float(nu)
+        if not (math.isfinite(mu) and math.isfinite(nu)):
+            raise DomainValidationError(f"f1_integral needs finite orders, got {mu}, {nu}")
         if abs(mu - nu) < _DEGENERATE_TOL:
             mubar = 0.5 * (mu + nu)
             if abs(mubar) < INTEGER_GUARD:
@@ -367,7 +378,7 @@ def f1_integral(z, mu: float, nu: float):
         quadrature grows with z, and a larger z raises
         DomainValidationError.
     mu, nu : float
-        Bessel orders. The pair may be generic, equal, or opposite; order
+        Bessel orders, finite. The pair may be generic, equal, or opposite; order
         pairs that are merely *near* degenerate (0 < |mu^2 - nu^2| < ~1e-3)
         lose accuracy in the generic formula and should be avoided.
         Equal orders within 1e-6 of a negative integer, but not on it,
@@ -443,7 +454,6 @@ def fn_quadrature(
     z: float,
     mu: float,
     nu: float,
-    tol: float = 1e-10,
     lower_cutoff: float = 0.0,
 ) -> tuple[float, float]:
     """Adaptive quadrature of the definite integral of J_mu J_nu / t^n.
@@ -462,8 +472,6 @@ def fn_quadrature(
         Upper limit, > lower_cutoff.
     mu, nu : float
         Bessel orders.
-    tol : float
-        Requested absolute tolerance.
     lower_cutoff : float
         Lower limit. Must be > 0 when mu + nu - n <= -1, where the integral
         from 0 diverges.
@@ -478,8 +486,8 @@ def fn_quadrature(
         If the integral diverges at the origin and no positive cutoff was
         supplied.
     AccuracyError
-        If the accumulated quadrature error estimate exceeds the tolerance
-        by more than an order of magnitude.
+        If the accumulated quadrature error estimate exceeds the absolute
+        tolerance 1e-10 by more than an order of magnitude.
     """
     n = int(n)
     z = float(z)
@@ -510,13 +518,13 @@ def fn_quadrature(
     err_total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, err = integrate.quad(
-            integrand, lo, hi, epsabs=0.5 * tol, epsrel=1e-12, limit=400
+            integrand, lo, hi, epsabs=0.5 * _QUAD_TOL, epsrel=1e-12, limit=400
         )
         total += val
         err_total += err
-    if err_total > 10.0 * tol * (1.0 + abs(total)):
+    if err_total > 10.0 * _QUAD_TOL * (1.0 + abs(total)):
         raise AccuracyError(
-            f"fn_quadrature error estimate {err_total:.2e} exceeds tolerance {tol:.2e}"
+            f"fn_quadrature error estimate {err_total:.2e} exceeds tolerance {_QUAD_TOL:.2e}"
         )
     return total, err_total
 

@@ -7,13 +7,14 @@ deliberately separate:
                     asymptotic constants (the brute-force oracle);
 * ``f1_amp``     -- the closed hypergeometric form assembled by ``g_fn``.
 
-The series route sums each side of the mode sum (w = m + alpha_prime > 0
-and w < 0) with one helper, ``_abel_half``, at the Abel limit r = 1:
-explicit modes to |m| = m_max and the rest in closed form, from the
-per-mode rational factor written as partial fractions (a constant and three
-poles). The constant gives a geometric tail, and each pole a Lerch tail
-q^(J+1) Phi(q, 1, a), taken from the Lerch integral (DLMF 25.14.5) on 40
-Gauss-Laguerre nodes. The self-check ``regularized_alternating_gamma_sum``
+The series route sums the w = m + alpha_prime > 0 side of the mode sum with
+one helper, ``_abel_half``, at the Abel limit r = 1, and the w < 0 side as
+the w > 0 side at (-phi, -alpha_prime), where the summands are the same:
+m_max + 1 explicit modes from w = 0 outwards and the rest in closed form,
+from the per-mode rational factor written as partial fractions (a constant
+and three poles). The constant gives a geometric tail, and each pole a
+Lerch tail q^(J+1) Phi(q, 1, a), taken from the Lerch integral (DLMF
+25.14.5) on 40 Gauss-Laguerre nodes. The self-check ``regularized_alternating_gamma_sum``
 runs the same helper with the factor set to 1, against a known closed form,
 so it checks the code ``f1_series`` runs.
 
@@ -47,6 +48,7 @@ from .core import (
     PhysicalParams,
     PoleError,
     flux_split,
+    require_integral,
     require_noninteger,
     square,
 )
@@ -137,14 +139,14 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
     alpha_prime : float
         Flux parameter.
     k : float
-        Wave number, > 0.
+        Wave number, finite and > 0.
 
     Returns
     -------
     complex
     """
-    if k <= 0.0:
-        raise DomainValidationError(f"wave number must be positive, got {k}")
+    if not 0.0 < k < math.inf:  # also nan
+        raise DomainValidationError(f"wave number must be finite and positive, got {k}")
     t = _check_away_from_pi(phi, _PI_MARGIN)
     split = flux_split(alpha_prime)
     n = split.n_part
@@ -240,52 +242,42 @@ def _lerch_tail(q: complex, b: float, j_cut: int) -> complex:
     return q ** (j_cut + 1) * complex(rule) / a
 
 
-def _abel_half(t: float, alpha_prime: float, m_max: int, fractions, upper: bool) -> complex:
-    """One side of the bilateral mode sum, Abel-summed at r = 1.
+def _abel_half(t: float, alpha_prime: float, m_max: int, fractions) -> complex:
+    """The w > 0 side of the bilateral mode sum, Abel-summed at r = 1.
 
-    Sums e^{i m t} Gamma(w) Gamma(-w) w B(w), w = m + a', over the modes
-    with w > 0 (``upper``: m = -N .. m_hi) or with w < 0 (m = -m_hi ..
-    -N-1). B is given by its partial fractions, ``fractions`` = (C, ((p,
-    c_p), ...)) as ``_mode_bracket`` reads them. The modes are summed
-    explicitly to |m| = m_hi and beyond it in closed form:
+    Sums e^{i m t} Gamma(w) Gamma(-w) w B(w) over the modes with
+    w = m + a' > 0, with B given by its partial fractions, ``fractions`` =
+    (C, ((p, c_p), ...)) as ``_mode_bracket`` reads them. Indexed from
+    w = gamma by j = m + N >= 0, w = j + gamma and, with q = -e^{it}, the
+    summand is
+    -(pi / sin(pi a')) (-1)^N e^{-iNt} q^j B(j + gamma). So the sum is that
+    factor times sum_j q^j B(j + gamma), explicit to j = J and beyond it in
+    closed form: C gives the geometric tail C q^(J+1) / (1 - q), and each pole
+    c_p _lerch_tail(q, gamma - p, J).
 
-    * w > 0, in j = m + N > m_hi + N: w = j + gamma, so the summand is a
-      factor times q^j B(j + gamma) with q = -e^{it}. C gives the
-      geometric tail C q^(J+1) / (1 - q), J = m_hi + N, and each pole
-      c_p _lerch_tail(q, gamma - p).
-    * w < 0, in l = -m - N - 1 > m_hi - N - 1: w = -(l + 1 - gamma), and
-      with q = -e^{-it} C gives the geometric tail and each pole
-      -c_p _lerch_tail(q, 1 + p - gamma).
-
-    m_hi = max(m_max, ceil(8 / |1 - q|) + |N| + 2) puts every Lerch tail
-    where a |1 - q| >= 8, in reach of its 40 nodes; at m_max = 200 and small
-    |N| it exceeds m_max only within about 0.04 of forward. Both tails are
+    J = max(m_max, ceil(8 / |1 - q|) + 2) puts every Lerch tail where
+    a |1 - q| >= 8, in reach of its 40 nodes; at m_max = 200 it exceeds m_max
+    only within about 0.04 of forward. It does not depend on N. Both tails are
     exact Abel sums, so the result does not depend on the cutoff.
+
+    The w < 0 side is this one mirrored. With m -> -m, its summand at (t, a')
+    is the w > 0 summand at (-t, -a'): B_a'(-u) = -B_-a'(u) and
+    sin(-pi a') = -sin(pi a'), and the two sign flips cancel. So it is
+    ``_abel_half(-t, -a', m_max, _bracket_fractions(-a'))``.
     """
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
-    sigma = _cis_pi(split.alpha_prime).imag
     const, poles = fractions
-    q = -cmath.exp(1j * t if upper else -1j * t)
-    m_hi = max(m_max, math.ceil(_LERCH_REACH / abs(1.0 - q)) + abs(n) + 2)
-    if upper:
-        ms = np.arange(-n, m_hi + 1, dtype=float)
-        cut = m_hi + n
-        scale = -(math.pi / sigma) * cmath.exp(-1j * n * t) * (-1.0) ** n
-        lerch = [(c, gamma - p) for p, c in poles]
-    else:
-        ms = np.arange(-m_hi, -n, dtype=float)
-        cut = m_hi - n - 1
-        scale = (-1.0) ** n * (math.pi / sigma) * cmath.exp(-1j * (n + 1) * t)
-        lerch = [(-c, (1.0 + p) - gamma) for p, c in poles]
-    signs = np.where(np.mod(ms, 2.0) == 0.0, 1.0, -1.0)
-    gamma_pair = -signs * math.pi / sigma  # Gamma(w) Gamma(-w) w = -pi / sin(pi w)
-    weights = np.exp(1j * ms * t)
-    explicit = complex(np.sum(weights * gamma_pair * _mode_bracket(ms + alpha_prime, fractions)))
+    q = -cmath.exp(1j * t)
+    cut = max(m_max, math.ceil(_LERCH_REACH / abs(1.0 - q)) + 2)
+    js = np.arange(cut + 1, dtype=float)
+    powers = np.where(np.mod(js, 2.0) == 0.0, 1.0, -1.0) * np.exp(1j * js * t)  # q^j
+    explicit = complex(np.sum(powers * _mode_bracket(js + gamma, fractions)))
     tail = const * q ** (cut + 1) / (1.0 - q)
-    for c, b in lerch:
-        tail = tail + c * _lerch_tail(q, b, cut)
-    return explicit + scale * tail
+    for p, c in poles:
+        tail = tail + c * _lerch_tail(q, gamma - p, cut)
+    scale = -(math.pi / _cis_pi(split.alpha_prime).imag) * (-1.0) ** n * cmath.exp(-1j * n * t)
+    return scale * (explicit + tail)
 
 
 def _series_angle(phi: float, alpha_prime: float, m_max: int, what: str) -> float:
@@ -316,12 +308,14 @@ def f1_series(
 ) -> complex:
     """First-order amplitude by Abel-summed partial-wave summation.
 
-    The bilateral mode sum is evaluated at r = 1: explicitly to |m| = m_max
-    (further next to forward, see ``_abel_half``) plus its exact
-    Abel tails, the geometric one closed and the Lerch ones on Gauss-Laguerre
-    nodes. The per-mode summands do not decay in |m| (their magnitude
-    approaches a constant), so the bare partial sums oscillate; the Abel
-    tails supply their limit. It shares no code with ``g_fn`` or
+    The bilateral mode sum is evaluated at r = 1, each side of w = m + a' = 0
+    by ``_abel_half``, the w < 0 side as the w > 0 side at (-phi, -a'):
+    m_max + 1 explicit modes on each side, counted from w = 0 outwards
+    (more next to forward), plus the exact Abel tails, the geometric one
+    closed and the Lerch ones on Gauss-Laguerre nodes. The cost does not
+    grow with |a'|. The per-mode summands do not decay in |m| (their
+    magnitude approaches a constant), so the bare partial sums oscillate;
+    the Abel tails supply their limit. It shares no code with ``g_fn`` or
     ``hyp2f1_11``.
 
     This is the independent oracle that arbitrates ``f1_amp``; on an 8 x 8
@@ -337,17 +331,17 @@ def f1_series(
     params : PhysicalParams
         Supplies hbar and k.
     m_max : int
-        Bilateral explicit cutoff, an integral value in [200, 10^4].
+        Explicit cutoff on each side of w = 0, an integral value in [200, 10^4].
     """
     t = _series_angle(phi, alpha_prime, m_max, "f1_series")
+    a = float(alpha_prime)
     # sin(pi gamma) e^{-+i pi gamma} = sin(pi alpha') e^{-+i pi alpha'}
-    rot_k = _cis_pi(float(alpha_prime))
+    rot_k = _cis_pi(a)
     rot_j = rot_k.conjugate()
     hk2 = square(params.hbar * params.k)
     pref = -0.5j * hk2 * rot_k.imag / _sqrt_2pi_ik(params.k)
-    fractions = _bracket_fractions(alpha_prime)
-    half_j = _abel_half(t, alpha_prime, int(m_max), fractions, True)
-    half_k = _abel_half(t, alpha_prime, int(m_max), fractions, False)
+    half_j = _abel_half(t, a, int(m_max), _bracket_fractions(a))
+    half_k = _abel_half(-t, -a, int(m_max), _bracket_fractions(-a))  # the w < 0 side
     return pref * (rot_j * half_j - rot_k * half_k)
 
 
@@ -368,7 +362,7 @@ def regularized_alternating_gamma_sum(
     integral value in [200, 10^4]) is the explicit cutoff, as in ``f1_series``.
     """
     t = _series_angle(phi, alpha_prime, m_max, "regularized_alternating_gamma_sum")
-    return _abel_half(t, alpha_prime, int(m_max), (1.0, ()), True)
+    return _abel_half(t, alpha_prime, int(m_max), (1.0, ()))
 
 
 # =====================================================================
@@ -474,8 +468,9 @@ def dsigma_integer_limits(n: int, phi: float, params: PhysicalParams) -> tuple[f
     Both vanish identically at n = 0 and at beta = 0. With s = sin^2(phi/2)
     they are formed as (n + 2) - 2(n - 2) s and (2 - n) + 2(n + 2) s, which
     cancel nowhere: at n = 2 the lower bracket is 8 s, not 8 - 8 cos^2(phi/2).
+    An n that is not a finite integral value raises DomainValidationError.
     """
-    n = int(n)
+    n = require_integral(n, "dsigma_integer_limits: n")
     s2 = math.sin(0.5 * _principal(phi)) ** 2
     scale = params.beta * math.pi * square(params.hbar) * params.k * n * n / 2.0
     upper = scale * ((n + 2.0) - 2.0 * (n - 2.0) * s2)
@@ -562,9 +557,8 @@ def symmetry_probe(
     alpha_prime: float,
     theta: float,
     params: PhysicalParams,
-    form: str = "linearized",
 ) -> tuple[float, float]:
-    """Measure the two mirror symmetries of the cross section.
+    """Measure the two mirror symmetries of the linearized cross section.
 
     Returns
     -------
@@ -580,10 +574,10 @@ def symmetry_probe(
         raise DomainValidationError(
             f"theta = {theta} outside ({_SERIES_PHI_MARGIN}, pi - {_SERIES_PHI_MARGIN})"
         )
-    d_back = dsigma(math.pi - theta, alpha_prime, params, form=form)
-    d_fwd = dsigma(math.pi + theta, alpha_prime, params, form=form)
-    d_plus = dsigma(theta, alpha_prime, params, form=form)
-    d_minus = dsigma(-theta, alpha_prime, params, form=form)
+    d_back = dsigma(math.pi - theta, alpha_prime, params)
+    d_fwd = dsigma(math.pi + theta, alpha_prime, params)
+    d_plus = dsigma(theta, alpha_prime, params)
+    d_minus = dsigma(-theta, alpha_prime, params)
     return abs(d_back - d_fwd), abs(d_plus - d_minus)
 
 

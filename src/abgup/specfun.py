@@ -12,13 +12,16 @@ against quadrature stay genuinely two-route:
 * ``log_gamma``  -- log form of the same approximation (positive arguments).
 * ``digamma``    -- recurrence into the asymptotic region plus Bernoulli tail.
 * ``bessel_j``   -- J_nu for real order and z >= 0, vectorised over z, with an
-                    ascending series / backward-recurrence / asymptotic split.
+                    ascending series / backward-recurrence / asymptotic split;
+                    the asymptotic expansion only where nu^2 <= z.
                     Negative orders come from ``_bessel_negative``, the one
                     downward order recurrence; the radial order table seeds it
                     from its own cached rows.
 * ``hyp2f1_11``  -- 2F1(1, 1; c; x) via the power series (|x| <= 0.7),
-                    Euler's integral on a fixed tanh-sinh rule (|x| > 0.7),
-                    and a contiguous downshift in c. Each direct
+                    Euler's integral on a fixed tanh-sinh rule (|x| > 0.7,
+                    c <= 60), and a contiguous downshift in c, all in the
+                    closed upper half-plane: a lower-half x is mapped to x*
+                    at the entry and its value conjugated once. Each direct
                     evaluation is one dot product of a vector of c alone with
                     one of x alone, each cached on its exact key; no branch
                     iterates. The direct evaluations are memoised (last 16,
@@ -201,6 +204,19 @@ def digamma(x: float) -> float:
 
 _SERIES_Z_MAX = 14.0
 _ASYMPTOTIC_Z_MIN = 1000.0
+# The Hankel expansion runs only where also nu^2 <= z: its terms grow until
+# k ~ nu^2 / (2 z), and at z = 1000 it read 1.3e-9 at nu = 100.3 and 1.2 at 150.3
+# (in units of sqrt(2/(pi z))). Larger orders stay on Miller, up to this z, the
+# largest the radial layer asks for (``radial._PANEL_Z_MAX``).
+_MILLER_Z_MAX = 1.0e4
+# The largest |nu| taken. Both order recurrences start from an integer that
+# grows with |nu| (Miller at floor(nu) + 20, the negative-order one ceil(-nu)
+# steps down), so a call costs time in proportion: 0.14 s at 1e4 and 1.1 s at
+# 1e5, and at 1e20 the start no longer fits a 64-bit integer. Wherever a
+# recurrence runs (z <= 1e4), |J_nu| at |nu| > 1e5 is past the double range:
+# below the smallest double for nu > 0 or at a negative integer, above the
+# largest otherwise. Only the Hankel range z >= nu^2 > 1e10 loses values.
+_ORDER_MAX = 1.0e5
 
 
 def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
@@ -335,8 +351,13 @@ def _bessel_nonneg(nu: float, z: np.ndarray) -> np.ndarray:
     """J_nu(z) for nu >= 0 over a flat array of z >= 0."""
     out = np.empty_like(z)
     small = z < _SERIES_Z_MAX
-    big = z >= _ASYMPTOTIC_Z_MIN
+    big = (z >= _ASYMPTOTIC_Z_MIN) & (nu * nu <= z)
     mid = ~small & ~big
+    if np.any(z[mid] > _MILLER_Z_MAX):
+        raise AccuracyError(
+            f"bessel_j needs nu^2 <= z past z = {_MILLER_Z_MAX:g}, where the Hankel "
+            f"expansion holds; got nu = {nu} at z = {np.max(z[mid]):g}"
+        )
     if np.any(small):
         out[small] = _bessel_series(nu, z[small])
     if np.any(mid):
@@ -388,7 +409,7 @@ def bessel_j(nu: float, z):
     Parameters
     ----------
     nu : float
-        Order. Any real value; negative non-integer orders are reached by
+        Order, |nu| <= 1e5; negative non-integer orders are reached by
         downward recurrence from the fractional seed orders
         (``_bessel_negative``).
     z : float or array_like
@@ -402,25 +423,34 @@ def bessel_j(nu: float, z):
     Raises
     ------
     DomainValidationError
-        If a z is negative or not finite, or z = 0 with a negative
-        non-integer order.
+        If a z is negative or not finite, z = 0 with a negative non-integer
+        order, or nu is not finite or |nu| > 1e5: both order recurrences take
+        about |nu| steps, and where they run |J_nu| is past the double range
+        beyond that bound.
     AccuracyError
         If |J_nu| exceeds the largest double, as a large negative order does
-        at small z.
+        at small z; or if nu^2 > z at a z above 1e4, where the Hankel
+        expansion does not hold and Miller's recurrence is not taken.
 
     Notes
     -----
-    Branches: ascending power series for z < 14, Miller backward recurrence
-    with Neumann normalisation for 14 <= z < 1000, and the Hankel asymptotic
-    expansion beyond. Relative accuracy is ~1e-10 or better away from zeros
-    of J over the tested range |nu| <= 13, z <= 1e15; in the asymptotic
-    branch the absolute error is below 1e-15 of sqrt(2/(pi z)) there.
+    Branches: ascending power series for z < 14; the Hankel asymptotic
+    expansion for z >= 1000 where also nu^2 <= z; Miller backward recurrence
+    with Neumann normalisation for every other z up to 1e4. Relative
+    accuracy is ~1e-10 or better away from zeros of J for the tested orders
+    |nu| <= 5 below z = 1000. Past it, against mpmath and in units of the
+    envelope sqrt(2/(pi z)), the Hankel branch reads below 1e-13 for
+    nu <= 2.7 up to z = 1e15 and below 4e-16 at nu = sqrt(z); Miller reads
+    below 3e-13 for nu from 45 to 300 at z from 1e3 to 1e4, where one call
+    takes 15-120 ms.
 
     Every point stops its series and starts its recurrence by its own
     criterion, so an array call returns, point by point, exactly what
     one-point calls return. Callers may therefore batch any point sets.
     """
     nu = float(nu)
+    if not abs(nu) <= _ORDER_MAX:  # also nan
+        raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {nu}")
     arr = np.asarray(z, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).astype(float).ravel()
@@ -523,6 +553,11 @@ _RULES = (_tanh_sinh((np.arange(148.0) - 73.5) * _RULE_H),
 # |t0| = 0.3 and c = 20; 3e-14 without it at |t0| = 0.02).
 _POLE_GATE = 0.3
 _POLE_GATE_BEHIND = 0.05
+# The largest c the rule takes, the last at which it reads below 1e-13 (see
+# hyp2f1_11's Notes): (1 - t)^(c - 2) narrows to a width of about 1/c at
+# t = 0, which the fixed nodes resolve less well, worst where the pole lies
+# just behind t = 0 outside _POLE_GATE_BEHIND (|x| near 20, Re x < 0).
+_EULER_MAX_C = 60.0
 
 
 @functools.lru_cache(maxsize=_SIDE_MEMO_SIZE)
@@ -575,35 +610,35 @@ def _euler_x(x: complex) -> tuple[int, np.ndarray, complex | None, complex]:
 
 @functools.lru_cache(maxsize=_DIRECT_MEMO_SIZE)
 def _hyp_direct(c: float, x: complex) -> complex:
-    """One direct evaluation for c >= 1.5, memoised on exact (c, x): a dot
-    product of a c side and an x side, each cached on its own key, from the
-    power series for |x| <= 0.7 and from Euler's integral otherwise.
+    """One direct evaluation for c >= 1.5 and x in the closed upper half-plane,
+    memoised on exact (c, x): a dot product of a c side and an x side, each
+    cached on its own key, from the power series for |x| <= 0.7 and from
+    Euler's integral otherwise.
 
-    c is real, so F(x*) = F(x)*: a lower-half x is evaluated as the conjugate
-    of the value at x*, and the two share one x side. Keys compare with
-    ``==``, so on the real axis x and its conjugate share one entry, here and
-    in the side caches; a zero imaginary part is made +0 first, so both signs
-    give the same bits and a hit is still exact.
+    ``hyp2f1_11`` maps every x whose imaginary part has a negative sign bit to
+    x* before it calls here, so this memo and the side caches only ever see
+    keys with Im x >= +0, and x and x* share one entry.
     """
-    x = complex(x.real, x.imag + 0.0)  # -0.0 + 0.0 is +0.0
     r = 2.0 * abs(0.5 * x)  # halved first: abs(x) overflows past the largest double
     if r > 2.0 ** 1022:
         raise DomainValidationError(
             f"hyp2f1_11 needs |x| <= 2**1022 (about 4.5e307), where 1/x is still a "
             f"normal double; got x = {x}"
         )
-    lower = x.imag < 0.0
-    if lower:
-        x = x.conjugate()
     if r <= _SERIES_RADIUS:
         powers = _series_x(x)
-        f = 1.0 + complex(np.dot(_series_c(c)[: len(powers)], powers))
-    else:
-        rule, g, base, resid = _euler_x(x)
-        f = complex(np.dot(_euler_c(c, rule), g))
-        if base is not None:
-            f += (c - 1.0) * base ** (c - 2.0) * resid
-    return f.conjugate() if lower else f
+        return 1.0 + complex(np.dot(_series_c(c)[: len(powers)], powers))
+    if c > _EULER_MAX_C:
+        raise AccuracyError(
+            f"hyp2f1_11 at |x| > {_SERIES_RADIUS} is accurate to 1e-13 only for c <= "
+            f"{_EULER_MAX_C:g}, where Euler's integral still resolves (1 - t)^(c - 2) "
+            f"on its fixed nodes; got c = {c}"
+        )
+    rule, g, base, resid = _euler_x(x)
+    f = complex(np.dot(_euler_c(c, rule), g))
+    if base is not None:
+        f += (c - 1.0) * base ** (c - 2.0) * resid
+    return f
 
 
 def hyp2f1_11(c: float, x) -> complex:
@@ -628,24 +663,36 @@ def hyp2f1_11(c: float, x) -> complex:
         integral, is no longer a normal double.
     PoleError
         If c is within 1e-10 of a non-positive integer.
+    AccuracyError
+        If c > 60 at |x| > 0.7, past the c that Euler's integral resolves
+        to 1e-13 on its fixed nodes.
 
     Notes
     -----
+    c is real, so F(x*) = F(x)*. One rule at the entry applies it: an x
+    whose imaginary part has a negative sign bit, -0.0 included, is replaced
+    by x*, everything below runs in the closed upper half-plane, and the
+    value is conjugated once at the exit. So a value at Im x < 0 is the
+    conjugate of the value at x*, to the bit, and x and x* share one memo
+    entry.
+
     Two branches give the value for c >= 1.5, each one dot product of a
     vector that depends on c alone with one that depends on x alone, so a
     scan that holds one of them fixed rebuilds only the other. |x| <= 0.7
-    sums the power series. Every |x| > 0.7 takes Euler's integral (DLMF
-    15.6.1) on a fixed tanh-sinh rule (148 nodes, or the 147 halfway
-    between them when the integrand's pole 1/x nears a node), with the pole
-    subtracted in closed form near the cut. Against mpmath it reads below
-    1e-15 on the kernel locus Re x = 1/2 and, for c up to 6, at |x| from 1.5
-    to 1e6 in every direction and at |x| = 2^1022; below 2e-15 in the
-    annulus 0.7 < |x| < 1.5 off the locus (also within 1e-8 of the cut) and
-    6e-15 for c up to 20 at |x| up to 1e3. Its error grows with c (4e-15 at
-    c = 100, 1e-12 at c = 1000) and next to x = 1 on the real axis at
+    sums the power series, for every c. Every |x| > 0.7 takes Euler's
+    integral (DLMF 15.6.1) on a fixed tanh-sinh rule (148 nodes, or the 147
+    halfway between them when the integrand's pole 1/x nears a node), with
+    the pole subtracted in closed form near the cut. Against mpmath it
+    reads below 1e-15 on the kernel locus Re x = 1/2 and, for c up to 6, at
+    |x| from 1.5 to 1e6 in every direction and at |x| = 2^1022; below 2e-15
+    in the annulus 0.7 < |x| < 1.5 off the locus (also within 1e-8 of the
+    cut) and 6e-15 for c up to 20 at |x| up to 1e3. Its error grows with c:
+    over 1,000 seeded points with |x| from 0.75 to 50 it reads at most
+    2.5e-14 at c = 60 and 1.9e-13 at c = 100, and 6.7e-14 at c = 60 next to
+    the pole gate behind t = 0 (|x| near 20, Re x < 0). So the rule takes
+    c <= 60 only. The error also grows next to x = 1 on the real axis at
     non-integer c < 2.5 (1e-9 at x = 0.999999, c = 1.5), where the pole sits
-    just past the end t = 1 of the integral. A value at Im x < 0 is the
-    conjugate of the value at x*, to the bit.
+    just past the end t = 1 of the integral.
 
     For c < 1.5 the value is reached by the first-order contiguous
     relation c (1 - x) F(c) = c - (c - 1) x F(c + 1), which is Gauss's
@@ -670,25 +717,24 @@ def hyp2f1_11(c: float, x) -> complex:
         raise DomainValidationError(f"hyp2f1_11 needs finite c and x, got c = {c}, x = {x}")
     if _near_nonpositive_integer(c, tol=1e-10):
         raise PoleError(f"hyp2f1_11 pole: c = {c} is (near) a non-positive integer")
-    if x.imag == 0.0:
-        if x.real >= 1.0:
-            raise DomainValidationError(
-                f"hyp2f1_11 argument on the branch cut [1, inf): x = {x}"
-            )
-        if math.copysign(1.0, x.imag) < 0.0:
-            # F(x*) = F(x)* to the bit, also where the memo shares the key of x*
-            return hyp2f1_11(c, x.conjugate()).conjugate()
+    if x.imag == 0.0 and x.real >= 1.0:
+        raise DomainValidationError(f"hyp2f1_11 argument on the branch cut [1, inf): x = {x}")
+    # c is real, so F(x*) = F(x)*: every x with a negative sign bit on Im x,
+    # -0.0 included, is evaluated at x* and its value conjugated once at the exit
+    lower = math.copysign(1.0, x.imag) < 0.0
+    if lower:
+        x = x.conjugate()
     if c >= _MIN_DIRECT_C:
-        return _hyp_direct(c, x)
-
-    shift = int(math.ceil(_MIN_DIRECT_C - c))
-    f = _hyp_direct(c + shift, x)  # the one anchor, F(c + shift)
-    # First-order contiguous relation (a = b = 1, since F(0, 1; c; x) = 1):
-    #   c (1 - x) F(c) = c - (c - 1) x F(c + 1)
-    for k in range(shift - 1, -1, -1):
-        ck = c + k  # from c itself, so the last step divides by the exact c
-        f = (ck - (ck - 1.0) * x * f) / (ck * (1.0 - x))
-    return f
+        f = _hyp_direct(c, x)
+    else:
+        shift = int(math.ceil(_MIN_DIRECT_C - c))
+        f = _hyp_direct(c + shift, x)  # the one anchor, F(c + shift)
+        # First-order contiguous relation (a = b = 1, since F(0, 1; c; x) = 1):
+        #   c (1 - x) F(c) = c - (c - 1) x F(c + 1)
+        for k in range(shift - 1, -1, -1):
+            ck = c + k  # from c itself, so the last step divides by the exact c
+            f = (ck - (ck - 1.0) * x * f) / (ck * (1.0 - x))
+    return f.conjugate() if lower else f
 
 
 # =====================================================================

@@ -8,13 +8,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abgup import (
+    AccuracyError,
     DomainValidationError,
     PhysicalParams,
+    bessel_j,
     commutator_residual_1d,
+    dsigma_integer_limits,
+    f0_amp,
+    f1_integral,
+    f2_integral,
     flux_split,
     gup_bound,
     minimal_length,
     momentum_map,
+    width,
+    xi_coeffs,
 )
 
 
@@ -217,3 +225,39 @@ class TestCommutatorResidual:
         with np.errstate(over="ignore", invalid="ignore"):
             res = commutator_residual_1d(16, 1e200, PhysicalParams())
         assert math.isnan(res)
+
+
+# =====================================================================
+# Typed errors at library entry points
+# =====================================================================
+
+_PB = PhysicalParams(beta=0.01)
+
+
+# each of these returned nan, truncated 2.5 to 2, or raised an untyped
+# ValueError or OverflowError
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: bessel_j(math.nan, 2.0), DomainValidationError),
+        (lambda: bessel_j(-math.inf, 2.0), DomainValidationError),
+        (lambda: bessel_j(math.inf, 2.0), DomainValidationError),
+        (lambda: bessel_j(1e20, 20.0), DomainValidationError),
+        (lambda: f1_integral(5.0, math.nan, 2.0), DomainValidationError),
+        (lambda: f2_integral(5.0, math.nan, 2.0), DomainValidationError),
+        (lambda: f1_integral(5.0, 0.3, math.inf), DomainValidationError),
+        (lambda: width(2.5, 0.5, _PB), DomainValidationError),
+        (lambda: width(math.nan, 0.5, _PB), DomainValidationError),
+        (lambda: dsigma_integer_limits(2.5, 0.5, _PB), DomainValidationError),
+        (lambda: dsigma_integer_limits(math.nan, 0.5, _PB), DomainValidationError),
+        (lambda: f0_amp(0.5, 0.3, k=math.nan), DomainValidationError),
+        (lambda: xi_coeffs(10**200, 0.3), AccuracyError),
+        (lambda: xi_coeffs(10**400, 0.3), DomainValidationError),
+    ],
+    ids=["bessel_nan", "bessel_minus_inf", "bessel_inf", "bessel_huge_order",
+         "f1_nan", "f2_nan", "f1_inf", "width_half", "width_nan", "limits_half",
+         "limits_nan", "f0_k_nan", "xi_overflow", "xi_past_double"],
+)
+def test_entry_points_raise_typed(call, error):
+    with pytest.raises(error):
+        call()

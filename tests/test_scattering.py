@@ -141,13 +141,29 @@ class TestSeries:
     def test_abel_tails_make_halves_independent_of_cutoff(self, a):
         # each half at r = 1, explicit modes plus its exact Abel tail, is the
         # whole Abel sum, so it must not move with m_max
-        fractions = scattering._bracket_fractions(a)
+        # the w < 0 half at (t, a) is the w > 0 half at (-t, -a)
         for t in (0.8, -2.0):
-            for upper in (True, False):
-                base = scattering._abel_half(t, a, 200, fractions, upper)
+            for angle, flux in ((t, a), (-t, -a)):
+                fractions = scattering._bracket_fractions(flux)
+                base = scattering._abel_half(angle, flux, 200, fractions)
                 for m_max in (400, 1000, 3000):
-                    got = scattering._abel_half(t, a, m_max, fractions, upper)
+                    got = scattering._abel_half(angle, flux, m_max, fractions)
                     assert abs(got - base) <= 1e-12 * abs(base)
+
+    def test_explicit_range_does_not_grow_with_flux(self, monkeypatch):
+        # each half is indexed from w = gamma, so its explicit modes are the
+        # same whatever N is
+        lengths = []
+
+        def spy(w, fractions):
+            lengths.append(len(w))
+            return bracket(w, fractions)
+
+        bracket = scattering._mode_bracket
+        monkeypatch.setattr(scattering, "_mode_bracket", spy)
+        for a in (0.3, 1e6 + 0.3):
+            f1_series(0.5, a, PB, m_max=200)
+        assert len(lengths) == 4 and len(set(lengths)) == 1
 
     def test_regularized_gamma_sum_closed_form(self):
         for a, phi in ((0.5, math.pi / 3), (0.3, 1.9), (1.7, -0.8)):
@@ -161,12 +177,15 @@ class TestSeries:
     # an 8 x 8 grid, plus points next to 0 and forward and at large flux. At
     # half-integer flux f1 vanishes linearly as phi -> 0 (|f1| = 2.5e-4 at
     # alpha' = -0.5, phi = 1e-3), so a relative gap there says little; at
-    # alpha' = 2.5 and phi = 1e-3, |f1| is still 0.03
+    # alpha' = 2.5 and phi = 1e-3, |f1| is still 0.03. At |alpha'| = 1e6 the
+    # angles 0.5 and -2.0 make the phase product N phi exact: at a generic phi
+    # both routes round it, and the gap reads up to 1.2e-10 there
     @pytest.mark.parametrize("m_max", [200, 2000])
     def test_oracle_grid_matches_closed_form(self, m_max):
         grid = [(-1.7 + i * 5.3 / 7, -2.8 + j * 5.7 / 7) for i in range(8) for j in range(8)]
         edges = [(3.6, 0.3), (2.5, 1e-3), (2.5, -1e-3), (2.5, math.pi - 1.001e-3),
-                 (2.5, -(math.pi - 1.001e-3)), (12.45, math.pi - 0.01)]
+                 (2.5, -(math.pi - 1.001e-3)), (12.45, math.pi - 0.01),
+                 (1e6 + 0.3, 0.5), (-1e6 + 0.7, -2.0)]
         for a, phi in grid + edges:
             fs = f1_series(phi, a, PB, m_max=m_max)
             fa = f1_amp(phi, a, PB)
