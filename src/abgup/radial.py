@@ -41,14 +41,15 @@ from .core import (
     require_noninteger,
     square,
 )
-from .specfun import _bessel_negative, _cis_pi, bessel_j, digamma, log_gamma, pfq_series
+from .specfun import _MILLER_Z_MAX, _bessel_negative, _cis_pi, bessel_j, digamma
+from .specfun import log_gamma, pfq_series
 
 _DEGENERATE_TOL = 1e-9
 _ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature continuation above
-# Largest z the degenerate-order panels carry F1 to. Their nodes grow as 24 per
-# unit of z (panels at most 0.25 wide): at this cap that is 240k nodes per
-# order, and one uv_pair call takes about 0.45 s and 27 MB of extra peak memory.
-_PANEL_Z_MAX = 1.0e4
+# The degenerate-order panels carry F1 up to specfun's _MILLER_Z_MAX (1e4), the
+# one z cap of both layers. Their nodes grow as 24 per unit of z (panels at most
+# 0.25 wide): at the cap that is 240k nodes per order, and one uv_pair call takes
+# about 0.45 s and 27 MB of extra peak memory.
 _SMALL_GAP = 2.5e-3    # grid gaps up to this use a single 2-point Gauss panel
 _QUAD_TOL = 1e-10      # fn_quadrature's requested absolute tolerance
 _GL2_NODES, _GL2_WEIGHTS = np.polynomial.legendre.leggauss(2)
@@ -230,7 +231,7 @@ class _PanelPlan:
     bound scale-free against the t^(-n) steepening near 0. All nodes sit in
     one array ``t`` (6-point panels first), so each order is evaluated on
     them once, kept in the order table ``on_nodes``. The node count grows
-    with the largest z, so a grid reaching above _PANEL_Z_MAX is rejected.
+    with the largest z, so a grid reaching above _MILLER_Z_MAX is rejected.
     """
 
     def __init__(self, z):
@@ -239,9 +240,9 @@ class _PanelPlan:
             raise DomainValidationError("f1_integral needs finite z")
         self.order = np.argsort(flat, kind="stable")
         self.zs = zs = flat[self.order]
-        if zs[-1] > _PANEL_Z_MAX:
+        if zs[-1] > _MILLER_Z_MAX:
             raise DomainValidationError(
-                f"F1 of degenerate orders needs z <= {_PANEL_Z_MAX:g}, where its "
+                f"F1 of degenerate orders needs z <= {_MILLER_Z_MAX:g}, where its "
                 f"panel quadrature ends; got z = {zs[-1]:g}"
             )
         gaps = np.diff(zs)

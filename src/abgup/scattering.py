@@ -10,13 +10,24 @@ deliberately separate:
 The series route sums the w = m + alpha_prime > 0 side of the mode sum with
 one helper, ``_abel_half``, at the Abel limit r = 1, and the w < 0 side as
 the w > 0 side at (-phi, -alpha_prime), where the summands are the same:
-m_max + 1 explicit modes from w = 0 outwards and the rest in closed form,
-from the per-mode rational factor written as partial fractions (a constant
-and three poles). The constant gives a geometric tail, and each pole a
+201 explicit modes from w = 0 outwards (more next to forward) and the rest in
+closed form, from the per-mode rational factor written as partial fractions
+(a constant and three poles). The constant gives a geometric tail, and each pole a
 Lerch tail q^(J+1) Phi(q, 1, a), taken from the Lerch integral (DLMF
 25.14.5) on 40 Gauss-Laguerre nodes. The self-check ``regularized_alternating_gamma_sum``
 runs the same helper with the factor set to 1, against a known closed form,
-so it checks the code ``f1_series`` runs.
+so it checks the code ``f1_series`` runs. The tails are exact, so the
+explicit range is a module constant, not an option: more modes add only
+rounding.
+
+Each symmetry and each phase is written once. ``g_fn`` builds a negative
+flux at its mirror point (-phi, -alpha_prime), where G takes the same value,
+so ``f1_amp`` and ``dsigma`` are bitwise invariant under
+(phi, alpha_prime) -> (-phi, -alpha_prime), the symmetry the deformation
+keeps. Every phase e^{-i nu phi} of an angle times N or N + 1/2 comes from
+``specfun._cis_neg``, which applies the exact remainder of the product, so
+its accuracy does not fall with |N phi|; this module makes no ``cmath.exp``
+call.
 
 ``dsigma`` evaluates the differential cross section per unit angle, either
 as the squared modulus of the corrected amplitude or in the form linearized
@@ -52,15 +63,15 @@ from .core import (
     require_noninteger,
     square,
 )
-from .specfun import _cis_pi, hyp2f1_11
+from .specfun import _cis_neg, _cis_pi, hyp2f1_11
 
 _PI_MARGIN = 1e-6          # amplitude evaluations: keep |phi| away from pi
 _SERIES_PHI_MARGIN = 1e-3  # series route additionally needs phi away from 0
 _LERCH_REACH = 8.0         # least distance a |1 - q| of a Lerch tail's pole from 0
-# The largest explicit cutoff of the series routes: their tails are exact, so a
-# larger one adds only rounding (worst gap to f1_amp on an 8 x 8 grid 5.7e-13 at
-# 200, 4.7e-12 at 2000, 2.0e-10 at 1e4) and arrays of m_max + 1 modes.
-_M_MAX_CAP = 10_000
+# Explicit modes of each half of the series routes. Their tails are exact, so
+# more modes add only rounding: worst gap to f1_amp on an 8 x 8 grid 1.7e-13 at
+# 200, 5.1e-12 at 2000.
+_EXPLICIT_MODES = 200
 _LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(40)
 _PHI_ABS_MAX = 1e6         # largest |phi| taken as an angle; doubles there are 1.2e-10 apart
 
@@ -123,13 +134,16 @@ def _finite(value, what: str):
 def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
     """Unperturbed scattering amplitude.
 
-        f0 = (1/sqrt(2 pi i k)) (-i) e^{-iN(phi-pi)} sin(pi alpha')
-             e^{-i phi/2} / cos(phi/2)
+        f0 = (1/sqrt(2 pi i k)) (-i) (-1)^N sin(pi alpha')
+             e^{-i(N + 1/2) phi} / cos(phi/2)
 
-    with e^{iN pi} = (-1)^N. The sine comes from ``specfun._cis_pi``, which
-    reduces alpha' exactly to its nearest integer first, so it keeps full
-    relative accuracy next to integer flux and integer flux returns exactly
-    0 (the reflectionless case).
+    from e^{-iN(phi - pi)} e^{-i phi/2}, with e^{iN pi} = (-1)^N. The sine
+    comes from ``specfun._cis_pi``, which reduces alpha' exactly to its
+    nearest integer first, so it keeps full relative accuracy next to integer
+    flux and integer flux returns exactly 0 (the reflectionless case). The
+    phase is one ``specfun._cis_neg``, so f0 is bitwise invariant under
+    (phi, alpha') -> (-phi, -alpha'). Where sin(pi alpha') is 0, which holds
+    for every |alpha'| >= 2^52, f0 returns 0 before it forms the phase.
 
     Parameters
     ----------
@@ -153,7 +167,7 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
     sin_a = _cis_pi(split.alpha_prime).imag
     if sin_a == 0.0:
         return 0.0 + 0.0j
-    num = -1j * (-1.0) ** n * cmath.exp(-1j * n * t) * sin_a * cmath.exp(-0.5j * t)
+    num = -1j * ((-1.0) ** n * sin_a) * _cis_neg(n + 0.5, t)
     return num / (math.cos(0.5 * t) * _sqrt_2pi_ik(k))
 
 
@@ -203,14 +217,17 @@ def g2m(m: int, alpha_prime: float, params: PhysicalParams) -> complex:
 
     Raises
     ------
+    DomainValidationError
+        If m is not a finite integral value.
     PoleError
         If m + alpha' is within 1e-6 of an integer.
     """
-    w = float(m) + float(alpha_prime)
+    m = require_integral(m, "g2m: m")
+    w = m + float(alpha_prime)
     require_noninteger(w, "g2m: m + alpha'", PoleError)
     nu = abs(w)
     hk2 = square(params.hbar * params.k)
-    sin_pw = (-1.0) ** int(m) * _cis_pi(float(alpha_prime)).imag
+    sin_pw = (-1.0) ** m * _cis_pi(float(alpha_prime)).imag
     gamma_pair = -math.pi / (w * sin_pw)
     return (
         -_cis_pi(-0.5 * nu)
@@ -242,7 +259,7 @@ def _lerch_tail(q: complex, b: float, j_cut: int) -> complex:
     return q ** (j_cut + 1) * complex(rule) / a
 
 
-def _abel_half(t: float, alpha_prime: float, m_max: int, fractions) -> complex:
+def _abel_half(t: float, alpha_prime: float, fractions) -> complex:
     """The w > 0 side of the bilateral mode sum, Abel-summed at r = 1.
 
     Sums e^{i m t} Gamma(w) Gamma(-w) w B(w) over the modes with
@@ -253,43 +270,39 @@ def _abel_half(t: float, alpha_prime: float, m_max: int, fractions) -> complex:
     -(pi / sin(pi a')) (-1)^N e^{-iNt} q^j B(j + gamma). So the sum is that
     factor times sum_j q^j B(j + gamma), explicit to j = J and beyond it in
     closed form: C gives the geometric tail C q^(J+1) / (1 - q), and each pole
-    c_p _lerch_tail(q, gamma - p, J).
+    c_p _lerch_tail(q, gamma - p, J). Both phases, q and e^{-iNt}, come from
+    ``specfun._cis_neg``; q is bitwise -e^{it}.
 
-    J = max(m_max, ceil(8 / |1 - q|) + 2) puts every Lerch tail where
-    a |1 - q| >= 8, in reach of its 40 nodes; at m_max = 200 it exceeds m_max
-    only within about 0.04 of forward. It does not depend on N. Both tails are
-    exact Abel sums, so the result does not depend on the cutoff.
+    J = max(_EXPLICIT_MODES, ceil(8 / |1 - q|) + 2), with _EXPLICIT_MODES =
+    200, puts every Lerch tail where a |1 - q| >= 8, in reach of its 40 nodes;
+    it exceeds 200 only within about 0.04 of forward. It does not depend on N.
+    Both tails are exact Abel sums, so the result does not depend on the
+    cutoff.
 
     The w < 0 side is this one mirrored. With m -> -m, its summand at (t, a')
     is the w > 0 summand at (-t, -a'): B_a'(-u) = -B_-a'(u) and
     sin(-pi a') = -sin(pi a'), and the two sign flips cancel. So it is
-    ``_abel_half(-t, -a', m_max, _bracket_fractions(-a'))``.
+    ``_abel_half(-t, -a', _bracket_fractions(-a'))``.
     """
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
     const, poles = fractions
-    q = -cmath.exp(1j * t)
-    cut = max(m_max, math.ceil(_LERCH_REACH / abs(1.0 - q)) + 2)
+    q = -_cis_neg(-1.0, t)
+    cut = max(_EXPLICIT_MODES, math.ceil(_LERCH_REACH / abs(1.0 - q)) + 2)
     js = np.arange(cut + 1, dtype=float)
     powers = np.where(np.mod(js, 2.0) == 0.0, 1.0, -1.0) * np.exp(1j * js * t)  # q^j
     explicit = complex(np.sum(powers * _mode_bracket(js + gamma, fractions)))
     tail = const * q ** (cut + 1) / (1.0 - q)
     for p, c in poles:
         tail = tail + c * _lerch_tail(q, gamma - p, cut)
-    scale = -(math.pi / _cis_pi(split.alpha_prime).imag) * (-1.0) ** n * cmath.exp(-1j * n * t)
+    scale = -(math.pi / _cis_pi(split.alpha_prime).imag) * (-1.0) ** n * _cis_neg(n, t)
     return scale * (explicit + tail)
 
 
-def _series_angle(phi: float, alpha_prime: float, m_max: int, what: str) -> float:
+def _series_angle(phi: float, alpha_prime: float, what: str) -> float:
     """The principal angle of a regularized-series call, after the checks the
-    series routes share: non-integer flux, m_max an integral value in
-    [200, 10^4], and phi away from +-pi and from 0."""
+    series routes share: non-integer flux, and phi away from +-pi and from 0."""
     require_noninteger(alpha_prime, f"{what}: alpha'", PoleError)
-    if not (200 <= m_max <= _M_MAX_CAP and float(m_max).is_integer()):  # also nan, inf
-        raise DomainValidationError(
-            f"m_max must be an integral value in [200, {_M_MAX_CAP}], got {m_max}; the "
-            "tails past it are exact, so a larger cutoff adds only rounding and memory"
-        )
     t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
     if abs(t) < _SERIES_PHI_MARGIN:
         raise DomainValidationError(
@@ -300,18 +313,13 @@ def _series_angle(phi: float, alpha_prime: float, m_max: int, what: str) -> floa
     return t
 
 
-def f1_series(
-    phi: float,
-    alpha_prime: float,
-    params: PhysicalParams,
-    m_max: int = 2000,
-) -> complex:
+def f1_series(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
     """First-order amplitude by Abel-summed partial-wave summation.
 
     The bilateral mode sum is evaluated at r = 1, each side of w = m + a' = 0
     by ``_abel_half``, the w < 0 side as the w > 0 side at (-phi, -a'):
-    m_max + 1 explicit modes on each side, counted from w = 0 outwards
-    (more next to forward), plus the exact Abel tails, the geometric one
+    201 explicit modes on each side, counted from w = 0 outwards (more next
+    to forward), plus the exact Abel tails, the geometric one
     closed and the Lerch ones on Gauss-Laguerre nodes. The cost does not
     grow with |a'|. The per-mode summands do not decay in |m| (their
     magnitude approaches a constant), so the bare partial sums oscillate;
@@ -320,7 +328,7 @@ def f1_series(
 
     This is the independent oracle that arbitrates ``f1_amp``; on an 8 x 8
     grid of alpha' in [-1.7, 3.6] and phi in [-2.8, 2.9] the two agree to
-    about 1e-11 relative.
+    1.7e-13 relative, and at alpha' = 1e6 + 0.3 to 3e-16.
 
     Parameters
     ----------
@@ -330,26 +338,20 @@ def f1_series(
         Non-integer flux parameter.
     params : PhysicalParams
         Supplies hbar and k.
-    m_max : int
-        Explicit cutoff on each side of w = 0, an integral value in [200, 10^4].
     """
-    t = _series_angle(phi, alpha_prime, m_max, "f1_series")
+    t = _series_angle(phi, alpha_prime, "f1_series")
     a = float(alpha_prime)
     # sin(pi gamma) e^{-+i pi gamma} = sin(pi alpha') e^{-+i pi alpha'}
     rot_k = _cis_pi(a)
     rot_j = rot_k.conjugate()
     hk2 = square(params.hbar * params.k)
     pref = -0.5j * hk2 * rot_k.imag / _sqrt_2pi_ik(params.k)
-    half_j = _abel_half(t, a, int(m_max), _bracket_fractions(a))
-    half_k = _abel_half(-t, -a, int(m_max), _bracket_fractions(-a))  # the w < 0 side
+    half_j = _abel_half(t, a, _bracket_fractions(a))
+    half_k = _abel_half(-t, -a, _bracket_fractions(-a))  # the w < 0 side
     return pref * (rot_j * half_j - rot_k * half_k)
 
 
-def regularized_alternating_gamma_sum(
-    phi: float,
-    alpha_prime: float,
-    m_max: int = 2000,
-) -> complex:
+def regularized_alternating_gamma_sum(phi: float, alpha_prime: float) -> complex:
     """Abel-regularized sum of e^{i m phi} Gamma(1+m+a') Gamma(-m-a') over
     the modes with m + a' > 0.
 
@@ -358,11 +360,10 @@ def regularized_alternating_gamma_sum(
     side with the bracket set to 1 (Gamma(1+w) Gamma(-w) = w Gamma(w)
     Gamma(-w)), so the tail is the geometric one alone and exact. The
     regularized sum has the known closed form
-    -pi e^{-i(N+1/2)phi} / (2 sin(pi gamma) cos(phi/2)). ``m_max`` (an
-    integral value in [200, 10^4]) is the explicit cutoff, as in ``f1_series``.
+    -pi e^{-i(N+1/2)phi} / (2 sin(pi gamma) cos(phi/2)).
     """
-    t = _series_angle(phi, alpha_prime, m_max, "regularized_alternating_gamma_sum")
-    return _abel_half(t, alpha_prime, int(m_max), (1.0, ()))
+    t = _series_angle(phi, alpha_prime, "regularized_alternating_gamma_sum")
+    return _abel_half(t, alpha_prime, (1.0, ()))
 
 
 # =====================================================================
@@ -399,6 +400,11 @@ def g_fn(alpha_prime: float, phi: float) -> GValue:
     gamma -> 0 (the two 1/gamma terms combine), which is what produces the
     finite integer-flux limits of the cross section.
 
+    The mirror rule: G(alpha', phi) = G(-alpha', -phi), and x(-phi) = x*. So
+    an alpha' < 0 is built at (|alpha'|, x*), with the six F there, and G is
+    bitwise the same at both points of a mirror pair. ``GValue.x`` stays the
+    caller's x.
+
     Returns
     -------
     GValue
@@ -407,10 +413,11 @@ def g_fn(alpha_prime: float, phi: float) -> GValue:
     require_noninteger(alpha_prime, "g_fn: alpha'", PoleError)
     t = _check_away_from_pi(phi, _PI_MARGIN)
     a = float(alpha_prime)
-    gamma = flux_split(alpha_prime).gamma_part
-
-    x = 0.5 * (1.0 + 1j * math.tan(0.5 * t))
+    x0 = 0.5 * (1.0 + 1j * math.tan(0.5 * t))
+    # the mirror rule: G(a', phi) = G(-a', -phi) and x(-phi) = x*
+    a, x = (a, x0) if a > 0.0 else (-a, x0.conjugate())
     xc = x.conjugate()
+    gamma = flux_split(a).gamma_part
     e_plus = _cis_pi(gamma)
     e_minus = e_plus.conjugate()
 
@@ -429,7 +436,7 @@ def g_fn(alpha_prime: float, phi: float) -> GValue:
             + e_minus / (1.0 + gamma) * hyp2f1_11(2.0 + gamma, x)
         )
     )
-    return GValue(g=g, x=x)
+    return GValue(g=g, x=x0)
 
 
 def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
@@ -440,14 +447,17 @@ def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
 
     Must agree with the ``f1_series`` oracle; their independent code paths
     (gamma reflection sums vs contiguous-shifted 2F1 values) are
-    the main cross-validation of this module.
+    the main cross-validation of this module. The phase is one
+    ``specfun._cis_neg``, exact in the product (N + 1/2) phi, and with
+    ``g_fn``'s mirror rule f1 is bitwise invariant under
+    (phi, alpha') -> (-phi, -alpha').
     """
     t = _check_away_from_pi(phi, _PI_MARGIN)
     kernel = g_fn(alpha_prime, t)
     n = flux_split(alpha_prime).n_part
     hk2 = square(params.hbar * params.k)
     pref = (
-        1j * math.pi * hk2 * cmath.exp(-1j * (n + 0.5) * t)
+        1j * math.pi * hk2 * _cis_neg(n + 0.5, t)
         / (4.0 * math.cos(0.5 * t) * _sqrt_2pi_ik(params.k))
     )
     return _finite(pref * kernel.g, "f1_amp")
@@ -517,8 +527,8 @@ def dsigma(
 
     sin(pi gamma) = (-1)^N sin(pi alpha') is taken from alpha' itself by
     ``specfun._cis_pi``, not from the rounded gamma, so it keeps its relative
-    accuracy next to integer flux, and at beta = 0 the value is bitwise
-    invariant under (phi, alpha') -> (-phi, -alpha').
+    accuracy next to integer flux. With ``g_fn``'s mirror rule the value is
+    bitwise invariant under (phi, alpha') -> (-phi, -alpha') at every beta.
 
     A value past the double range (extreme hbar, k or beta) raises
     AccuracyError.

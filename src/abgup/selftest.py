@@ -20,7 +20,6 @@ from .core import PhysicalParams, commutator_residual_1d, flux_split, gup_bound
 from .core import minimal_length, momentum_map
 from .specfun import bessel_j, digamma, gamma_fn, hyp2f1_11
 
-_M_MAX = 600  # explicit modes per side of the Abel-regularized sums
 _PB = PhysicalParams(beta=0.01)
 _P0 = PhysicalParams(beta=0.0)
 _P_BOUND = PhysicalParams(beta=0.02)
@@ -58,13 +57,13 @@ def _constant_term_gap() -> float:
     return abs(radial.uv_pair(120.0, 0, 0.5, _PB)[1] - g2) / abs(g2)
 
 def _gamma_sum_error() -> float:
-    got = scattering.regularized_alternating_gamma_sum(math.pi / 3, 0.5, m_max=_M_MAX)
+    got = scattering.regularized_alternating_gamma_sum(math.pi / 3, 0.5)
     ref = -math.pi * cmath.exp(-0.5j * math.pi / 3) / (
         2.0 * math.sin(math.pi * 0.5) * math.cos(math.pi / 6))
     return abs(got - ref)
 
 def _series_gap(phi: float, a: float) -> float:
-    fs = scattering.f1_series(phi, a, _PB, m_max=_M_MAX)
+    fs = scattering.f1_series(phi, a, _PB)
     return abs(scattering.f1_amp(phi, a, _PB) - fs) / abs(fs)
 
 def _jump_identity() -> float:
@@ -152,8 +151,11 @@ CHECKS: list[tuple[str, Callable[[], float], float]] = [
      - _PB.beta * math.pi * abs(2.0 * math.cos(math.pi / 8) ** 2 - 1.0)), 1e-12),
     ("scattering: integer-flux zeros", lambda: _worst([scattering.dsigma(phi, float(n), _P0)
      for n in (1, 2, 3) for phi in (math.pi / 4, -math.pi / 2)]), 0.0),
-    ("scattering: flip symmetry", lambda: abs(scattering.f1_amp(math.pi / 3, 0.7, _PB)
-     - scattering.f1_amp(-math.pi / 3, -0.7, _PB)), 1e-10),
+    # exact: g_fn builds a negative flux at its mirror point (-phi, -alpha')
+    ("scattering: flip symmetry", lambda: _worst([
+        scattering.f1_amp(math.pi / 3, 0.7, _PB) - scattering.f1_amp(-math.pi / 3, -0.7, _PB),
+        scattering.dsigma(math.pi / 3, 0.7, _PB) - scattering.dsigma(-math.pi / 3, -0.7, _PB)]),
+     0.0),
     # exact: sin^2(pi alpha') / cos^2(phi/2) is even in both, next to integer flux too
     ("scattering: beta = 0 flip symmetry", lambda: _worst([
         scattering.dsigma(phi, a, _P0) - scattering.dsigma(-phi, -a, _P0)

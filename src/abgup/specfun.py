@@ -8,6 +8,9 @@ against quadrature stay genuinely two-route:
                     place a sine, cosine or phase of pi times a flux, an order
                     or an integer is formed, here and in ``scattering`` and
                     ``radial``.
+* ``_cis_neg``   -- e^{-i nu t} for nu = N or N + 1/2 and an angle t, from
+                    Dekker's error-free product: the one place ``scattering``
+                    forms a phase of an angle times a flux.
 * ``gamma_fn``   -- Lanczos approximation plus reflection.
 * ``log_gamma``  -- log form of the same approximation (positive arguments).
 * ``digamma``    -- recurrence into the asymptotic region plus Bernoulli tail.
@@ -75,6 +78,27 @@ def _cis_pi(x: float) -> complex:
     n = round(x)
     e = cmath.exp(1j * (math.pi * (x - n)))  # (cos, sin) of the real pi (x - n)
     return -e if n % 2 else e
+
+
+def _cis_neg(nu: float, t: float) -> complex:
+    """e^{-i nu t} for a flux-derived nu (N or N + 1/2) and a principal angle t.
+
+    The product p = nu t rounds, by up to ulp(p)/2, which is about 1 at
+    |N| = 2^52. Dekker's two-product (Numer. Math. 18, 1971) gives the exact
+    remainder e = nu t - p from Veltkamp's split, and the phase is
+    e^{-i p} e^{-i e}, so its error stays about 2e-16 however large |nu t|
+    grows (at most 2.1e-16 against mpmath over 3,000 seeded points with |N|
+    up to 2^52, where e^{-i p} alone read 0.94). A first-order
+    e^{-i p} (1 - i e) would not do: e reaches about 1 there. p and e both
+    negate exactly with nu, so e^{-i nu t} at (-nu, -t) is bitwise the value
+    at (nu, t). The split overflows past |nu| of about 1.3e300.
+    """
+    p = nu * t
+    cn, ct = 134217729.0 * nu, 134217729.0 * t  # Veltkamp's split at 2^27 + 1
+    nh, th = cn - (cn - nu), ct - (ct - t)
+    nl, tl = nu - nh, t - th
+    e = ((nh * th - p) + nh * tl + nl * th) + nl * tl
+    return cmath.exp(-1j * p) * cmath.exp(-1j * e)
 
 
 def _near_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -207,7 +231,7 @@ _ASYMPTOTIC_Z_MIN = 1000.0
 # The Hankel expansion runs only where also nu^2 <= z: its terms grow until
 # k ~ nu^2 / (2 z), and at z = 1000 it read 1.3e-9 at nu = 100.3 and 1.2 at 150.3
 # (in units of sqrt(2/(pi z))). Larger orders stay on Miller, up to this z, the
-# largest the radial layer asks for (``radial._PANEL_Z_MAX``).
+# one z cap of the package: the radial layer's degenerate-order panels end here too.
 _MILLER_Z_MAX = 1.0e4
 # The largest |nu| taken. Both order recurrences start from an integer that
 # grows with |nu| (Miller at floor(nu) + 20, the negative-order one ceil(-nu)

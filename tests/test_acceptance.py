@@ -123,7 +123,7 @@ def test_criterion_4_series_oracle(criterion):
     worst_at = None
     for a in GRID_ALPHA:
         for phi in GRID_PHI:
-            fs = f1_series(phi, a, params, m_max=2000)
+            fs = f1_series(phi, a, params)
             fa = f1_amp(phi, a, params)
             rel = abs(fa - fs) / abs(fs)
             if rel > worst:
@@ -132,7 +132,7 @@ def test_criterion_4_series_oracle(criterion):
     ok = worst < 1e-5 and elapsed < 60.0
     rec.check(
         ok,
-        f"5x8 grid, m_max=2000: worst relative gap {worst:.2e} at {worst_at} "
+        f"5x8 grid: worst relative gap {worst:.2e} at {worst_at} "
         f"(tol 1e-5); {elapsed:.1f} s (budget 60 s)",
     )
 

@@ -18,6 +18,7 @@ from abgup import (
     f1_integral,
     f2_integral,
     flux_split,
+    g2m,
     gup_bound,
     minimal_length,
     momentum_map,
@@ -253,10 +254,11 @@ _PB = PhysicalParams(beta=0.01)
         (lambda: f0_amp(0.5, 0.3, k=math.nan), DomainValidationError),
         (lambda: xi_coeffs(10**200, 0.3), AccuracyError),
         (lambda: xi_coeffs(10**400, 0.3), DomainValidationError),
+        (lambda: g2m(2.5, 0.3, _PB), DomainValidationError),
     ],
     ids=["bessel_nan", "bessel_minus_inf", "bessel_inf", "bessel_huge_order",
          "f1_nan", "f2_nan", "f1_inf", "width_half", "width_nan", "limits_half",
-         "limits_nan", "f0_k_nan", "xi_overflow", "xi_past_double"],
+         "limits_nan", "f0_k_nan", "xi_overflow", "xi_past_double", "g2m_half"],
 )
 def test_entry_points_raise_typed(call, error):
     with pytest.raises(error):

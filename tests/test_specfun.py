@@ -3,6 +3,8 @@ scipy (the quadrature backend, an independent implementation)."""
 
 import ast
 import cmath
+import functools
+import json
 import math
 import random
 import sys
@@ -146,6 +148,44 @@ class TestCisPi:
         # selftest's reference values are oracles and stay out of this scope
         source = (Path(specfun.__file__).parent / module).read_text()
         assert self._pi_phase_sites(source) == []
+
+
+class TestCisNeg:
+    """The one helper behind every phase e^{-i nu phi} of an angle times a
+    flux-derived nu."""
+
+    def test_against_mpmath_up_to_2_to_52(self):
+        # the rounded product nu t is off by up to ulp/2, about 1 at 2^52; the
+        # helper applies the exact remainder
+        rng = random.Random(22)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for _ in range(3000):
+                n = round(rng.choice((1.0, -1.0)) * 2.0 ** rng.uniform(0.0, 52.0))
+                nu = n + rng.choice((0.0, 0.5))
+                t = rng.uniform(-math.pi, math.pi)
+                got = specfun._cis_neg(nu, t)
+                ref = mpmath.expj(-mpmath.mpf(nu) * mpmath.mpf(t))
+                worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - ref)))
+        assert worst < 3e-16
+
+    def test_mirror_and_unit_order_are_bitwise(self):
+        # (nu, t) -> (-nu, -t) leaves both halves of the product unchanged, and
+        # at nu = -1 the product is exact, so q = -e^{it} keeps its old bits
+        rng = random.Random(23)
+        for _ in range(100_000):
+            t = rng.uniform(-math.pi, math.pi)
+            assert -specfun._cis_neg(-1.0, t) == -cmath.exp(1j * t), t
+        for nu in (0.5, 7.0, -3.5, 1e6 + 0.5, 2.0**51 + 0.5):
+            assert specfun._cis_neg(-nu, -1.3) == specfun._cis_neg(nu, 1.3)
+
+    def test_scattering_makes_no_cmath_exp_call(self):
+        source = (Path(specfun.__file__).parent / "scattering.py").read_text()
+        calls = [node.lineno for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name)
+                 and (node.func.value.id, node.func.attr) == ("cmath", "exp")]
+        assert calls == []
 
 
 class TestLogGamma:
@@ -564,6 +604,21 @@ class TestHypDirectMemo:
         assert _side_misses(_X_SIDES) == 1
 
 
+def _point_key(c: float, x: complex) -> tuple[str, str, str]:
+    """(c, x) as exact text, signed zeros kept."""
+    return repr(float(c)), repr(x.real), repr(x.imag)
+
+
+@functools.cache
+def _inverse_table() -> dict[tuple[str, str, str], mpmath.mpc]:
+    """The 50-digit mpmath values of tests/reference/hyp2f1_inverse.json, in
+    file order, keyed by ``_point_key``."""
+    path = Path(__file__).resolve().parent / "reference" / "hyp2f1_inverse.json"
+    with mpmath.workdps(50):
+        return {_point_key(c, complex(re, im)): mpmath.mpc(mpmath.mpf(f_re), mpmath.mpf(f_im))
+                for c, re, im, f_re, f_im in json.loads(path.read_text())["points"]}
+
+
 def _mp_rel_err(value: complex, c: float, x: complex) -> float:
     with mpmath.workdps(50):
         ref = mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(x.real, x.imag))
@@ -638,8 +693,23 @@ class TestHyp2f1Branches:
 
     @pytest.mark.parametrize("c", _CS)
     def test_inverse_series_against_mpmath(self, c):
-        worst = max(_mp_rel_err(hyp2f1_11(c, x), c, x) for x in self._inverse_args())
+        # mpmath's 50-digit values, from the table tests/reference/hyp2f1_inverse.py writes
+        table = _inverse_table()
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x in self._inverse_args():
+                got, ref = hyp2f1_11(c, x), table[_point_key(c, x)]
+                worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)))
         assert worst < self._BOUND
+
+    def test_inverse_table_matches_points_and_mpmath(self):
+        table = _inverse_table()
+        assert list(table) == [_point_key(c, x) for c in self._CS for x in self._inverse_args()]
+        with mpmath.workdps(50):
+            for key in random.Random(21).sample(sorted(table), 8):
+                c, re, im = (float(v) for v in key)
+                ref = mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(re, im))
+                assert abs(table[key] - ref) <= 1e-45 * abs(ref), key
 
     @pytest.mark.parametrize("c", [2.5, 0.3])
     def test_found_points(self, c):
