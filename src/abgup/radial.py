@@ -41,8 +41,7 @@ from .core import (
     require_noninteger,
     square,
 )
-from .specfun import _MILLER_Z_MAX, _bessel_negative, _cis_pi, bessel_j, digamma
-from .specfun import log_gamma, pfq_series
+from .specfun import _MILLER_Z_MAX, _bessel_negative, _cis_pi, bessel_j, digamma, pfq_series
 
 _DEGENERATE_TOL = 1e-9
 _ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature continuation above
@@ -102,10 +101,11 @@ def xi_coeffs(m: int, alpha_prime: float) -> XiSet:
 
 
 def _order_of(m: int, alpha_prime: float) -> float:
+    """nu = |m + alpha'|, for a finite integral m and a finite alpha'."""
     a = float(alpha_prime)
     if not math.isfinite(a):
         raise DomainValidationError(f"alpha_prime must be finite, got {a}")
-    return abs(int(m) + a)
+    return abs(require_integral(m, "m") + a)
 
 
 # =====================================================================
@@ -129,19 +129,15 @@ def _f1_equal_series(z: float, mu: float) -> float:
     the parameter collision the equivalent 2F3 suffers at negative
     half-integer mu (where an upper and a lower parameter vanish together).
     The rising factorial (mu+1)_k = Gamma(mu+k+1) / Gamma(mu+1) is a running
-    product, and the one seed S is formed in logs with ``log_gamma``, by the
-    reflection Gamma(mu+1) Gamma(-mu) = pi / sin(pi (mu+1)) for mu <= -1, so
-    no Gamma of the order is formed and large |mu| stays finite. The sum
+    product, and the one seed S is formed in logs from ``math.lgamma``, which
+    gives log|Gamma(mu+1)| for every non-integer mu, mu <= -1 included, so no
+    Gamma of the order is formed and large |mu| stays finite. The sum
     stops once two successive terms fall below 1e-17 of the partial sum; a
     seed that underflows to 0 returns 0.
     """
     zz = float(z)
-    if mu > -1.0:
-        log_g = log_gamma(mu + 1.0)
-    else:
-        log_g = math.log(math.pi / abs(_cis_pi(mu).imag)) - log_gamma(-mu)
     try:
-        seed = math.exp(2.0 * (mu * math.log(0.5 * zz) - log_g))
+        seed = math.exp(2.0 * (mu * math.log(0.5 * zz) - math.lgamma(mu + 1.0)))
     except OverflowError:
         raise AccuracyError(f"equal-order F1 at mu = {mu} overflows a double at z = {zz}") from None
     q = 0.25 * zz * zz
@@ -197,6 +193,15 @@ def _f1_opposite_series(z: float, mubar: float) -> float:
     return head * tail.real + math.log(zz) * sinc
 
 
+def _finite(value, what: str):
+    """``value``, a float or an array, or AccuracyError where it is past the
+    double range (near-degenerate orders at a huge z, or a tiny order in a
+    recurrence's denominator)."""
+    if not np.all(np.isfinite(value)):
+        raise AccuracyError(f"{what} is past the double range on this z range")
+    return value
+
+
 class _BesselTable:
     """J at any order on one fixed point set, each order evaluated once.
 
@@ -236,8 +241,8 @@ class _PanelPlan:
 
     def __init__(self, z):
         flat = np.asarray(z, dtype=float).ravel()
-        if not np.all(np.isfinite(flat)):
-            raise DomainValidationError("f1_integral needs finite z")
+        if not np.all((flat > 0.0) & (flat < math.inf)):  # also nan
+            raise DomainValidationError("F1 of degenerate orders needs finite z > 0")
         self.order = np.argsort(flat, kind="stable")
         self.zs = zs = flat[self.order]
         if zs[-1] > _MILLER_Z_MAX:
@@ -349,7 +354,8 @@ class _F1Grid:
         jm1 = self.on_z(mu + 1.0)
         jn = self.on_z(nu)
         jn1 = self.on_z(nu + 1.0)
-        return -self.z / (mu * mu - nu * nu) * (jm1 * jn - jm * jn1) + jm * jn / (mu + nu)
+        f1 = -self.z / (mu * mu - nu * nu) * (jm1 * jn - jm * jn1) + jm * jn / (mu + nu)
+        return _finite(f1, f"F1 at orders {mu}, {nu}")
 
     def _degenerate(self, mu: float, nu: float, series_fn):
         """Series anchor ``series_fn(z, mu)`` at the smallest z, then the
@@ -381,7 +387,8 @@ def f1_integral(z, mu: float, nu: float):
     mu, nu : float
         Bessel orders, finite. The pair may be generic, equal, or opposite; order
         pairs that are merely *near* degenerate (0 < |mu^2 - nu^2| < ~1e-3)
-        lose accuracy in the generic formula and should be avoided.
+        lose accuracy in the generic formula and should be avoided; where it
+        overflows (such a pair at a huge z) it raises AccuracyError.
         Equal orders within 1e-6 of a negative integer, but not on it,
         raise SingularConfigError.
 
@@ -427,7 +434,7 @@ def f2_integral(z, mu: float, nu: float):
     if nu == 0.0:
         raise DomainValidationError("f2_integral recurrence needs nu != 0")
     f1 = _F1Grid(z).f1
-    return (f1(mu, nu - 1.0) + f1(mu, nu + 1.0)) / (2.0 * nu)
+    return _finite((f1(mu, nu - 1.0) + f1(mu, nu + 1.0)) / (2.0 * nu), "f2_integral")
 
 
 def f3_integral(z, mu: float, nu: float):
@@ -447,7 +454,7 @@ def f3_integral(z, mu: float, nu: float):
         + f1(mu + 1.0, nu - 1.0)
         + f1(mu + 1.0, nu + 1.0)
     )
-    return acc / (4.0 * mu * nu)
+    return _finite(acc / (4.0 * mu * nu), "f3_integral")
 
 
 def fn_quadrature(
@@ -470,12 +477,13 @@ def fn_quadrature(
     n : int
         Power of 1/t in the integrand (1, 2 or 3 in practice).
     z : float
-        Upper limit, > lower_cutoff.
+        Upper limit, > lower_cutoff and at most 1e4, the z cap of the closed
+        forms: the range is taken in chunks of 20.
     mu, nu : float
-        Bessel orders.
+        Bessel orders, finite.
     lower_cutoff : float
-        Lower limit. Must be > 0 when mu + nu - n <= -1, where the integral
-        from 0 diverges.
+        Lower limit, >= 0. Must be > 0 when mu + nu - n <= -1, where the
+        integral from 0 diverges.
 
     Returns
     -------
@@ -484,24 +492,27 @@ def fn_quadrature(
     Raises
     ------
     DomainValidationError
-        If the integral diverges at the origin and no positive cutoff was
-        supplied.
+        If an argument is outside the ranges above (a non-finite one
+        included), or the integral diverges at the origin and no positive
+        cutoff was supplied.
     AccuracyError
         If the accumulated quadrature error estimate exceeds the absolute
-        tolerance 1e-10 by more than an order of magnitude.
+        tolerance 1e-10 by more than an order of magnitude, or the value or
+        the estimate is not finite (J of a large negative order overflows).
     """
-    n = int(n)
+    n = require_integral(n, "fn_quadrature: n")
     z = float(z)
     a = float(lower_cutoff)
-    if z <= a:
-        raise DomainValidationError(f"fn_quadrature needs z > lower_cutoff, got {z} <= {a}")
+    if not (0.0 <= a < z <= _MILLER_Z_MAX and math.isfinite(mu) and math.isfinite(nu)):
+        raise DomainValidationError(
+            f"fn_quadrature needs 0 <= lower_cutoff < z <= {_MILLER_Z_MAX:g} and finite "
+            f"orders, got lower_cutoff = {a}, z = {z}, mu = {mu}, nu = {nu}"
+        )
     if a == 0.0 and (mu + nu - n) <= -1.0:
         raise DomainValidationError(
             f"integral of J_{mu} J_{nu} / t^{n} diverges at 0 "
             "(mu + nu - n <= -1); pass a positive lower_cutoff"
         )
-    if a < 0.0:
-        raise DomainValidationError("lower_cutoff must be >= 0")
 
     from scipy import integrate, special
 
@@ -523,9 +534,10 @@ def fn_quadrature(
         )
         total += val
         err_total += err
-    if err_total > 10.0 * _QUAD_TOL * (1.0 + abs(total)):
+    if not (math.isfinite(total) and err_total <= 10.0 * _QUAD_TOL * (1.0 + abs(total))):
         raise AccuracyError(
-            f"fn_quadrature error estimate {err_total:.2e} exceeds tolerance {_QUAD_TOL:.2e}"
+            f"fn_quadrature value {total:.2e} or its error estimate {err_total:.2e} exceeds "
+            f"the double range or the tolerance {_QUAD_TOL:.2e}"
         )
     return total, err_total
 
@@ -702,7 +714,10 @@ def radial_mode(m: int, alpha_prime: float, params: PhysicalParams) -> RadialMod
 
 
 def mode_f0(z, m: int, alpha_prime: float):
-    """Zeroth-order mode profile: A_m J_nu(z) with A_m = (-i)^nu."""
+    """Zeroth-order mode profile: A_m J_nu(z) with A_m = (-i)^nu.
+
+    m must be a finite integral value and alpha' finite (DomainValidationError
+    otherwise)."""
     nu = _order_of(m, alpha_prime)
     return _mode_prefactor(nu) * bessel_j(nu, z)
 
@@ -773,8 +788,9 @@ def ode_residual(
     z : ndarray
         Uniform grid (spacing inferred; non-uniform grids are rejected).
     values : ndarray
-        Samples of the mode being checked.
-    m, alpha_prime : mode labels.
+        Samples of the mode being checked, finite.
+    m, alpha_prime : mode labels, m a finite integral value and alpha'
+        finite (DomainValidationError otherwise).
     k : float
         Wave number.
     which : {"S1_zero", "S1_source"}
@@ -789,12 +805,15 @@ def ode_residual(
         max |residual| / max(sum of operator-term magnitudes) over interior
         points. Normalising by the operator scale makes the result invariant
         under the (arbitrary) mode normalisation and converges as O(h^2):
-        halving the spacing divides it by ~4.
+        halving the spacing divides it by ~4. Where the operator's terms
+        overflow a double (a huge |m + a'|), AccuracyError.
     """
     z = np.asarray(z, dtype=float)
     vals = np.asarray(values, dtype=complex)
     if z.ndim != 1 or z.shape != vals.shape or z.size < 5:
         raise DomainValidationError("ode_residual needs matching 1-d arrays, >= 5 samples")
+    if not np.all(np.isfinite(vals)):
+        raise DomainValidationError("ode_residual needs finite samples")
     steps = np.diff(z)
     h = steps[0]
     if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
@@ -804,7 +823,7 @@ def ode_residual(
     if which not in ("S1_zero", "S1_source"):
         raise DomainValidationError(f"unknown equation selector {which!r}")
 
-    w = float(m) + float(alpha_prime)
+    w = _order_of(m, alpha_prime)  # |m + a'|; only w^2 enters
     k2 = float(k) ** 2
     zi = z[1:-1]
     vi = vals[1:-1]
@@ -821,10 +840,10 @@ def ode_residual(
         if source_values is None:
             raise DomainValidationError("S1_source needs source_values (f0 samples)")
         s0 = np.asarray(source_values, dtype=complex)
-        if s0.shape != vals.shape:
-            raise DomainValidationError("source_values must match the grid")
+        if s0.shape != vals.shape or not np.all(np.isfinite(s0)):
+            raise DomainValidationError("source_values must be finite and match the grid")
         coeffs = xi_coeffs(m, alpha_prime)
-        eta = coeffs.xi_plus - 2.0 * coeffs.xi * (1.0 + _order_of(m, alpha_prime))
+        eta = coeffs.xi_plus - 2.0 * coeffs.xi * (1.0 + w)
         s0i = s0[1:-1]
         s0p = _central_d1(s0, h)
         source = (
@@ -840,6 +859,8 @@ def ode_residual(
         scale_terms = scale_terms + np.abs(source)
 
     scale = float(np.max(scale_terms))
+    if not scale < math.inf:  # also nan
+        raise AccuracyError(f"ode_residual overflows a double at m = {m}, alpha' = {alpha_prime}")
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(resid)) / scale)

@@ -1,8 +1,9 @@
-"""Scalar special functions built from scratch on top of numpy.
+"""Scalar special functions on top of numpy and ``math``.
 
 Everything the closed-form amplitude/radial paths need is implemented here
-by hand so that comparisons against library routines (scipy, mpmath) and
-against quadrature stay genuinely two-route:
+by hand, Gamma and log-Gamma aside, which come from ``math``. Neither is an
+oracle, so comparisons against library routines (scipy, mpmath) and against
+quadrature stay genuinely two-route:
 
 * ``_cis_pi``    -- e^{i pi x} from the exact remainder x - round(x); the one
                     place a sine, cosine or phase of pi times a flux, an order
@@ -11,8 +12,9 @@ against quadrature stay genuinely two-route:
 * ``_cis_neg``   -- e^{-i nu t} for nu = N or N + 1/2 and an angle t, from
                     Dekker's error-free product: the one place ``scattering``
                     forms a phase of an angle times a flux.
-* ``gamma_fn``   -- Lanczos approximation plus reflection.
-* ``log_gamma``  -- log form of the same approximation (positive arguments).
+* ``gamma_fn``   -- ``math.gamma`` with typed errors at the poles and wherever
+                    |Gamma(x)| is not a normal double.
+* ``log_gamma``  -- ``math.lgamma`` for finite x > 0, with a typed overflow.
 * ``digamma``    -- recurrence into the asymptotic region plus Bernoulli tail.
 * ``bessel_j``   -- J_nu for real order and z >= 0, vectorised over z, with an
                     ascending series / backward-recurrence / asymptotic split;
@@ -22,7 +24,8 @@ against quadrature stay genuinely two-route:
                     from its own cached rows.
 * ``hyp2f1_11``  -- 2F1(1, 1; c; x) via the power series (|x| <= 0.7),
                     Euler's integral on a fixed tanh-sinh rule (|x| > 0.7,
-                    c <= 60), and a contiguous downshift in c, all in the
+                    c <= 60), the connection to 1 - x next to x = 1 away
+                    from integer c, and a contiguous downshift in c, all in the
                     closed upper half-plane: a lower-half x is mapped to x*
                     at the entry and its value conjugated once. Each direct
                     evaluation is one dot product of a vector of c alone with
@@ -41,6 +44,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -49,23 +53,6 @@ from .core import AccuracyError, DomainValidationError, PoleError
 # =====================================================================
 # Gamma and friends
 # =====================================================================
-
-# Lanczos g = 7, 9-term coefficient set (double-precision classic).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 def _cis_pi(x: float) -> complex:
     """e^{i pi x} for finite real x, with sin(pi x) as its ``.imag``.
@@ -108,35 +95,9 @@ def _near_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return r <= 0 and abs(x - r) < tol
 
 
-def _lanczos_sum(x: float) -> float:
-    """The rational Lanczos series shared by ``gamma_fn`` and ``log_gamma``."""
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (x - 1.0 + i)
-    return acc
-
-
-def _lanczos_core(x: float) -> float:
-    """Gamma(x) for x >= 0.5 via the Lanczos sum.
-
-    The power and exponential are combined into one exp() so arguments up to
-    the overflow edge of Gamma itself (x ~ 171.6) stay representable. Beyond
-    it the value overflows a double, which raises DomainValidationError.
-    """
-    t = x - 0.5 + _LANCZOS_G
-    try:
-        g = _SQRT_2PI * _lanczos_sum(x) * math.exp((x - 0.5) * math.log(t) - t)
-    except OverflowError:
-        g = math.inf
-    if g == math.inf:
-        raise DomainValidationError(
-            f"Gamma({x}) overflows a double; gamma_fn needs about -170.6 < x < 171.6"
-        )
-    return g
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma function for real argument.
+    """Gamma function for real argument: ``math.gamma`` behind the package's
+    domain rule.
 
     Parameters
     ----------
@@ -152,32 +113,48 @@ def gamma_fn(x: float) -> float:
     PoleError
         If x is within 1e-12 of a non-positive integer.
     DomainValidationError
-        If x is not finite, or if Gamma(x) (x >= 0.5) or the reflection's
-        Gamma(1 - x) (x < 0.5) overflows a double: x above about 171.6 or
-        below about -170.6.
+        If x is not finite, or if |Gamma(x)| is not a normal double. It
+        overflows past x of about 171.62, and it falls below 2.2e-308 for x
+        below about -170.58, apart from windows next to the poles that narrow
+        from 0.05 wide at -171 to 2e-13 at -176.
+
+    Notes
+    -----
+    ``math`` is neither oracle (scipy, mpmath), so every closed form built on
+    Gamma keeps its independent check. Against mpmath at 40 digits, over
+    3,000 seeded points in [-170, 171.6] off the poles, it reads at most
+    7.5e-16 relative.
     """
     x = float(x)
     if not math.isfinite(x):
         raise DomainValidationError(f"gamma_fn argument must be finite, got {x}")
     if _near_nonpositive_integer(x):
         raise PoleError(f"gamma_fn pole at non-positive integer, x = {x}")
-    if x >= 0.5:
-        return _lanczos_core(x)
-    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    return math.pi / (_cis_pi(x).imag * _lanczos_core(1.0 - x))
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        g = math.inf
+    if not sys.float_info.min <= abs(g) < math.inf:
+        raise DomainValidationError(f"Gamma({x}) overflows a double or is below its normal range")
+    return g
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0 (no reflection branch needed)."""
+    """Natural log of Gamma(x) for finite x > 0: ``math.lgamma`` behind the
+    package's domain rule.
+
+    Raises DomainValidationError for x that is not finite and positive, and
+    past x of about 2.6e305, where log Gamma(x) overflows a double. Against
+    mpmath at 40 digits, over two seeded sets of 3,300 points in (0, 300] it
+    reads at most 1.1e-15 times max(1, |log Gamma(x)|).
+    """
     x = float(x)
-    if not (x > 0.0):
-        raise DomainValidationError(f"log_gamma needs x > 0, got {x}")
-    if x >= 0.5:
-        acc = _lanczos_sum(x)
-        t = x - 0.5 + _LANCZOS_G
-        return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(acc)
-    # Small positive x: shift up once; Gamma(x) = Gamma(x+1)/x.
-    return log_gamma(x + 1.0) - math.log(x)
+    if not 0.0 < x < math.inf:
+        raise DomainValidationError(f"log_gamma needs finite x > 0, got {x}")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainValidationError(f"log Gamma({x}) overflows a double") from None
 
 
 # Asymptotic digamma tail coefficients: psi(x) ~ ln x - 1/(2x) - sum c_n / x^(2n)
@@ -582,6 +559,16 @@ _POLE_GATE_BEHIND = 0.05
 # t = 0, which the fixed nodes resolve less well, worst where the pole lies
 # just behind t = 0 outside _POLE_GATE_BEHIND (|x| near 20, Re x < 0).
 _EULER_MAX_C = 60.0
+# Next to x = 1 the rule loses digits at non-integer c below about 2.5 (the
+# pole 1/x sits just past the end t = 1 of the integral): 8e-14 at |1 - x| =
+# 1e-4, 1.2e-9 at 1e-6 and 2.1e-7 at 1e-8. ``_hyp_near_one`` takes over where
+# |1 - x| < _ONE_RADIUS and also |1 - x| < _ONE_GAP d^2, d the distance of c
+# from the nearest integer: next to an integer its two terms cancel, to about
+# 3e-17 / d, while the rule there loses about 1e-15 d / |1 - x|, so the two
+# meet at d = 0.1 sqrt|1 - x| (1e-5 at |1 - x| = 1e-8). d > 1e-10 as well,
+# so that 3 - c stays clear of hyp2f1_11's pole guard.
+_ONE_RADIUS = 1e-3
+_ONE_GAP = 100.0
 
 
 @functools.lru_cache(maxsize=_SIDE_MEMO_SIZE)
@@ -665,6 +652,28 @@ def _hyp_direct(c: float, x: complex) -> complex:
     return f
 
 
+def _hyp_near_one(c: float, x: complex) -> complex:
+    """F(1, 1; c; x) next to x = 1 from F(1, 1; 3 - c; 1 - x), by DLMF 15.8.4
+    at a = b = 1, whose second function F(c - 1, c - 1; c - 1; 1 - x) is
+    x^(1 - c):
+
+        F(1, 1; c; x) = (c - 1)/(c - 2) F(1, 1; 3 - c; 1 - x)
+                        + Gamma(c) Gamma(2 - c) x^(1 - c) (1 - x)^(c - 2),
+
+    with Gamma(c) Gamma(2 - c) = pi (1 - c) / sin(pi c) and the sine from
+    ``_cis_pi``. The inner F sits next to 0, on the power series. A value
+    past the double range (at c < 1, as x -> 1) raises DomainValidationError.
+    """
+    try:
+        f = ((c - 1.0) / (c - 2.0) * hyp2f1_11(3.0 - c, 1.0 - x)
+             + math.pi * (1.0 - c) / _cis_pi(c).imag * x ** (1.0 - c) * (1.0 - x) ** (c - 2.0))
+    except OverflowError:
+        f = complex(math.inf)
+    if not cmath.isfinite(f):
+        raise DomainValidationError(f"hyp2f1_11({c}, {x}) overflows a double next to x = 1")
+    return f
+
+
 def hyp2f1_11(c: float, x) -> complex:
     """Gauss hypergeometric 2F1(1, 1; c; x) for real c and complex x.
 
@@ -684,7 +693,8 @@ def hyp2f1_11(c: float, x) -> complex:
     DomainValidationError
         If c or x is not finite, x lies on the branch cut, or |x| exceeds
         2^1022 (about 4.5e307), beyond which 1/x, the pole of Euler's
-        integral, is no longer a normal double.
+        integral, is no longer a normal double; or if the value is past the
+        double range, as it is at c < 1 where x nears 1 closely enough.
     PoleError
         If c is within 1e-10 of a non-positive integer.
     AccuracyError
@@ -714,9 +724,20 @@ def hyp2f1_11(c: float, x) -> complex:
     over 1,000 seeded points with |x| from 0.75 to 50 it reads at most
     2.5e-14 at c = 60 and 1.9e-13 at c = 100, and 6.7e-14 at c = 60 next to
     the pole gate behind t = 0 (|x| near 20, Re x < 0). So the rule takes
-    c <= 60 only. The error also grows next to x = 1 on the real axis at
-    non-integer c < 2.5 (1e-9 at x = 0.999999, c = 1.5), where the pole sits
-    just past the end t = 1 of the integral.
+    c <= 60 only.
+
+    Next to x = 1 the rule loses digits at non-integer c below about 2.5,
+    because the pole 1/x sits just past the end t = 1 of the integral. Where
+    |1 - x| < 1e-3 and c (at most 60) lies more than 0.1 sqrt|1 - x| from
+    every integer, the value comes instead from the connection to 1 - x
+    (DLMF 15.8.4, see ``_hyp_near_one``), taken at c itself, so c < 1.5
+    goes through no anchor there. Against mpmath, with |1 - x| from 1e-2 to
+    1e-8 on the real axis, 1e-9 off it and past Re x = 1, and c from 0.3 to
+    6 and within 1e-6 of 2 and 3, it reads at most 2.5e-15 down to
+    |1 - x| = 1e-6, 1.4e-14 at 1e-7 and 1.1e-13 at 1e-8 (the rule alone read
+    1.2e-9 at 1e-6 and 2.1e-7 at 1e-8). The worst sits next to c = 2, on
+    either side of the switch: 1.3e-12 at |1 - x| = 1e-8, 1.6e-13 at 1e-6,
+    growing like |1 - x|^(-1/2) as x nears 1 closer still.
 
     For c < 1.5 the value is reached by the first-order contiguous
     relation c (1 - x) F(c) = c - (c - 1) x F(c + 1), which is Gauss's
@@ -748,7 +769,12 @@ def hyp2f1_11(c: float, x) -> complex:
     lower = math.copysign(1.0, x.imag) < 0.0
     if lower:
         x = x.conjugate()
-    if c >= _MIN_DIRECT_C:
+    # Re x first: the one test that every x far from 1 takes
+    if (abs(x.real - 1.0) < _ONE_RADIUS and c <= _EULER_MAX_C
+            and 1e-10 < (d := abs(c - round(c)))
+            and abs(1.0 - x) < min(_ONE_RADIUS, _ONE_GAP * d * d)):
+        f = _hyp_near_one(c, x)
+    elif c >= _MIN_DIRECT_C:
         f = _hyp_direct(c, x)
     else:
         shift = int(math.ceil(_MIN_DIRECT_C - c))
@@ -788,12 +814,14 @@ def pfq_series(a_list, b_list, z) -> complex:
 
     Raises
     ------
+    DomainValidationError
+        If a parameter or z is not finite.
     PoleError
         If a lower-parameter Pochhammer factor hits zero before the series
         terminates through an upper parameter.
     AccuracyError
         If the terms have not fallen below the stopping threshold within
-        ``_PFQ_MAX_TERMS`` terms.
+        ``_PFQ_MAX_TERMS`` terms, or the sum overflows a double.
 
     Notes
     -----
@@ -805,6 +833,10 @@ def pfq_series(a_list, b_list, z) -> complex:
     a = [float(v) for v in a_list]
     b = [float(v) for v in b_list]
     z = complex(z)
+    if not (all(map(math.isfinite, a + b)) and cmath.isfinite(z)):
+        raise DomainValidationError(
+            f"pfq_series needs finite parameters and z (a={a}, b={b}, z={z})"
+        )
     term = 1.0 + 0.0j
     acc = 1.0 + 0.0j
     small_streak = 0
@@ -813,7 +845,7 @@ def pfq_series(a_list, b_list, z) -> complex:
         for ai in a:
             num *= ai + n
         if num == 0.0:
-            return acc  # series terminated exactly
+            break  # series terminated exactly
         den = 1.0
         for bi in b:
             den *= bi + n
@@ -826,9 +858,13 @@ def pfq_series(a_list, b_list, z) -> complex:
         if abs(term) <= 1e-17 * (1.0 + abs(acc)):
             small_streak += 1
             if small_streak >= 2:
-                return acc
+                break
         else:
             small_streak = 0
-    raise AccuracyError(
-        f"pfq_series did not converge in {_PFQ_MAX_TERMS} terms (a={a}, b={b}, z={z})"
-    )
+    else:
+        raise AccuracyError(
+            f"pfq_series did not converge in {_PFQ_MAX_TERMS} terms (a={a}, b={b}, z={z})"
+        )
+    if not cmath.isfinite(acc):
+        raise AccuracyError(f"pfq_series overflows a double (a={a}, b={b}, z={z})")
+    return acc

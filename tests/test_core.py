@@ -1,27 +1,50 @@
-"""Parameter container, flux split, uncertainty bound, momentum map and
-discrete commutator residual."""
+"""Parameter container, flux split, uncertainty bound, momentum map,
+discrete commutator residual, and the typed errors of the library's numeric
+entry points."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import abgup
 from abgup import (
     AccuracyError,
     DomainValidationError,
     PhysicalParams,
     bessel_j,
     commutator_residual_1d,
+    digamma,
+    dsigma,
     dsigma_integer_limits,
     f0_amp,
+    f1_amp,
     f1_integral,
+    f1_series,
     f2_integral,
+    f3_integral,
     flux_split,
+    fn_quadrature,
+    g1_g2,
     g2m,
+    g_fn,
+    gamma_fn,
     gup_bound,
+    hyp2f1_11,
+    log_gamma,
     minimal_length,
+    mode_f0,
+    mode_f1,
     momentum_map,
+    ode_residual,
+    pfq_series,
+    radial_mode,
+    regularized_alternating_gamma_sum,
+    scatter_sample,
+    symmetry_probe,
+    uv_pair,
     width,
     xi_coeffs,
 )
@@ -233,10 +256,12 @@ class TestCommutatorResidual:
 # =====================================================================
 
 _PB = PhysicalParams(beta=0.01)
+_Z = np.linspace(1.0, 2.0, 11)
 
 
-# each of these returned nan, truncated 2.5 to 2, or raised an untyped
-# ValueError or OverflowError
+# each of these returned nan, truncated 2.5 to 2 (mode_f0 returned its m = 2
+# values, ode_residual used w = 2.8), or raised an untyped ValueError or
+# OverflowError
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -255,11 +280,119 @@ _PB = PhysicalParams(beta=0.01)
         (lambda: xi_coeffs(10**200, 0.3), AccuracyError),
         (lambda: xi_coeffs(10**400, 0.3), DomainValidationError),
         (lambda: g2m(2.5, 0.3, _PB), DomainValidationError),
+        (lambda: mode_f0(1.0, 2.5, 0.3), DomainValidationError),
+        (lambda: mode_f0(1.0, math.nan, 0.3), DomainValidationError),
+        (lambda: mode_f0(1.0, math.inf, 0.3), DomainValidationError),
+        (lambda: g1_g2(math.nan, 0.3, _PB), DomainValidationError),
+        (lambda: ode_residual(_Z, np.cos(_Z), 2.5, 0.3, 1.0), DomainValidationError),
+        (lambda: ode_residual(_Z, np.cos(_Z), math.nan, 0.3, 1.0), DomainValidationError),
+        # these returned inf or nan, or raised an untyped ValueError
+        (lambda: ode_residual(_Z, np.full(11, np.nan), 2, 0.3, 1.0), DomainValidationError),
+        (lambda: ode_residual(_Z, np.cos(_Z), 1e300, 0.0, 1.0), AccuracyError),
+        (lambda: f1_integral(1e300, 5.96e-8, 0.0), AccuracyError),
+        (lambda: f2_integral(5.0, 1.000000001 + 1e-310, 1e-310), AccuracyError),
+        (lambda: f3_integral(5.0, 5.96e-8 + 1e-310, 1e-310), AccuracyError),
+        (lambda: f1_integral(0.0, 0.3, 0.3), DomainValidationError),
+        (lambda: pfq_series([1.0, -50.0], [0.5], math.nan), DomainValidationError),
+        (lambda: pfq_series([1.0, -50.0], [0.5], 1e300), AccuracyError),
+        (lambda: fn_quadrature(1, math.nan, 0.3, 1.3), DomainValidationError),
+        (lambda: fn_quadrature(1, 1.0, -76.5, -75.5, 0.5), AccuracyError),
     ],
     ids=["bessel_nan", "bessel_minus_inf", "bessel_inf", "bessel_huge_order",
          "f1_nan", "f2_nan", "f1_inf", "width_half", "width_nan", "limits_half",
-         "limits_nan", "f0_k_nan", "xi_overflow", "xi_past_double", "g2m_half"],
+         "limits_nan", "f0_k_nan", "xi_overflow", "xi_past_double", "g2m_half",
+         "mode_f0_half", "mode_f0_nan", "mode_f0_inf", "g1_g2_nan", "ode_residual_half",
+         "ode_residual_nan", "ode_residual_nan_samples", "ode_residual_huge_m",
+         "f1_near_degenerate_huge_z", "f2_tiny_order", "f3_tiny_order", "f1_equal_at_zero",
+         "pfq_nan", "pfq_overflow", "quadrature_nan", "quadrature_overflow"],
 )
 def test_entry_points_raise_typed(call, error):
     with pytest.raises(error):
         call()
+
+
+# =====================================================================
+# Drawn arguments at every numeric entry point
+# =====================================================================
+
+# The numeric entry points of specfun, radial and scattering, each called with
+# drawn (params, alpha', m, phi); a radius is z = |phi|, an order m + alpha'.
+_ENTRY_POINTS = {
+    "gamma_fn": lambda p, a, m, phi: gamma_fn(a),
+    "log_gamma": lambda p, a, m, phi: log_gamma(a),
+    "digamma": lambda p, a, m, phi: digamma(a),
+    "bessel_j": lambda p, a, m, phi: bessel_j(m + a, abs(phi)),
+    # x = (1 - phi) + i phi: next to x = 1 for small phi, on the cut at phi = 0
+    "hyp2f1_11": lambda p, a, m, phi: hyp2f1_11(a, complex(1.0 - phi, phi)),
+    # the 3F4 of the opposite-order F1 series
+    "pfq_series": lambda p, a, m, phi: pfq_series([1.0, 1.0, 1.5], [2.0 - a, 2.0 + a, 2.0, 2.0],
+                                                  -phi * phi),
+    "xi_coeffs": lambda p, a, m, phi: xi_coeffs(m, a),
+    "f1_integral": lambda p, a, m, phi: f1_integral(abs(phi), m + a, a),
+    "f2_integral": lambda p, a, m, phi: f2_integral(abs(phi), m + a, a),
+    "f3_integral": lambda p, a, m, phi: f3_integral(abs(phi), m + a, a),
+    "fn_quadrature": lambda p, a, m, phi: fn_quadrature(1, abs(phi), m + a, a, 0.5),
+    "g1_g2": lambda p, a, m, phi: g1_g2(m, a, p),
+    "mode_f0": lambda p, a, m, phi: mode_f0(abs(phi), m, a),
+    "mode_f1": lambda p, a, m, phi: mode_f1(abs(phi), m, a, p),
+    "ode_residual": lambda p, a, m, phi: ode_residual(_Z, np.cos(phi * _Z), m, a, p.k),
+    "radial_mode": lambda p, a, m, phi: radial_mode(m, a, p),
+    "uv_pair": lambda p, a, m, phi: uv_pair(abs(phi), m, a, p),
+    "dsigma": lambda p, a, m, phi: dsigma(phi, a, p),
+    "dsigma_integer_limits": lambda p, a, m, phi: dsigma_integer_limits(m, phi, p),
+    "f0_amp": lambda p, a, m, phi: f0_amp(phi, a, p.k),
+    "f1_amp": lambda p, a, m, phi: f1_amp(phi, a, p),
+    "f1_series": lambda p, a, m, phi: f1_series(phi, a, p),
+    "g2m": lambda p, a, m, phi: g2m(m, a, p),
+    "g_fn": lambda p, a, m, phi: g_fn(a, phi),
+    "regularized_alternating_gamma_sum": lambda p, a, m, phi: regularized_alternating_gamma_sum(
+        phi, a),
+    "scatter_sample": lambda p, a, m, phi: scatter_sample(phi, a, p),
+    "symmetry_probe": lambda p, a, m, phi: symmetry_probe(a, phi, p),
+    "width": lambda p, a, m, phi: width(m, phi, p),
+}
+
+_PARAMS = st.builds(
+    PhysicalParams,
+    hbar=st.floats(1e-3, 1e3), beta=st.floats(0.0, 1e3), mass=st.floats(1e-3, 1e3),
+    charge=st.floats(-1e3, 1e3), k=st.floats(1e-3, 1e3),
+)
+# integral m, and a few that are not: non-integral, non-finite, past 2^53
+_M = st.one_of(st.integers(-40, 40), st.sampled_from([2.5, -0.5, math.nan, math.inf, -math.inf]),
+               st.floats(-40.0, 40.0), st.just(1e300))
+_PHI = st.one_of(st.floats(-10.0, 10.0),
+                 st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0, math.pi]))
+
+
+def _all_finite(value) -> bool:
+    """Every number in ``value`` (a number, an array, or a tuple or dataclass
+    of them) is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(_all_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return all(map(_all_finite, value))
+    return bool(np.all(np.isfinite(value)))
+
+
+def test_entry_point_table_covers_the_exports():
+    modules = {"abgup.specfun", "abgup.radial", "abgup.scattering"}
+    numeric = {name for name in abgup.__all__
+               if getattr(getattr(abgup, name), "__module__", None) in modules
+               and callable(getattr(abgup, name)) and not isinstance(getattr(abgup, name), type)}
+    assert set(_ENTRY_POINTS) == numeric
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@settings(max_examples=25, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(params=_PARAMS, alpha=st.floats(-50.0, 50.0), m=_M, phi=_PHI)
+@example(params=_PB, alpha=0.3, m=math.nan, phi=1.0)
+@example(params=_PB, alpha=0.3, m=math.inf, phi=1.0)
+def test_entry_point_returns_finite_or_raises_typed(name, params, alpha, m, phi):
+    # numpy may warn on the way to a typed error; warnings are not the property
+    with np.errstate(all="ignore"):
+        try:
+            value = _ENTRY_POINTS[name](params, alpha, m, phi)
+        except (DomainValidationError, AccuracyError):
+            return
+    assert _all_finite(value), value

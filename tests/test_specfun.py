@@ -3,9 +3,11 @@ scipy (the quadrature backend, an independent implementation)."""
 
 import ast
 import cmath
+import contextlib
 import functools
 import json
 import math
+import os
 import random
 import sys
 import warnings
@@ -38,14 +40,40 @@ EULER_GAMMA = 0.5772156649015328606
 # gamma / log_gamma / digamma
 # =====================================================================
 
+def _mp_gamma_points() -> list[float]:
+    """3,000 seeded x in [-170, 171.6], none within 1e-3 of a pole."""
+    rng = random.Random(23)
+    pts = []
+    while len(pts) < 3000:
+        x = rng.uniform(-170.0, 171.6)
+        if x > 0.5 or abs(x - round(x)) > 1e-3:
+            pts.append(x)
+    return pts
+
+
 class TestGamma:
+    """``gamma_fn`` returns ``math.gamma``'s own value, so its accuracy is
+    checked against mpmath at 40 digits, not against ``math``."""
+
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 20.5, 100.0])
     def test_against_math_gamma(self, x):
-        assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-13)
+        # the wrapper adds only its domain rule: every value is math.gamma's, bitwise
+        assert gamma_fn(x) == math.gamma(x)
 
     @pytest.mark.parametrize("x", [-0.3, -1.7, -5.5, -10.2])
     def test_negative_arguments(self, x):
-        assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
+        with mpmath.workdps(40):
+            ref = mpmath.gamma(mpmath.mpf(x))
+            assert float(abs((gamma_fn(x) - ref) / ref)) < 2e-15
+
+    def test_against_mpmath(self):
+        # measured 7.5e-16; the Lanczos approximation it replaced read 2.8e-13
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x in _mp_gamma_points():
+                ref = mpmath.gamma(mpmath.mpf(x))
+                worst = max(worst, float(abs((gamma_fn(x) - ref) / ref)))
+        assert worst < 2e-15
 
     @given(st.floats(min_value=0.05, max_value=0.95))
     def test_reflection(self, x):
@@ -62,31 +90,29 @@ class TestGamma:
             gamma_fn(x)
 
     def test_nonfinite(self):
-        with pytest.raises(DomainValidationError):
-            gamma_fn(math.inf)
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainValidationError):
+                gamma_fn(x)
 
     @pytest.mark.parametrize("x", [171.7, 200.3, 1e300, -171.5, -185.5])
     def test_overflow_is_typed(self, x):
-        # Gamma(x), or the reflection's Gamma(1 - x), exceeds the largest double
+        # |Gamma(x)| above the largest double, or below the smallest normal one
         with pytest.raises(DomainValidationError, match="overflows a double"):
             gamma_fn(x)
-        assert gamma_fn(171.6) == pytest.approx(math.gamma(171.6), rel=1e-12)
+        assert gamma_fn(171.6) == math.gamma(171.6)
+
+    def test_normal_range_edges(self):
+        # |Gamma| falls below 2.2e-308 past -170.58, except next to the poles
+        assert gamma_fn(-170.5) == math.gamma(-170.5)
+        assert gamma_fn(-171.0 + 0.03) == math.gamma(-171.0 + 0.03)
+        assert gamma_fn(-175.0 + 2e-11) == math.gamma(-175.0 + 2e-11)
+        for x in (-170.6, -171.0 + 0.05, -172.5, -176.5):
+            with pytest.raises(DomainValidationError, match="normal range"):
+                gamma_fn(x)
 
 
 class TestCisPi:
     """The one helper behind every phase of pi times a flux, order or integer."""
-
-    def test_gamma_reflection_bitwise(self):
-        # the reflection's sine (-1)^n sin(pi (x - n)), n = round(x), written out:
-        # the helper must give the same bits
-        rng = random.Random(15)
-        for _ in range(1000):
-            x = rng.uniform(-170.0, 0.5)
-            n = round(x)
-            s = math.sin(math.pi * (x - n))
-            if n % 2:
-                s = -s
-            assert gamma_fn(x) == math.pi / (s * specfun._lanczos_core(1.0 - x)), x
 
     @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 7, 170, -301])
     def test_integers_and_mirror(self, n):
@@ -189,19 +215,39 @@ class TestCisNeg:
 
 
 class TestLogGamma:
+    """``log_gamma`` returns ``math.lgamma``'s own value; its accuracy is
+    checked against mpmath at 40 digits."""
+
     @pytest.mark.parametrize("x", [0.2, 1.0, 2.5, 17.0, 301.5])
     def test_matches_lgamma(self, x):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
+        assert log_gamma(x) == math.lgamma(x)
+        with mpmath.workdps(40):
+            ref = mpmath.loggamma(mpmath.mpf(x))
+            assert float(abs(log_gamma(x) - ref)) < 2e-15 * max(1.0, float(abs(ref)))
+
+    def test_against_mpmath(self):
+        # relative to max(1, |log Gamma|), which has roots at 1 and 2: measured
+        # 8.5e-16; the Lanczos form it replaced read 2.3e-15
+        rng = random.Random(24)
+        pts = [rng.uniform(0.0, 300.0) for _ in range(3000)]
+        pts += [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(300)] + [1.0, 2.0, 1.0 - 1e-9]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x in pts:
+                ref = mpmath.loggamma(mpmath.mpf(x))
+                worst = max(worst, float(abs(log_gamma(x) - ref) / max(1, abs(ref))))
+        assert worst < 2e-15
 
     def test_consistent_with_gamma(self):
         for x in (0.4, 1.3, 6.0):
             assert math.exp(log_gamma(x)) == pytest.approx(gamma_fn(x), rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainValidationError):
-            log_gamma(0.0)
-        with pytest.raises(DomainValidationError):
-            log_gamma(-2.5)
+        for x in (0.0, -2.5, math.inf, math.nan):
+            with pytest.raises(DomainValidationError):
+                log_gamma(x)
+        with pytest.raises(DomainValidationError, match="overflows a double"):
+            log_gamma(1e306)  # log Gamma past the largest double; math.lgamma raised OverflowError
 
 
 class TestDigamma:
@@ -227,10 +273,11 @@ class TestDigamma:
 class TestGammaDigammaNearPoles:
     """gamma_fn and digamma against mpmath at 40 digits at x = -n +- d.
 
-    The reflection branches reduce pi * x to pi * (x - round(x)) before the
-    sine and the tangent; without that, the error grows like n eps / d (5e-5
-    at d = 1e-11). digamma is compared relative to max(|psi|, 1), because it
-    has a root between each pair of poles."""
+    digamma's reflection branch reduces pi * x to pi * (x - round(x)) before
+    the tangent; without that, the error grows like n eps / d (5e-5 at
+    d = 1e-11). gamma_fn (math.gamma) reads at most 5.1e-16 here. digamma is
+    compared relative to max(|psi|, 1), because it has a root between each
+    pair of poles."""
 
     POINTS = [
         -n + sign * d
@@ -246,7 +293,7 @@ class TestGammaDigammaNearPoles:
             ref_psi = mpmath.digamma(mpmath.mpf(x))
             err_gamma = abs((gamma_fn(x) - ref_gamma) / ref_gamma)
             err_psi = abs(digamma(x) - ref_psi) / max(abs(ref_psi), 1)
-        assert float(err_gamma) < 1e-13
+        assert float(err_gamma) < 2e-15
         assert float(err_psi) < 1e-13
 
 
@@ -609,14 +656,48 @@ def _point_key(c: float, x: complex) -> tuple[str, str, str]:
     return repr(float(c)), repr(x.real), repr(x.imag)
 
 
+# The points of the committed mpmath tables under tests/reference/, by file
+# name, in file order; tests/reference/hyp2f1_tables.py writes the tables.
+_MP_TABLES = {
+    "hyp2f1_inverse.json": lambda: [(c, x) for c in TestHyp2f1Branches._CS
+                                    for x in TestHyp2f1Branches._inverse_args()],
+    "hyp2f1_rule.json": lambda: [pt for pts in _rule_points().values() for pt in pts],
+    "hyp2f1_near_one.json": lambda: TestHyp2f1NearOne.points(),
+}
+
+
 @functools.cache
-def _inverse_table() -> dict[tuple[str, str, str], mpmath.mpc]:
-    """The 50-digit mpmath values of tests/reference/hyp2f1_inverse.json, in
-    file order, keyed by ``_point_key``."""
-    path = Path(__file__).resolve().parent / "reference" / "hyp2f1_inverse.json"
+def _mp_table(name: str) -> dict[tuple[str, str, str], mpmath.mpc]:
+    """The 50-digit mpmath values of tests/reference/<name>, in file order,
+    keyed by ``_point_key``."""
+    path = Path(__file__).resolve().parent / "reference" / name
     with mpmath.workdps(50):
         return {_point_key(c, complex(re, im)): mpmath.mpc(mpmath.mpf(f_re), mpmath.mpf(f_im))
                 for c, re, im, f_re, f_im in json.loads(path.read_text())["points"]}
+
+
+def _table_worst(name: str, points) -> float:
+    """The largest relative error of ``hyp2f1_11`` over ``points`` against
+    the table ``name``."""
+    table = _mp_table(name)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for c, x in points:
+            got, ref = hyp2f1_11(c, x), table[_point_key(c, x)]
+            worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)))
+    return worst
+
+
+def _check_table(name: str, seed: int) -> None:
+    """The table's point list is exactly the test's (signed zeros kept), and
+    8 seeded entries agree with a fresh mpmath evaluation to 1e-45."""
+    table = _mp_table(name)
+    assert list(table) == [_point_key(c, x) for c, x in _MP_TABLES[name]()]
+    with mpmath.workdps(50):
+        for key in random.Random(seed).sample(sorted(table), 8):
+            c, re, im = (float(v) for v in key)
+            ref = mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(re, im))
+            assert abs(table[key] - ref) <= 1e-45 * abs(ref), key
 
 
 def _mp_rel_err(value: complex, c: float, x: complex) -> float:
@@ -657,8 +738,9 @@ class TestHyp2f1Mpmath:
         worst = max(_mp_rel_err(hyp2f1_11(c, x), c, complex(x)) for x in self._ARGS)
         assert worst < 1e-14
 
-    # x near the branch point 1, where the anchor sets the error: measured at
-    # most 8.0e-14 (Euler's integral; 4.7e-13 with the continued fraction)
+    # x near the branch point 1: measured at most 2.0e-15, where the points
+    # within 1e-3 of 1 take the connection to 1 - x at c itself (8.0e-14
+    # from the anchor on Euler's integral; 4.7e-13 with the continued fraction)
     _NEAR_ONE = [0.99, 0.999, 0.9999, 0.99 + 0.01j, 0.99 - 0.01j,
                  1.0 + 1e-3j, 1.0 - 1e-3j, 0.95 + 0.05j]
 
@@ -693,23 +775,12 @@ class TestHyp2f1Branches:
 
     @pytest.mark.parametrize("c", _CS)
     def test_inverse_series_against_mpmath(self, c):
-        # mpmath's 50-digit values, from the table tests/reference/hyp2f1_inverse.py writes
-        table = _inverse_table()
-        worst = 0.0
-        with mpmath.workdps(50):
-            for x in self._inverse_args():
-                got, ref = hyp2f1_11(c, x), table[_point_key(c, x)]
-                worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)))
+        # mpmath's 50-digit values, from the table tests/reference/hyp2f1_tables.py writes
+        worst = _table_worst("hyp2f1_inverse.json", [(c, x) for x in self._inverse_args()])
         assert worst < self._BOUND
 
     def test_inverse_table_matches_points_and_mpmath(self):
-        table = _inverse_table()
-        assert list(table) == [_point_key(c, x) for c in self._CS for x in self._inverse_args()]
-        with mpmath.workdps(50):
-            for key in random.Random(21).sample(sorted(table), 8):
-                c, re, im = (float(v) for v in key)
-                ref = mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(re, im))
-                assert abs(table[key] - ref) <= 1e-45 * abs(ref), key
+        _check_table("hyp2f1_inverse.json", 21)
 
     @pytest.mark.parametrize("c", [2.5, 0.3])
     def test_found_points(self, c):
@@ -767,6 +838,7 @@ class TestHyp2f1Branches:
         specfun._hyp_direct.cache_clear()
 
 
+@functools.cache
 def _rule_points() -> dict[str, list[tuple[float, complex]]]:
     """Seeded (c, x) where Euler's integral runs or borders, by region."""
     rng = random.Random(17)
@@ -809,31 +881,22 @@ def _rule_points() -> dict[str, list[tuple[float, complex]]]:
     }
 
 
-@pytest.fixture(scope="module")
-def rule_table():
-    """hyp2f1_11 against mpmath at 50 digits on ``_rule_points``, once per module."""
-    with mpmath.workdps(50):
-        return {
-            region: [(c, x, mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(x.real, x.imag)))
-                     for c, x in pts]
-            for region, pts in _rule_points().items()
-        }
-
-
 class TestEulerRule:
     """Euler's integral on its fixed tanh-sinh rule, which takes every |x| > 0.7."""
 
-    # measured: locus 4.3e-16, annulus 7.1e-16, large_c 2.1e-15, lentz_stalls
-    # 6.6e-16, near_one 9.4e-17, pole_at_node 2.6e-16 (1.1e-5 on the first rule alone)
+    # measured: locus 4.0e-16, annulus 7.1e-16, large_c 2.1e-15, lentz_stalls
+    # 6.6e-16, near_one 1.2e-16 (by the connection to 1 - x; 9.4e-17 on the
+    # rule), pole_at_node 3.1e-16 (1.1e-5 on the first rule alone)
     _BOUND = {"locus": 1e-15, "annulus": 2e-15, "large_c": 6e-15,
               "lentz_stalls": 2e-15, "near_one": 5e-16, "pole_at_node": 1e-15}
 
     @pytest.mark.parametrize("region", sorted(_BOUND))
-    def test_against_mpmath(self, rule_table, region):
-        with mpmath.workdps(50):
-            worst = max(float(abs(mpmath.mpc(v.real, v.imag) - ref) / abs(ref))
-                        for c, x, ref in rule_table[region] for v in [hyp2f1_11(c, x)])
-        assert worst < self._BOUND[region]
+    def test_against_mpmath(self, region):
+        # mpmath's 50-digit values, from the table tests/reference/hyp2f1_tables.py writes
+        assert _table_worst("hyp2f1_rule.json", _rule_points()[region]) < self._BOUND[region]
+
+    def test_rule_table_matches_points_and_mpmath(self):
+        _check_table("hyp2f1_rule.json", 22)
 
     @staticmethod
     def _conjugate_points() -> list[tuple[float, complex]]:
@@ -927,6 +990,76 @@ class TestEulerRule:
         reached, loops = self._loops_reached_from(source, "_hyp_direct")
         assert {"_series_x", "_series_c", "_euler_x", "_euler_c"} <= reached
         assert loops == []
+
+
+class TestHyp2f1NearOne:
+    """hyp2f1_11 next to x = 1, where the connection to 1 - x (DLMF 15.8.4)
+    takes over from Euler's integral away from integer c, against mpmath at
+    50 digits."""
+
+    # c from 0.3 to 6, and within 1e-6 of 2 and 3, where the rule keeps the value
+    _CS = ([round(0.3 + 0.2 * i, 12) for i in range(29)]
+           + [n + sign * d for n in (2.0, 3.0) for sign in (1.0, -1.0) for d in (1e-6, 1e-7, 1e-9)])
+    # by k, |1 - x| = 10^-k; measured 1.1e-15, 2.5e-15, 1.3e-15, 1.6e-15,
+    # 1.9e-15, 1.4e-14 and 1.1e-13, where the rule alone read 1.1e-15,
+    # 2.5e-15, 8.1e-14, 2.2e-11, 1.2e-9, 2.2e-8 and 2.1e-7
+    _BOUND = {2: 3e-15, 3: 6e-15, 4: 3e-15, 5: 3e-15, 6: 3e-15, 7: 3e-14, 8: 3e-13}
+
+    @staticmethod
+    def _args(r: float) -> list[complex]:
+        """|1 - x| = r on the real axis, 1e-9 off it on both sides, past
+        Re x = 1 on both sides of the cut, and in one direction off the axis."""
+        return [complex(1.0 - r, 0.0), complex(1.0 - r, 1e-9), complex(1.0 - r, -1e-9),
+                complex(1.0 + r, 1e-9), complex(1.0 + r, -1e-9), 1.0 - cmath.rect(r, 2.0)]
+
+    @classmethod
+    def points(cls, k: int | None = None) -> list[tuple[float, complex]]:
+        """Every (c, x) of the test, or those at |1 - x| = 10^-k."""
+        ks = sorted(cls._BOUND) if k is None else [k]
+        return [(c, x) for k in ks for c in cls._CS for x in cls._args(10.0 ** -k)]
+
+    @pytest.mark.parametrize("k", sorted(_BOUND))
+    def test_against_mpmath(self, k):
+        # mpmath's 50-digit values, from the table tests/reference/hyp2f1_tables.py writes
+        assert _table_worst("hyp2f1_near_one.json", self.points(k)) < self._BOUND[k]
+
+    def test_table_matches_points_and_mpmath(self):
+        _check_table("hyp2f1_near_one.json", 23)
+
+    def test_connection_runs_only_next_to_one_away_from_integers(self, monkeypatch):
+        from abgup import cli
+
+        entered = []
+
+        def spy(c, x):
+            entered.append((c, x))
+            return near_one(c, x)
+
+        near_one = specfun._hyp_near_one
+        monkeypatch.setattr(specfun, "_hyp_near_one", spy)
+        specfun._hyp_direct.cache_clear()
+        # the gate: |1 - x| < 1e-3, and c more than 0.1 sqrt|1 - x| from an integer
+        for c, x in [(1.5, 0.999), (1.5, 1.0011 + 1e-9j), (2.0, 1.0 - 1e-8), (2.0 + 9e-6, 1.0 - 1e-8),
+                     (3.0 - 9e-5, 1.0 - 1e-6), (60.5, 1.0 - 1e-6)]:
+            with contextlib.suppress(AccuracyError):
+                hyp2f1_11(c, x)
+        assert entered == []
+        for c, x in [(1.5, 0.9991), (0.3, 1.0 + 1e-8j), (2.0 + 1.1e-5, 1.0 - 1e-8),
+                     (3.0 - 1.1e-4, 1.0 - 1e-6), (-4.5, 1.0 - 1e-4), (60.0 - 0.5, 1.0 - 1e-6)]:
+            hyp2f1_11(c, x)
+        assert len(entered) == 6
+        # the kernel locus has |1 - x| = |x| >= 1/2: a scan never takes it
+        entered.clear()
+        assert cli.main(["phi-scan", "--alpha", "0.3", "--beta", "0.01", "--phi-min", "-3",
+                         "--phi-max", "3", "--steps", "25", "--out", os.devnull]) == 0
+        assert entered == []
+        specfun._hyp_direct.cache_clear()
+
+    def test_past_the_double_range_is_typed(self):
+        # F ~ (1 - x)^(c - 2) overflows at c < 1; the rule returned inf + inf j
+        for c, x in [(0.3, 1.0 + 1e-300j), (0.3, 1.0 - 1e-200j), (-2.5, 1.0 - 1e-120j)]:
+            with pytest.raises(DomainValidationError, match="overflows a double"):
+                hyp2f1_11(c, x)
 
 
 class TestPfqSeries:
