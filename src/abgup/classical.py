@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,6 +50,8 @@ _ScalField = Callable[[np.ndarray, float], float]
 # J^T row by row (J^T[i][l] = dA_l/dx_i), then grad V, with the zero third
 # components of the 3-vector embedding when d = 2.
 _PointEval = Callable[[float, float, float, float], tuple]
+# V at (x1, x2, x3, t) as one float, in the same embedding
+_PointPotential = Callable[[float, float, float, float], float]
 
 
 def _embed3(u: np.ndarray) -> np.ndarray:
@@ -101,11 +101,13 @@ class FieldSpec:
 
     ``integrate`` and ``hamiltonian_flow`` read the field through one point
     evaluation per stage, which returns A, J^T and grad V as floats in the
-    3-vector embedding. ``uniform_field`` and ``ab_flux_field`` attach a
-    closed-form one, of which their a_fn, jac_a and grad_v are array views.
-    Any other FieldSpec gets one that calls a_fn, jac_a and grad_v at an
-    array point. A built-in field keeps stepping with its closed form if
-    those callables are replaced after construction.
+    3-vector embedding, and ``integrate`` reads V at each sample for the
+    energy. ``uniform_field`` and ``ab_flux_field`` attach closed forms of
+    both, of which their v_fn, a_fn, jac_a and grad_v are array views. Any
+    other FieldSpec gets a point evaluation that calls a_fn, jac_a and
+    grad_v at an array point, and its v_fn is called per sample. A built-in
+    field keeps stepping with its closed forms if those callables are
+    replaced after construction.
     """
 
     d: int
@@ -116,6 +118,9 @@ class FieldSpec:
     da_dt: Optional[_VecField] = None
     h_fd: float = 1e-5
     _point: Optional[_PointEval] = field(default=None, init=False, repr=False, compare=False)
+    _potential: Optional[_PointPotential] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
@@ -167,24 +172,35 @@ def _point_eval(fields: FieldSpec) -> _PointEval:
     return point
 
 
-def _closed_form_field(d: int, v_fn: _ScalField, point: _PointEval) -> FieldSpec:
-    """A static FieldSpec whose a_fn, jac_a and grad_v are array views of
-    the closed-form ``point``, which it also carries for ``integrate``."""
+def _potential_eval(fields: FieldSpec) -> _PointPotential:
+    """V at a point of the 3-vector embedding: the closed form a built-in
+    field carries, else one v_fn call at an array point."""
+    if fields._potential is not None:
+        return fields._potential
+    d = fields.d
+    return lambda x1, x2, x3, t: fields.v_fn(np.array((x1, x2, x3)[:d]), t)
+
+
+def _closed_form_field(d: int, potential: _PointPotential, point: _PointEval) -> FieldSpec:
+    """A static FieldSpec whose v_fn, a_fn, jac_a and grad_v are array views
+    of the closed forms ``potential`` and ``point``, which it also carries
+    for ``integrate``."""
     pad = (0.0,) * (3 - d)
     zero_vec = np.zeros(d)
 
-    def at(x: np.ndarray, t: float) -> tuple:
-        return point(*np.asarray(x, dtype=float).tolist(), *pad, t)
+    def coords(x: np.ndarray) -> list:
+        return [*np.asarray(x, dtype=float).tolist(), *pad]
 
     spec = FieldSpec(
         d=d,
-        v_fn=v_fn,
-        a_fn=lambda x, t: np.array(at(x, t)[:d]),
-        grad_v=lambda x, t: np.array(at(x, t)[12 : 12 + d]),
-        jac_a=lambda x, t: np.array(at(x, t)[3:12]).reshape(3, 3).T[:d, :d],
+        v_fn=lambda x, t: potential(*coords(x), t),
+        a_fn=lambda x, t: np.array(point(*coords(x), t)[:d]),
+        grad_v=lambda x, t: np.array(point(*coords(x), t)[12 : 12 + d]),
+        jac_a=lambda x, t: np.array(point(*coords(x), t)[3:12]).reshape(3, 3).T[:d, :d],
         da_dt=lambda x, t: zero_vec,
     )
     spec._point = point
+    spec._potential = potential
     return spec
 
 
@@ -192,7 +208,8 @@ def uniform_field(d: int = 3, e_field=None, b_field=None) -> FieldSpec:
     """Constant electric and/or magnetic field.
 
     e_field: length-d vector E (realized as V = -E.x, summed left to right
-    in plain float arithmetic, so the energy is the same on every host).
+    over three components in plain float arithmetic, so the energy is the
+    same on every host).
     b_field: for d=3 a 3-vector, for d=2 a scalar (B along the normal);
     realized as the symmetric gauge A = (B x x)/2.
     """
@@ -219,16 +236,18 @@ def uniform_field(d: int = 3, e_field=None, b_field=None) -> FieldSpec:
     # A = h x x with h = B/2, so J^T[i][l] = dA_l/dx_i is constant, as is
     # grad V = -E
     h1, h2, h3 = (0.5 * b for b in b_vec)
-    g = (-e_vec).tolist() + [0.0] * (3 - d)
-    tail = (0.0, h3, -h2, -h3, 0.0, h1, h2, -h1, 0.0, *g)
+    e1, e2, e3 = e_vec.tolist() + [0.0] * (3 - d)
+    tail = (0.0, h3, -h2, -h3, 0.0, h1, h2, -h1, 0.0, -e1, -e2, -e3)
 
     def point(x1: float, x2: float, x3: float, t: float) -> tuple:
         return (h2 * x3 - h3 * x2, h3 * x1 - h1 * x3, h1 * x2 - h2 * x1, *tail)
 
     # numpy's dot product may sum with fused multiply-adds, depending on the
     # BLAS build; this sum is the same everywhere
-    e_list = e_vec.tolist()
-    return _closed_form_field(d, lambda x, t: -reduce(add, map(mul, e_list, x.tolist())), point)
+    def potential(x1: float, x2: float, x3: float, t: float) -> float:
+        return -(e1 * x1 + e2 * x2 + e3 * x3)
+
+    return _closed_form_field(d, potential, point)
 
 
 def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> FieldSpec:
@@ -266,7 +285,7 @@ def ab_flux_field(alpha: float, params: PhysicalParams, r_min: float = 1e-6) -> 
             0.0, 0.0, 0.0,
         )
 
-    return _closed_form_field(2, lambda x, t: 0.0, point)
+    return _closed_form_field(2, lambda x1, x2, x3, t: 0.0, point)
 
 
 # =====================================================================
@@ -414,41 +433,48 @@ def eom_accel(
     return lorentz + (params.beta * q / m) * gamma_term(v, x, t, fields, params)
 
 
-def _flow(s: tuple, t: float, point: _PointEval, q: float, m: float, beta: float):
-    """Phase-space velocity of the first-order Hamiltonian, used by RK4.
+def _flow_fn(fields: FieldSpec, params: PhysicalParams) -> Callable[..., tuple]:
+    """Phase-space velocity of the first-order Hamiltonian, as the function
+    flow(x1, x2, x3, p1, p2, p3, t) of the state in the 3-vector embedding.
 
-    s = (x1, x2, x3, p1, p2, p3) in the 3-vector embedding. One point
-    evaluation of the field; the rest is straight-line float arithmetic,
-    for d = 2 and 3 alike (a zero third component adds exactly). Returns
-    (xdot + pdot as one 6-tuple, p - qA), the latter for the energy at the
-    same point.
+    One point evaluation of the field; the rest is straight-line float
+    arithmetic, for d = 2 and 3 alike (a zero third component adds exactly).
+    Returns nine floats: xdot, pdot, and p - qA for the energy at the same
+    point.
     """
-    x1, x2, x3, p1, p2, p3 = s
-    a1, a2, a3, j11, j12, j13, j21, j22, j23, j31, j32, j33, g1, g2, g3 = point(x1, x2, x3, t)
-    u1 = p1 - q * a1
-    u2 = p2 - q * a2
-    u3 = p3 - q * a3
+    point = _point_eval(fields)
+    q, m, beta = params.charge, params.mass, params.beta
     qm = q / m
-    xd1 = u1 / m
-    xd2 = u2 / m
-    xd3 = u3 / m
-    pd1 = qm * (j11 * u1 + j12 * u2 + j13 * u3) - q * g1
-    pd2 = qm * (j21 * u1 + j22 * u2 + j23 * u3) - q * g2
-    pd3 = qm * (j31 * u1 + j32 * u2 + j33 * u3) - q * g3
-    if beta != 0.0:
-        pp = p1 * p1 + p2 * p2 + p3 * p3
-        c4 = 4.0 * pp
-        c2 = 2.0 * q * (a1 * p1 + a2 * p2 + a3 * p3)
-        cq = q * pp
-        bm = beta / m
-        xd1 += bm * (c4 * p1 - c2 * p1 - cq * a1)
-        xd2 += bm * (c4 * p2 - c2 * p2 - cq * a2)
-        xd3 += bm * (c4 * p3 - c2 * p3 - cq * a3)
-        bp = beta * q / m * pp
-        pd1 += bp * (j11 * p1 + j12 * p2 + j13 * p3)
-        pd2 += bp * (j21 * p1 + j22 * p2 + j23 * p3)
-        pd3 += bp * (j31 * p1 + j32 * p2 + j33 * p3)
-    return (xd1, xd2, xd3, pd1, pd2, pd3), (u1, u2, u3)
+    q2 = 2.0 * q
+    bm = beta / m
+    bqm = beta * q / m
+
+    def flow(x1: float, x2: float, x3: float, p1: float, p2: float, p3: float, t: float):
+        a1, a2, a3, j11, j12, j13, j21, j22, j23, j31, j32, j33, g1, g2, g3 = point(x1, x2, x3, t)
+        u1 = p1 - q * a1
+        u2 = p2 - q * a2
+        u3 = p3 - q * a3
+        xd1 = u1 / m
+        xd2 = u2 / m
+        xd3 = u3 / m
+        pd1 = qm * (j11 * u1 + j12 * u2 + j13 * u3) - q * g1
+        pd2 = qm * (j21 * u1 + j22 * u2 + j23 * u3) - q * g2
+        pd3 = qm * (j31 * u1 + j32 * u2 + j33 * u3) - q * g3
+        if beta != 0.0:
+            pp = p1 * p1 + p2 * p2 + p3 * p3
+            c4 = 4.0 * pp
+            c2 = q2 * (a1 * p1 + a2 * p2 + a3 * p3)
+            cq = q * pp
+            xd1 += bm * (c4 * p1 - c2 * p1 - cq * a1)
+            xd2 += bm * (c4 * p2 - c2 * p2 - cq * a2)
+            xd3 += bm * (c4 * p3 - c2 * p3 - cq * a3)
+            bp = bqm * pp
+            pd1 += bp * (j11 * p1 + j12 * p2 + j13 * p3)
+            pd2 += bp * (j21 * p1 + j22 * p2 + j23 * p3)
+            pd3 += bp * (j31 * p1 + j32 * p2 + j33 * p3)
+        return xd1, xd2, xd3, pd1, pd2, pd3, u1, u2, u3
+
+    return flow
 
 
 def _state6(x: np.ndarray, p: np.ndarray) -> tuple:
@@ -468,10 +494,7 @@ def hamiltonian_flow(
     """
     _check_dim(state.x, fields)
     d = fields.d
-    k, _ = _flow(
-        _state6(state.x, state.p), state.t, _point_eval(fields),
-        params.charge, params.mass, params.beta,
-    )
+    k = _flow_fn(fields, params)(*_state6(state.x, state.p), state.t)
     return np.array(k[:d]), np.array(k[3 : 3 + d])
 
 
@@ -528,16 +551,18 @@ def integrate(
 ) -> Trajectory:
     """Classical RK4 on the Hamiltonian flow, recording (t, x, v, p, H).
 
-    The state is stepped as one 6-tuple of Python floats, x and p in three
-    components (the third ones zero when d = 2). Each of the four stages
-    makes one point evaluation of the field (see FieldSpec). The
-    evaluation at an accepted sample is also the next step's first stage:
-    it gives the recorded velocity (the deformed velocity map) and the
-    recorded energy H, which reuses that evaluation's A and adds one v_fn
-    call. A field-evaluation failure (e.g. crossing the flux-line exclusion
-    radius) truncates the run and marks the trajectory incomplete rather
-    than raising. A sample whose t, x, p, velocity or H is not finite (the
-    state overflowed) raises AccuracyError.
+    The state is stepped as six Python floats, x and p in three components
+    (the third ones zero when d = 2), in one loop that forms each stage's
+    state inline from them and the previous stage's slopes. Each of the
+    four stages makes one point evaluation of the field (see FieldSpec).
+    The evaluation at an accepted sample is also the next step's first
+    stage: it gives the recorded velocity (the deformed velocity map) and
+    the recorded energy H, which reuses that evaluation's A and adds V at
+    the sample (the built-in fields' closed form, else one v_fn call). A
+    field-evaluation failure (e.g. crossing the flux-line exclusion radius)
+    after the first sample truncates the run and marks the trajectory
+    incomplete rather than raising. A sample whose t, x, p, velocity or H
+    is not finite (the state overflowed) raises AccuracyError.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainValidationError(f"dt must be positive and finite, got {dt}")
@@ -546,67 +571,68 @@ def integrate(
     _check_dim(initial.x, fields)
 
     d = fields.d
-    point = _point_eval(fields)
+    flow = _flow_fn(fields, params)
+    potential = _potential_eval(fields)
     q, m, beta = params.charge, params.mass, params.beta
+    m2 = 2.0 * m
+    bm = beta / m
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    def first_stage(s: tuple, t: float):
-        """k1 of the step from s at t, and H there."""
-        k, (u1, u2, u3) = _flow(s, t, point, q, m, beta)
-        x1, x2, x3, p1, p2, p3 = s
-        h = (u1 * u1 + u2 * u2 + u3 * u3) / (2.0 * m) + q * fields.v_fn(np.array(s[:d]), t)
-        if beta != 0.0:
-            h += (beta / m) * (p1 * p1 + p2 * p2 + p3 * p3) * (u1 * p1 + u2 * p2 + u3 * p3)
-        if not all(map(math.isfinite, (t, h, *s, *k[:3]))):
-            raise AccuracyError(
-                f"trajectory state is not finite at t = {t}: x = {list(s[:d])}, "
-                f"p = {list(s[3 : 3 + d])}, H = {h}"
-            )
-        return k, h
-
-    def stage(s: tuple, c: float, k: tuple, t: float) -> tuple:
-        """The flow at s + c k and t."""
-        x1, x2, x3, p1, p2, p3 = s
-        k1, k2, k3, k4, k5, k6 = k
-        s = (x1 + c * k1, x2 + c * k2, x3 + c * k3, p1 + c * k4, p2 + c * k5, p3 + c * k6)
-        return _flow(s, t, point, q, m, beta)[0]
-
-    t0 = initial.t
-    s = _state6(initial.x, initial.p)
-    k1, h = first_stage(s, t0)
-    ts, states, vs, es = [t0], [s], [k1], [h]
+    t0 = t = initial.t
+    x1, x2, x3, p1, p2, p3 = _state6(initial.x, initial.p)
+    samples = []  # 11 floats per sample: t, x, v and p in three components, H
     complete = True
-
-    t = t0
-    for n in range(1, steps + 1):
+    for n in range(steps + 1):
         try:
-            k2 = stage(s, half, k1, t + half)
-            k3 = stage(s, half, k2, t + half)
-            k4 = stage(s, dt, k3, t + dt)
-            s = tuple(
-                [
-                    u + sixth * (a + 2.0 * b + 2.0 * c + e)
-                    for u, a, b, c, e in zip(s, k1, k2, k3, k4)
-                ]
-            )
-            t = t0 + n * dt
-            k1, h = first_stage(s, t)
-        except (DomainValidationError, SingularConfigError):
+            if n:
+                b1, b2, b3, b4, b5, b6, _, _, _ = flow(
+                    x1 + half * a1, x2 + half * a2, x3 + half * a3,
+                    p1 + half * a4, p2 + half * a5, p3 + half * a6, t + half,
+                )
+                c1, c2, c3, c4, c5, c6, _, _, _ = flow(
+                    x1 + half * b1, x2 + half * b2, x3 + half * b3,
+                    p1 + half * b4, p2 + half * b5, p3 + half * b6, t + half,
+                )
+                e1, e2, e3, e4, e5, e6, _, _, _ = flow(
+                    x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
+                    p1 + dt * c4, p2 + dt * c5, p3 + dt * c6, t + dt,
+                )
+                x1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+                x2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2)
+                x3 += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + e3)
+                p1 += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + e4)
+                p2 += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + e5)
+                p3 += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + e6)
+                t = t0 + n * dt
+            # the sample's slopes: its velocity, and the next step's first stage
+            a1, a2, a3, a4, a5, a6, u1, u2, u3 = flow(x1, x2, x3, p1, p2, p3, t)
+        except DomainValidationError:
+            if not n:
+                raise
             complete = False
             break
-        ts.append(t)
-        states.append(s)
-        vs.append(k1)
-        es.append(h)
+        h = (u1 * u1 + u2 * u2 + u3 * u3) / m2 + q * potential(x1, x2, x3, t)
+        if beta != 0.0:
+            h += bm * (p1 * p1 + p2 * p2 + p3 * p3) * (u1 * p1 + u2 * p2 + u3 * p3)
+        sample = (t, x1, x2, x3, a1, a2, a3, p1, p2, p3, h)
+        # one sum is finite only if every term is; overflow alone asks again
+        if not math.isfinite(t + x1 + x2 + x3 + a1 + a2 + a3 + p1 + p2 + p3 + h) and not all(
+            map(math.isfinite, sample)
+        ):
+            raise AccuracyError(
+                f"trajectory state is not finite at t = {t}: x = {[x1, x2, x3][:d]}, "
+                f"p = {[p1, p2, p3][:d]}, H = {h}"
+            )
+        samples += sample
 
-    rec = np.array(states)
+    rec = np.fromiter(samples, float, len(samples)).reshape(-1, 11)
     return Trajectory(
-        t=np.array(ts),
-        x=rec[:, :d],
-        v=np.array(vs)[:, :d],
-        p=rec[:, 3 : 3 + d],
-        energy=np.array(es),
+        t=rec[:, 0],
+        x=rec[:, 1 : 1 + d],
+        v=rec[:, 4 : 4 + d],
+        p=rec[:, 7 : 7 + d],
+        energy=rec[:, 10],
         dt=dt,
         complete=complete,
     )

@@ -7,7 +7,10 @@ failure (a selftest oracle disagreed).
 Output is CSV (17 significant digits, deterministic row order; grid points
 inside exclusion margins appear as `# skipped ...` comment lines) or JSON
 (scan records use the amplitude-dump schema with f0/f1 split into real and
-imaginary parts; skipped points are listed separately).
+imaginary parts; skipped points are listed separately). One writer,
+``_write``, emits both for every subcommand: a row template repeated per
+row, constant columns formatted into it once, filled by one ``%`` from the
+rows' values in one flat tuple.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
 
 import numpy as np
@@ -41,84 +43,86 @@ def _parse_vec(text: str, name: str) -> np.ndarray:
     return np.array(vals)
 
 
-# A list of records in the indent=2 layout. The C encoder runs only without
-# ``indent``, so the list is encoded in one call with the newline and indent
-# of a record's items put in the item separator, and the breaks between
-# records are then re-indented. The records are non-empty flat dicts of
-# scalars, and an encoded string holds no raw newline, so "},\n      {"
-# occurs only between two records.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+def _lit(text: str) -> str:
+    """``text`` as a literal part of a %-template."""
+    return text.replace("%", "%%")
 
 
-def _json_list(records: list[dict]) -> str:
-    if not records:
-        return "[]"
-    inner = _RECORD_ENCODER.encode(records)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return "[\n    {\n      " + inner + "\n    }\n  ]"
-
-
-def _json_document(records: list[dict], skipped: list[dict]) -> str:
-    """``{"records": ..., "skipped": ...}`` byte for byte as
-    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` would write it."""
-    return (
-        '{\n  "records": ' + _json_list(records)
-        + ',\n  "skipped": ' + _json_list(skipped) + "\n}\n"
-    )
-
-
-def _csv_rows(rows: list[tuple]) -> list[str]:
-    """CSV lines of ``rows``: ``%d`` for int columns, ``%.17g`` otherwise.
-
-    A column that holds the very same object in every row (radial's ``m`` and
-    ``alpha_prime``, a scan's ``beta``) is formatted once into the row
-    template. The test is identity, not equality, so the lines are those of
-    formatting every row: equal values such as 0.0 and -0.0 stay per row.
-    """
-    if not rows:
-        return []
-    fields, varying = [], []
-    for i, v in enumerate(rows[0]):
-        spec = "%d" if isinstance(v, int) else _NUM
-        if all(row[i] is v for row in rows):
-            fields.append(spec % v)
-        else:
-            fields.append(spec)
-            varying.append(i)
-    row_fmt = ",".join(fields)
-    if len(varying) == len(fields):
-        return [row_fmt % row for row in rows]
-    pick = operator.itemgetter(*varying) if varying else (lambda row: ())
-    return [row_fmt % pick(row) for row in rows]
+def _json_texts(values: list) -> list[str]:
+    """The text ``json.dumps`` writes for each value: ``float.__repr__``
+    when every value is a float and their sum is finite (so is every value;
+    finite values whose sum overflows take the other path), else
+    ``json.dumps`` of each value."""
+    try:
+        if math.isfinite(sum(values)):
+            return list(map(float.__repr__, values))
+    except TypeError:  # a value that is not a number, or not a float
+        pass
+    return list(map(json.dumps, values))
 
 
 def _write(
     args: argparse.Namespace,
-    columns: tuple[str, ...],
-    rows: list[tuple],
+    columns: tuple,
+    values: list,
     skipped: list[tuple[int, str, dict]],
 ) -> None:
     """Write one subcommand's output to ``args.out`` in ``args.format``.
 
-    ``rows`` are tuples in ``columns`` order; CSV formats them with
-    ``_csv_rows``. A skip entry
-    ``(position, note, record)`` puts ``record`` under ``"skipped"`` in JSON
-    and the comment ``"# " + note % record`` before ``rows[position]`` in
-    CSV.
+    ``columns`` lists the output's columns in order: a name for a column
+    read from ``values``, or a ``(name, value)`` pair for a column holding
+    that value in every row, of which at least one is a name. ``values``
+    holds the named columns' values row after row in one flat sequence.
+
+    Both formats fill one %-template, a row template repeated per row, with
+    one flat tuple; a constant column is formatted once into the row
+    template. CSV writes ``%d`` for an int column (its type read from the
+    first row) and ``%.17g`` otherwise. JSON writes byte for byte what
+    ``json.dumps({"records": ..., "skipped": ...}, sort_keys=True,
+    indent=2) + "\n"`` would: each record with sorted keys and the text
+    ``json.dumps`` writes for each value.
+
+    A skip entry ``(position, note, record)`` puts ``record`` under
+    ``"skipped"`` in JSON and the comment ``"# " + note % record`` before
+    row ``position`` in CSV.
     """
+    names = [c if isinstance(c, str) else c[0] for c in columns]
+    read = [i for i, c in enumerate(columns) if isinstance(c, str)]  # columns read from values
+    width = len(read)
+    n_rows = len(values) // width
     if args.format == "json":
-        text = _json_document(
-            [dict(zip(columns, row)) for row in rows], [rec for _, _, rec in skipped]
-        )
+        texts = _json_texts(values)
+        fields, picks = [], []
+        for i in sorted(range(len(columns)), key=names.__getitem__):
+            if i in read:
+                picks.append(read.index(i))
+                text = "%s"
+            else:
+                text = _lit(json.dumps(columns[i][1]))
+            fields.append("      " + _lit(json.dumps(names[i])) + ": " + text)
+        by_key = texts[:]  # each row's values in sorted key order
+        for j, k in enumerate(picks):
+            by_key[j::width] = texts[k::width]
+        record = "    {\n" + ",\n".join(fields) + "\n    }"
+        rows = "[\n" + ",\n".join([record] * n_rows) % tuple(by_key) + "\n  ]" if n_rows else "[]"
+        tail = json.dumps({"skipped": [rec for _, _, rec in skipped]}, sort_keys=True, indent=2)
+        text = '{\n  "records": ' + rows + "," + tail[1:] + "\n"
     else:
-        body = _csv_rows(rows)
-        lines = [",".join(columns)]
+        first = iter(values[:width])
+        fields = []
+        for column in columns:
+            if isinstance(column, str):
+                fields.append("%d" if isinstance(next(first, 0.0), int) else _NUM)
+            else:
+                fields.append(("%d" if isinstance(column[1], int) else _NUM) % column[1])
+        line = ",".join(fields) + "\n"
+        parts = [_lit(",".join(names) + "\n")]
         done = 0
         for position, note, rec in skipped:
-            lines += body[done:position]
-            lines.append("# " + note % rec)
+            parts += [line * (position - done), _lit("# " + note % rec + "\n")]
             done = position
-        lines += body[done:]
-        text = "\n".join(lines) + "\n"
+        parts.append(line * (n_rows - done))
+        text = "".join(parts) % tuple(values)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -235,32 +239,34 @@ def _run_scan(args: argparse.Namespace, mode: str) -> int:
     else:
         grid = [(args.alpha, phi) for phi in values]
 
+    beta = ("beta", params.beta)
     if args.format == "json":  # the amplitudes too, at the principal angle
-        columns = ("alpha_prime", "phi", "beta", "f0_re", "f0_im", "f1_re", "f1_im", "dsigma")
+        columns = ("alpha_prime", "phi", beta, "f0_re", "f0_im", "f1_re", "f1_im", "dsigma")
 
         def evaluate(a: float, phi: float) -> tuple:
             s = scattering.scatter_sample(phi, a, params, form=args.form)
             f0, f1 = s.f0, s.f1
-            return (s.alpha_prime, s.phi, s.beta, f0.real, f0.imag, f1.real, f1.imag, s.dsigma)
+            return (s.alpha_prime, s.phi, f0.real, f0.imag, f1.real, f1.imag, s.dsigma)
     else:
-        columns = ("alpha_prime", "phi", "beta", "dsigma")
+        columns = ("alpha_prime", "phi", beta, "dsigma")
 
         def evaluate(a: float, phi: float) -> tuple:
-            return (a, phi, params.beta, scattering.dsigma(phi, a, params, form=args.form))
+            return (a, phi, scattering.dsigma(phi, a, params, form=args.form))
 
-    rows: list[tuple] = []
+    values: list[float] = []
     skipped: list[tuple[int, str, dict]] = []
     for a, phi in grid:
         reason = _scan_skip_reason(a, phi, args.margin)
         if reason is None:
             try:
-                rows.append(evaluate(a, phi))
+                values += evaluate(a, phi)
                 continue
             except (DomainValidationError, AccuracyError) as exc:
                 reason = type(exc).__name__
         rec = {"alpha_prime": a, "phi": phi, "reason": reason}
-        skipped.append((len(rows), _SCAN_SKIP_NOTE, rec))
-    _write(args, columns, rows, skipped)
+        # the position in rows, of which every column but beta is in values
+        skipped.append((len(values) // (len(columns) - 1), _SCAN_SKIP_NOTE, rec))
+    _write(args, columns, values, skipped)
     return 0
 
 
@@ -280,13 +286,9 @@ def _run_radial(args: argparse.Namespace) -> int:
         raise DomainValidationError(f"--z-max must be finite and >= --z-min, got {args.z_max}")
     zs = np.linspace(args.z_min, args.z_max, args.steps)
     f0, f1 = radial._mode_profiles(zs, args.m, args.alpha, params)
-    columns = ("z", "m", "alpha_prime", "re_f0", "im_f0", "re_f1", "im_f1")
-    n = len(zs)
-    rows = list(zip(
-        zs.tolist(), [args.m] * n, [args.alpha] * n,
-        f0.real.tolist(), f0.imag.tolist(), f1.real.tolist(), f1.imag.tolist(),
-    ))
-    _write(args, columns, rows, [])
+    columns = ("z", ("m", args.m), ("alpha_prime", args.alpha), "re_f0", "im_f0", "re_f1", "im_f1")
+    values = np.column_stack((zs, f0.real, f0.imag, f1.real, f1.imag)).ravel().tolist()
+    _write(args, columns, values, [])
     return 0
 
 
@@ -319,24 +321,19 @@ def _run_trajectory(args: argparse.Namespace) -> int:
     )
 
     columns = ("t", *(f"x{i+1}" for i in range(d)), *(f"v{i+1}" for i in range(d)), "energy")
-    rows = [
-        (t, *x, *v, e)
-        for t, x, v, e in zip(
-            traj.t.tolist(), traj.x.tolist(), traj.v.tolist(), traj.energy.tolist()
-        )
-    ]
+    values = np.column_stack((traj.t, traj.x, traj.v, traj.energy)).ravel().tolist()
     skipped = []
     if not traj.complete:
         rec = {"reason": f"truncated after {len(traj) - 1} steps"}
-        skipped.append((len(rows), _TRUNCATED_NOTE, rec))
-    _write(args, columns, rows, skipped)
+        skipped.append((len(traj), _TRUNCATED_NOTE, rec))
+    _write(args, columns, values, skipped)
     return 0
 
 
 def _run_width(args: argparse.Namespace) -> int:
     params = _params_from(args)
     val = scattering.width(args.n, args.phi, params)
-    _write(args, ("n", "phi", "beta", "width"), [(args.n, args.phi, params.beta, val)], [])
+    _write(args, ("n", "phi", "beta", "width"), [args.n, args.phi, params.beta, val], [])
     return 0
 
 

@@ -25,6 +25,7 @@ on poles of the closed forms and are rejected.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -498,7 +499,9 @@ def fn_quadrature(
     AccuracyError
         If the accumulated quadrature error estimate exceeds the absolute
         tolerance 1e-10 by more than an order of magnitude, or the value or
-        the estimate is not finite (J of a large negative order overflows).
+        the estimate is not finite (J of a large negative order overflows),
+        or QUADPACK warns on a chunk (scipy's IntegrationWarning: roundoff,
+        a divergent integral, or the subdivision limit reached).
     """
     n = require_integral(n, "fn_quadrature: n")
     z = float(z)
@@ -528,12 +531,22 @@ def fn_quadrature(
 
     total = 0.0
     err_total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = integrate.quad(
-            integrand, lo, hi, epsabs=0.5 * _QUAD_TOL, epsrel=1e-12, limit=400
-        )
-        total += val
-        err_total += err
+    # an overflowed integrand makes the total non-finite, which raises below;
+    # QUADPACK's own warning (roundoff, divergence, the subdivision limit)
+    # says its estimate is not to be trusted, which raises too
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                val, err = integrate.quad(
+                    integrand, lo, hi, epsabs=0.5 * _QUAD_TOL, epsrel=1e-12, limit=400
+                )
+                total += val
+                err_total += err
+        except integrate.IntegrationWarning as exc:
+            raise AccuracyError(
+                f"fn_quadrature did not converge on [{lo:g}, {hi:g}]: {exc}"
+            ) from exc
     if not (math.isfinite(total) and err_total <= 10.0 * _QUAD_TOL * (1.0 + abs(total))):
         raise AccuracyError(
             f"fn_quadrature value {total:.2e} or its error estimate {err_total:.2e} exceeds "
@@ -829,36 +842,38 @@ def ode_residual(
     vi = vals[1:-1]
     d1 = _central_d1(vals, h)
     d2 = _central_d2(vals, h)
-    lhs = k2 * (d2 + d1 / zi - w * w * vi / (zi * zi) + vi)
-    scale_terms = k2 * (
-        np.abs(d2) + np.abs(d1) / zi + w * w * np.abs(vi) / (zi * zi) + np.abs(vi)
-    )
-
-    if which == "S1_zero":
-        resid = lhs
-    else:
-        if source_values is None:
-            raise DomainValidationError("S1_source needs source_values (f0 samples)")
-        s0 = np.asarray(source_values, dtype=complex)
-        if s0.shape != vals.shape or not np.all(np.isfinite(s0)):
-            raise DomainValidationError("source_values must be finite and match the grid")
-        coeffs = xi_coeffs(m, alpha_prime)
-        eta = coeffs.xi_plus - 2.0 * coeffs.xi * (1.0 + w)
-        s0i = s0[1:-1]
-        s0p = _central_d1(s0, h)
-        source = (
-            2.0
-            * hbar**2
-            * k2**2
-            * (
-                -(2.0 * coeffs.xi / zi**2) * (s0p / zi - s0i / zi**2 + 0.5 * s0i)
-                + eta * s0i / zi**4
-            )
+    # an overflowed operator term makes the scale non-finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = k2 * (d2 + d1 / zi - w * w * vi / (zi * zi) + vi)
+        scale_terms = k2 * (
+            np.abs(d2) + np.abs(d1) / zi + w * w * np.abs(vi) / (zi * zi) + np.abs(vi)
         )
-        resid = lhs - source
-        scale_terms = scale_terms + np.abs(source)
 
-    scale = float(np.max(scale_terms))
+        if which == "S1_zero":
+            resid = lhs
+        else:
+            if source_values is None:
+                raise DomainValidationError("S1_source needs source_values (f0 samples)")
+            s0 = np.asarray(source_values, dtype=complex)
+            if s0.shape != vals.shape or not np.all(np.isfinite(s0)):
+                raise DomainValidationError("source_values must be finite and match the grid")
+            coeffs = xi_coeffs(m, alpha_prime)
+            eta = coeffs.xi_plus - 2.0 * coeffs.xi * (1.0 + w)
+            s0i = s0[1:-1]
+            s0p = _central_d1(s0, h)
+            source = (
+                2.0
+                * hbar**2
+                * k2**2
+                * (
+                    -(2.0 * coeffs.xi / zi**2) * (s0p / zi - s0i / zi**2 + 0.5 * s0i)
+                    + eta * s0i / zi**4
+                )
+            )
+            resid = lhs - source
+            scale_terms = scale_terms + np.abs(source)
+
+        scale = float(np.max(scale_terms))
     if not scale < math.inf:  # also nan
         raise AccuracyError(f"ode_residual overflows a double at m = {m}, alpha' = {alpha_prime}")
     if scale == 0.0:

@@ -1,6 +1,7 @@
 """Deformed charged-particle dynamics: force correction, Hamiltonian flow,
 integration accuracy, action consistency and gauge behaviour."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -480,7 +481,56 @@ _RK4_CASES = {
 }
 
 
+def _sample_digest(traj):
+    """sha256 of the little-endian float64 bytes of t, x, v, p and energy."""
+    h = hashlib.sha256()
+    for col in (traj.t, traj.x, traj.v, traj.p, traj.energy):
+        h.update(np.ascontiguousarray(col, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# (fields, params, initial state, dt, steps, sha256 of the samples); each
+# digest pins every bit of the record, not only its closeness to a reference
+_DIGEST_RUNS = {
+    "ab-beta": (
+        *_RK4_CASES["ab-beta"], 1e-3, 500,
+        "701a7b5f48e42781c014597e4407c9f0b62b690ef0c3cd0f8bb00399958d2db5",
+    ),
+    "uniform-b-bare": (
+        *_RK4_CASES["uniform-b-bare"], 1e-3, 500,
+        "ec28a6330f2b7d373fc00c4f9ac68ffc278fe721ab28e0575379512af571b4c7",
+    ),
+    "uniform-eb-3d-beta": (
+        *_RK4_CASES["uniform-eb-3d-beta"], 1e-3, 500,
+        "e4ef84a11052831443fc2ccb3c2ce322e7dcacdfa9346e982873cb7a49a79b31",
+    ),
+    "ab-truncated": (  # the run of test_truncation_on_singular_field
+        ab_flux_field(0.5, P0, r_min=0.5), P0,
+        ClassicalState(np.array([2.0, 0.0]), np.array([-1.0, 0.0])), 0.01, 1000,
+        "59659031dfabc4fde7d0e1a3d2453155a4871618a61767ea213854e433bb8b92",
+    ),
+    "uniform-e-3d-beta": (
+        uniform_field(d=3, e_field=[0.1, -0.2, 0.05]), PB,
+        ClassicalState(np.array([0.1, 0.2, -0.3]), np.array([0.4, -0.2, 0.3]), 0.25),
+        1e-3, 500,
+        "12b750e4ad384c449795698da6731e5bf64112379209214dfecec7047f2b8847",
+    ),
+    "uniform-e-2d-beta": (
+        uniform_field(d=2, e_field=[0.3, -0.7]), PB,
+        ClassicalState(np.array([-0.5, 0.25]), np.array([0.6, 0.1])), 1e-3, 500,
+        "300e35fd98c9167c70ce17db5a4f6dc9cd4eedcb3240608edd20449fcac8d7e4",
+    ),
+}
+
+
 class TestFloatRk4:
+    @pytest.mark.parametrize("case", sorted(_DIGEST_RUNS))
+    def test_samples_match_their_digest(self, case):
+        fields, params, st, dt, steps, digest = _DIGEST_RUNS[case]
+        traj = integrate(st, fields, params, dt, steps)
+        assert traj.complete == (case != "ab-truncated")
+        assert _sample_digest(traj) == digest
+
     @pytest.mark.parametrize("case", sorted(_RK4_CASES))
     def test_matches_numpy_stages(self, case):
         # 500 steps; the two differ only in how 2- and 3-term dot products

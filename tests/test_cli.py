@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from abgup import PhysicalParams, dsigma, flux_split, selftest, width
-from abgup.cli import _build_parser, _json_document, _write, main
+from abgup.cli import _build_parser, _write, main
 
 
 def _rows(path):
@@ -441,6 +441,38 @@ def _reference_json(records, skipped):
     return json.dumps({"records": records, "skipped": skipped}, sort_keys=True, indent=2) + "\n"
 
 
+def _written(tmp_path, fmt, columns, values, skipped=()):
+    """The text ``_write`` writes for these arguments in ``fmt``."""
+    out = tmp_path / f"doc.{fmt}"
+    _write(argparse.Namespace(format=fmt, out=str(out)), columns, values, list(skipped))
+    return out.read_text()
+
+
+def _write_json(tmp_path, records, skipped, fold):
+    """``records`` (dicts with the same keys) written by ``_write`` as JSON;
+    with ``fold``, a column holding the same object in every record is
+    passed as a constant column, else every column is read per row."""
+    names = tuple(records[0]) if records else ("x",)
+    columns = tuple(
+        (c, records[0][c])
+        if fold and records and all(rec[c] is records[0][c] for rec in records)
+        else c
+        for c in names
+    )
+    if not any(isinstance(c, str) for c in columns):
+        columns = (names[0], *columns[1:])  # at least one column is read per row
+    values = [rec[c] for rec in records for c in columns if isinstance(c, str)]
+    return _written(tmp_path, "json", columns, values, [(0, "", rec) for rec in skipped])
+
+
+_ALL_KINDS = {  # one of each value type the writer meets, then a second row
+    "z": (math.nan, 1.5), "y": (math.inf, -math.inf), "x": (-math.inf, math.inf),
+    "w": (np.float64(0.1), np.float64(-2.5)), "v": (-0.0, 0.0), "n": (3, -1),
+    "m": (-7, 10**20), "flag": (True, False), "none": (None, None),
+    "big": (1e300, -1e300), "tiny": (5e-324, -5e-324),
+}
+
+
 class TestJsonWriter:
     @pytest.mark.parametrize(
         "records, skipped",
@@ -448,28 +480,29 @@ class TestJsonWriter:
             ([], []),
             ([{"a": 1.0}], []),
             ([], [{"reason": "x"}]),
-            ([{"b": 2}, {"a": "x"}], [{"c": 1}]),
+            ([{"a": "x", "b": 2}, {"a": "y", "b": -3}], [{"c": 1}]),
             (
-                [
-                    {"z": math.nan, "y": math.inf, "x": -math.inf, "w": np.float64(0.1), "v": -0.0},
-                    {"n": 3, "m": -7, "flag": True, "none": None, "big": 1e300, "tiny": 5e-324},
-                ],
+                [{k: pair[0] for k, pair in _ALL_KINDS.items()},
+                 {k: pair[1] for k, pair in _ALL_KINDS.items()}],
                 [{"reason": 'a, "quoted"\nline\tand \\ and \u00e9', "phi": np.float64(-2.5)}],
             ),
             # text that looks like the break between two records
             ([{"s": "},\n      {"}, {"s": "}, {"}], [{"s": "}"}]),
+            # template syntax in keys, values and skips, one constant column
+            (
+                [{"100%": "%s %(x)s", "k": "\u00e9%d", "r": 0.5},
+                 {"100%": "%%", "k": "\u00e9%d", "r": -0.5}],
+                [{"reason": "50%s"}],
+            ),
+            # the same object in every row of every column
+            ([{"a": -0.0, "b": 10**20, "c": None, "d": True}] * 3, []),
         ],
     )
     def test_matches_json_dumps_indent_2(self, tmp_path, records, skipped):
-        # the writer's JSON document; through _write when the records share keys
-        assert _json_document(records, skipped) == _reference_json(records, skipped)
-        if len({tuple(rec) for rec in records}) == 1:
-            columns = tuple(records[0])
-            out = tmp_path / "doc.json"
-            args = argparse.Namespace(format="json", out=str(out))
-            _write(args, columns, [tuple(rec.values()) for rec in records],
-                   [(0, "", rec) for rec in skipped])
-            assert out.read_text() == _reference_json(records, skipped)
+        # the JSON document of _write, with and without constant columns
+        expected = _reference_json(records, skipped)
+        assert _write_json(tmp_path, records, skipped, fold=False) == expected
+        assert _write_json(tmp_path, records, skipped, fold=True) == expected
 
     @pytest.mark.parametrize(
         "argv",
@@ -494,17 +527,15 @@ class TestJsonWriter:
 
 class TestCsvWriter:
     def test_template_and_skips_in_place(self, tmp_path):
-        out = tmp_path / "doc.csv"
-        args = argparse.Namespace(format="csv", out=str(out))
-        rows = [(1, 0.1, -0.0), (-2, 1e-300, math.inf), (30, 2.5, math.nan)]
+        values = [1, 0.1, -0.0, -2, 1e-300, math.inf, 30, 2.5, math.nan]
         skipped = [
             (0, "skipped at=%(at)d", {"at": 0}),
             (2, "skipped x=%(x).17g why=%(why)s", {"x": 0.3, "why": "a b"}),
             (2, "%(reason)s, twice", {"reason": "again"}),
             (3, "end", {}),
+            (3, "rate %(r)s", {"r": "5% %s"}),
         ]
-        _write(args, ("n", "x", "y"), rows, skipped)
-        assert out.read_text() == (
+        assert _written(tmp_path, "csv", ("n", "x", "y"), values, skipped) == (
             "n,x,y\n"
             "# skipped at=0\n"
             "1,0.10000000000000001,-0\n"
@@ -513,27 +544,51 @@ class TestCsvWriter:
             "# again, twice\n"
             "30,2.5,nan\n"
             "# end\n"
+            "# rate 5% %s\n"
         )
 
     def test_constant_columns_read_as_formatted_per_row(self, tmp_path):
-        # a column holding one object in every row is formatted once; equal
-        # but distinct objects (0.0 and -0.0) must still be formatted per row
-        out = tmp_path / "doc.csv"
-        args = argparse.Namespace(format="csv", out=str(out))
+        # a constant column is formatted once into the row template, as the
+        # same value read from every row would be
         neg, beta, big = -0.0, 0.1, 10**20
-        rows = [(0.0, neg, 7, beta, big), (-0.0, neg, 7, beta, big), (0.0, neg, 7, beta, big)]
-        _write(args, ("zero", "neg", "m", "beta", "big"), rows, [(1, "# mid", {})])
-        assert out.read_text() == (
+        names = ("zero", "neg", "m", "beta", "big")
+        expected = (
             "zero,neg,m,beta,big\n"
             "0,-0,7,0.10000000000000001,100000000000000000000\n"
             "# # mid\n"
             "-0,-0,7,0.10000000000000001,100000000000000000000\n"
             "0,-0,7,0.10000000000000001,100000000000000000000\n"
         )
-        _write(args, ("x",), [(0.0,), (-0.0,)], [])  # one column, and it varies
-        assert out.read_text() == "x\n0\n-0\n"
-        _write(args, ("x", "y"), [(neg, 3)], [])  # one row: every column is constant
-        assert out.read_text() == "x,y\n-0,3\n"
+        folded = ("zero", ("neg", neg), ("m", 7), ("beta", beta), ("big", big))
+        got = _written(tmp_path, "csv", folded, [0.0, -0.0, 0.0], [(1, "# mid", {})])
+        assert got == expected
+        per_row = [v for z in (0.0, -0.0, 0.0) for v in (z, neg, 7, beta, big)]
+        assert _written(tmp_path, "csv", names, per_row, [(1, "# mid", {})]) == expected
+        assert _written(tmp_path, "csv", ("x",), [0.0, -0.0]) == "x\n0\n-0\n"
+        assert _written(tmp_path, "csv", ("x", "y"), [neg, 3]) == "x,y\n-0,3\n"
+        assert _written(tmp_path, "csv", (("x", neg), "y"), [3]) == "x,y\n-0,3\n"
+        assert _written(tmp_path, "csv", ("x", ("y", 3)), []) == "x,y\n"
+
+    def test_value_types_in_both_formats(self, tmp_path):
+        # the numeric kinds of _ALL_KINDS (None has no CSV form), with and
+        # without a constant column; JSON against json.dumps
+        names = ("z", "y", "x", "w", "v", "n", "m", "flag", "big", "tiny")
+        values = [_ALL_KINDS[k][i] for i in (0, 1) for k in names]
+        assert _written(tmp_path, "csv", names, values, [(1, "%(k)s", {"k": "mid"})]) == (
+            "z,y,x,w,v,n,m,flag,big,tiny\n"
+            "nan,inf,-inf,0.10000000000000001,-0,3,-7,1,1.0000000000000001e+300,"
+            "4.9406564584124654e-324\n"
+            "# mid\n"
+            "1.5,-inf,inf,-2.5,0,-1,100000000000000000000,0,-1.0000000000000001e+300,"
+            "-4.9406564584124654e-324\n"
+        )
+        folded = (("flag", True), *names)
+        got = _written(tmp_path, "csv", folded, values[:10])
+        assert got.splitlines()[1] == "1," + _written(tmp_path, "csv", names, values[:10]).splitlines()[1]
+        records = [dict(zip(names, values[:10])), dict(zip(names, values[10:]))]
+        skipped = [{"reason": "mid", "at": math.nan}]
+        got = _written(tmp_path, "json", names, values, [(1, "%(reason)s", skipped[0])])
+        assert got == _reference_json(records, skipped)
 
 
 # =====================================================================

@@ -4,6 +4,7 @@ entry points."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,12 @@ _Z = np.linspace(1.0, 2.0, 11)
         (lambda: pfq_series([1.0, -50.0], [0.5], 1e300), AccuracyError),
         (lambda: fn_quadrature(1, math.nan, 0.3, 1.3), DomainValidationError),
         (lambda: fn_quadrature(1, 1.0, -76.5, -75.5, 0.5), AccuracyError),
+        # these ran for a time that grows with |c| or the order (days at 1e12),
+        # returned inf, or warned before their typed error
+        (lambda: hyp2f1_11(-1e12 + 0.5, 0.3 + 0.1j), DomainValidationError),
+        (lambda: hyp2f1_11(-1e4 + 0.5, 0.9 + 0.3j), DomainValidationError),
+        (lambda: f1_integral(0.3, 1.0 - 1e12 + 0.5, -1e12 + 0.5), DomainValidationError),
+        (lambda: fn_quadrature(1, 3.0, 1e300, 0.0, 0.5), AccuracyError),
     ],
     ids=["bessel_nan", "bessel_minus_inf", "bessel_inf", "bessel_huge_order",
          "f1_nan", "f2_nan", "f1_inf", "width_half", "width_nan", "limits_half",
@@ -304,11 +311,16 @@ _Z = np.linspace(1.0, 2.0, 11)
          "mode_f0_half", "mode_f0_nan", "mode_f0_inf", "g1_g2_nan", "ode_residual_half",
          "ode_residual_nan", "ode_residual_nan_samples", "ode_residual_huge_m",
          "f1_near_degenerate_huge_z", "f2_tiny_order", "f3_tiny_order", "f1_equal_at_zero",
-         "pfq_nan", "pfq_overflow", "quadrature_nan", "quadrature_overflow"],
+         "pfq_nan", "pfq_overflow", "quadrature_nan", "quadrature_overflow",
+         "hyp_huge_negative_c", "hyp_past_double_range", "f1_huge_negative_order",
+         "quadrature_huge_order"],
 )
 def test_entry_points_raise_typed(call, error):
-    with pytest.raises(error):
-        call()
+    # the typed error is the whole report: no numpy or scipy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
 
 
 # =====================================================================
@@ -388,6 +400,7 @@ def test_entry_point_table_covers_the_exports():
 @given(params=_PARAMS, alpha=st.floats(-50.0, 50.0), m=_M, phi=_PHI)
 @example(params=_PB, alpha=0.3, m=math.nan, phi=1.0)
 @example(params=_PB, alpha=0.3, m=math.inf, phi=1.0)
+@example(params=_PB, alpha=-1e12 + 0.5, m=1, phi=0.3)  # c = alpha' of hyp2f1_11
 def test_entry_point_returns_finite_or_raises_typed(name, params, alpha, m, phi):
     # numpy may warn on the way to a typed error; warnings are not the property
     with np.errstate(all="ignore"):

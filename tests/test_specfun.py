@@ -934,6 +934,49 @@ class TestEulerRule:
             with pytest.raises(AccuracyError, match="c <="):
                 hyp2f1_11(c, x)
 
+    # The worst points found at c = -1e4 + f (the floor of the contiguous
+    # steps) over 1,400 seeded points: 1.1e-12, 7.9e-13 and 5.6e-13, all at
+    # Re x = 1/2, where the two terms of the connection to 1 - x are of one
+    # size. mpmath.hyp2f1 itself stops its series early at so negative a c
+    # (it reads 1.0 where the value is 2e178 at c = -999.1), so the reference
+    # at 50 digits is that connection (DLMF 15.8.4), or where |x / (x - 1)|
+    # < 0.8 Pfaff's transformation (DLMF 15.8.1), whose series has terms
+    # (c - 1) / (c - 1 + n) z^n and takes 1 ms where the connection takes 3 s.
+    @pytest.mark.parametrize("c, x", [
+        (-9999.999999, 0.4996329197572735 - 0.05109542480671703j),
+        (-9999.25, 0.49974872248794516 - 0.4803541564705256j),
+        (-9999.000001, 0.49939700448910934 - 0.8592602127302658j),
+        (-9999.5, -3.0 + 1.0j),
+        (-9999.5, 0.3 + 0.1j),
+    ])
+    def test_at_the_c_floor(self, c, x):
+        with mpmath.workdps(50):
+            cm, xm = mpmath.mpf(c), mpmath.mpc(x.real, x.imag)
+            z = xm / (xm - 1)
+            if abs(z) < 0.8:
+                ref = mpmath.hyp2f1(1, cm - 1, cm, z) / (1 - xm)
+            else:
+                ref = ((cm - 1) / (cm - 2) * mpmath.hyp2f1(1, 1, 3 - cm, 1 - xm)
+                       + mpmath.pi * (1 - cm) / mpmath.sin(mpmath.pi * cm)
+                       * xm ** (1 - cm) * (1 - xm) ** (cm - 2))
+            got = hyp2f1_11(c, x)
+            assert float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)) < 2e-12
+
+    @pytest.mark.parametrize("c", [specfun._MIN_SHIFTED_C - 1e-6, -1e4 - 0.5, -1e5 + 0.5,
+                                   -1e12 + 0.5, -1e15 + 0.5])
+    def test_below_the_c_floor_raises(self, c):
+        # ceil(1.5 - c) steps: 47 ms at -1e5 + 0.5, days at -1e12 + 0.5 (an
+        # integral c, -1e300 included, is a pole and raises PoleError first)
+        for x in (0.3 + 0.1j, 0.9 - 0.5j, -3.0, 50j):
+            with pytest.raises(DomainValidationError, match="c >="):
+                hyp2f1_11(c, x)
+
+    def test_past_the_double_range_raises(self):
+        # where Re x > 1/2 the value grows like |x / (1 - x)|^(-c); it was inf
+        for x in (0.9 + 0.3j, 0.9 - 0.3j, 2.0 + 1.0j, 0.6):
+            with pytest.raises(DomainValidationError, match="double range"):
+                hyp2f1_11(-1e4 + 0.5, x)
+
     def test_series_keeps_every_c(self):
         # |x| <= 0.7 sums the power series, whose terms n! x^n / (c)_n only fall faster
         c = 1e4
