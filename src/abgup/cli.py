@@ -4,6 +4,11 @@ trajectories, integer-flux jump evaluation, and a self-test harness.
 Exit codes: 0 success, 1 validation/usage/IO failure, 2 numerical-accuracy
 failure (a selftest oracle disagreed).
 
+A phi-scan evaluates all its angles in one array call of ``scattering``
+(f0, f1 and the cross section from one kernel build in JSON); an
+alpha-scan, whose flux moves from row to row, makes float calls row by row.
+A grid point that fails becomes the same skip line in either.
+
 Output is CSV (17 significant digits, deterministic row order; grid points
 inside exclusion margins appear as `# skipped ...` comment lines) or JSON
 (scan records use the amplitude-dump schema with f0/f1 split into real and
@@ -222,6 +227,30 @@ def _scan_skip_reason(alpha_prime: float, phi: float, margin: float) -> str | No
     return None
 
 
+def _phi_rows(evaluate, a: float, phis: list[float], kept: list[int], reasons: list) -> dict:
+    """The rows of a phi-scan at the angles ``phis[i]``, i in ``kept``, from
+    one array call ``evaluate(a, angles)``, as {i: row}.
+
+    An array call that fails names the failing angles in its error's
+    ``rows``; each of them takes the error's name in ``reasons``, as it would
+    have taken it alone, and the call is made again on the rest. Each
+    element of an array call is bitwise the same in any split of the array,
+    so the other rows keep their values.
+    """
+    while kept:
+        try:
+            columns = evaluate(a, np.array([phis[i] for i in kept]))
+        except (DomainValidationError, AccuracyError) as exc:
+            # an error that names no angles stands for every one of them
+            failed = set(exc.rows.tolist()) if hasattr(exc, "rows") else set(range(len(kept)))
+            for j in failed:
+                reasons[kept[j]] = type(exc).__name__
+            kept = [i for j, i in enumerate(kept) if j not in failed]
+            continue
+        return dict(zip(kept, np.column_stack(np.broadcast_arrays(*columns)).tolist()))
+    return {}
+
+
 def _run_scan(args: argparse.Namespace, mode: str) -> int:
     params = _params_from(args)
     if args.steps < 2:
@@ -233,37 +262,45 @@ def _run_scan(args: argparse.Namespace, mode: str) -> int:
         raise DomainValidationError(f"the scan range must be finite, got [{lo}, {hi}]")
     # only the last point's step can overflow, and linspace sets that point to hi
     with np.errstate(over="ignore"):
-        values = np.linspace(lo, hi, args.steps).tolist()
+        points = np.linspace(lo, hi, args.steps).tolist()
     if mode == "alpha":
-        grid = [(a, args.phi) for a in values]
+        grid = [(a, args.phi) for a in points]
     else:
-        grid = [(args.alpha, phi) for phi in values]
+        grid = [(args.alpha, phi) for phi in points]
 
     beta = ("beta", params.beta)
     if args.format == "json":  # the amplitudes too, at the principal angle
         columns = ("alpha_prime", "phi", beta, "f0_re", "f0_im", "f1_re", "f1_im", "dsigma")
 
-        def evaluate(a: float, phi: float) -> tuple:
+        def evaluate(a: float, phi) -> tuple:
             s = scattering.scatter_sample(phi, a, params, form=args.form)
             f0, f1 = s.f0, s.f1
             return (s.alpha_prime, s.phi, f0.real, f0.imag, f1.real, f1.imag, s.dsigma)
     else:
         columns = ("alpha_prime", "phi", beta, "dsigma")
 
-        def evaluate(a: float, phi: float) -> tuple:
+        def evaluate(a: float, phi) -> tuple:
             return (a, phi, scattering.dsigma(phi, a, params, form=args.form))
+
+    reasons = [_scan_skip_reason(a, phi, args.margin) for a, phi in grid]
+    kept = [i for i, reason in enumerate(reasons) if reason is None]
+    if mode == "alpha":
+        rows = {}
+        for i in kept:
+            try:
+                rows[i] = evaluate(*grid[i])
+            except (DomainValidationError, AccuracyError) as exc:
+                reasons[i] = type(exc).__name__
+    else:
+        rows = _phi_rows(evaluate, args.alpha, points, kept, reasons)
 
     values: list[float] = []
     skipped: list[tuple[int, str, dict]] = []
-    for a, phi in grid:
-        reason = _scan_skip_reason(a, phi, args.margin)
-        if reason is None:
-            try:
-                values += evaluate(a, phi)
-                continue
-            except (DomainValidationError, AccuracyError) as exc:
-                reason = type(exc).__name__
-        rec = {"alpha_prime": a, "phi": phi, "reason": reason}
+    for i, (a, phi) in enumerate(grid):
+        if reasons[i] is None:
+            values += rows[i]
+            continue
+        rec = {"alpha_prime": a, "phi": phi, "reason": reasons[i]}
         # the position in rows, of which every column but beta is in values
         skipped.append((len(values) // (len(columns) - 1), _SCAN_SKIP_NOTE, rec))
     _write(args, columns, values, skipped)

@@ -29,6 +29,17 @@ keeps. Every phase e^{-i nu phi} of an angle times N or N + 1/2 comes from
 its accuracy does not fall with |N phi|; this module makes no ``cmath.exp``
 call.
 
+``g_fn``, ``f0_amp``, ``f1_amp``, ``dsigma`` and ``scatter_sample`` also take
+a 1-D numpy array of angles at one alpha', which is how a phi-scan calls
+them. Each formula is written once and runs on a float or on an array
+alike; only the angle reduction (``_principal``, ``_check_away_from_pi``,
+``_trig``), the finiteness check and the kernel's six 2F1 values branch on
+the input. An array's six F come from ``specfun._hyp2f1_11_rows``, so no
+array passes through ``hyp2f1_11``. Each element is bitwise the same in any
+split of its array, and a float call keeps the float arithmetic it always
+had. An array call that fails at some angles raises its typed error with
+their indices in ``rows``.
+
 ``dsigma`` evaluates the differential cross section per unit angle, either
 as the squared modulus of the corrected amplitude or in the form linearized
 in the deformation parameter; ``dsigma_integer_limits`` and ``width`` give
@@ -46,6 +57,7 @@ weight is 1 - cos(pi alpha_prime)).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -63,7 +75,7 @@ from .core import (
     require_noninteger,
     square,
 )
-from .specfun import _cis_neg, _cis_pi, hyp2f1_11
+from .specfun import _cis_neg, _cis_pi, _hyp2f1_11_rows, hyp2f1_11
 
 _PI_MARGIN = 1e-6          # amplitude evaluations: keep |phi| away from pi
 _SERIES_PHI_MARGIN = 1e-3  # series route additionally needs phi away from 0
@@ -74,13 +86,23 @@ _LERCH_REACH = 8.0         # least distance a |1 - q| of a Lerch tail's pole fro
 _EXPLICIT_MODES = 200
 _LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(40)
 _PHI_ABS_MAX = 1e6         # largest |phi| taken as an angle; doubles there are 1.2e-10 apart
+_ARRAY = np.ndarray        # an angle of this type is an array of angles; looked up once per test
 
 
 # =====================================================================
 # Angle and parameter helpers
 # =====================================================================
 
-def _principal(phi: float) -> float:
+def _failure(error: type[Exception], message: str, rows: np.ndarray) -> Exception:
+    """``error(message)`` for an array call, with ``rows``, the indices of the
+    elements that failed, so that a caller can set those elements aside and
+    call again on the rest."""
+    exc = error(message)
+    exc.rows = rows
+    return exc
+
+
+def _principal(phi):
     """Reduce an angle to the principal window (-pi, pi].
 
     The assembled amplitudes are 2 pi periodic (the half-angle factors and
@@ -89,7 +111,19 @@ def _principal(phi: float) -> float:
     DomainValidationError: neighbouring doubles are 1.2e-10 apart at 1e6 and
     ever further beyond it, so a larger value no longer fixes an angle to
     the accuracy the amplitudes carry.
+
+    A 1-D array of angles is reduced element by element, to the same bits
+    as a float; its error carries the failing indices in ``rows``.
     """
+    if isinstance(phi, _ARRAY):
+        t = phi.astype(float)
+        bad = np.flatnonzero(~(np.abs(t) <= _PHI_ABS_MAX))  # also nan and +-inf
+        if bad.size:
+            raise _failure(DomainValidationError, (
+                f"phi must be finite with |phi| <= {_PHI_ABS_MAX:g}, got {t[bad[0]]} "
+                f"(and {bad.size - 1} more)"), bad)
+        t = np.fmod(t, 2.0 * math.pi)
+        return np.where(t <= -math.pi, t + 2.0 * math.pi, np.where(t > math.pi, t - 2.0 * math.pi, t))
     t = float(phi)
     if not abs(t) <= _PHI_ABS_MAX:  # also rejects nan and +-inf
         raise DomainValidationError(
@@ -103,15 +137,41 @@ def _principal(phi: float) -> float:
     return t
 
 
-def _check_away_from_pi(phi: float, margin: float) -> float:
+def _check_away_from_pi(phi, margin: float):
     t = _principal(phi)
-    if math.pi - abs(t) < margin:
-        raise ForwardSingularityError(
-            f"phi = {phi} is within {margin} of the forward direction +-pi, "
-            "where the amplitude diverges and a delta-function term "
-            "(weight 1 - cos(pi alpha')) is excluded from the pointwise value"
-        )
+    close = math.pi - abs(t) < margin
+    if isinstance(t, _ARRAY):
+        if close.any():
+            raise _failure(ForwardSingularityError, _forward_message(phi[close][0], margin),
+                           np.flatnonzero(close))
+    elif close:
+        raise ForwardSingularityError(_forward_message(phi, margin))
     return t
+
+
+def _forward_message(phi, margin: float) -> str:
+    return (
+        f"phi = {phi} is within {margin} of the forward direction +-pi, "
+        "where the amplitude diverges and a delta-function term "
+        "(weight 1 - cos(pi alpha')) is excluded from the pointwise value"
+    )
+
+
+def _trig(t):
+    """The module whose cos, sin and tan take the angle ``t``: ``math`` for a
+    float, numpy for an array, element by element."""
+    return np if isinstance(t, _ARRAY) else math
+
+
+_FLOAT_ARITHMETIC = contextlib.nullcontext()
+
+
+def _quiet(t):
+    """The context for arithmetic at the angle ``t``: for an array, numpy's
+    floating-point warnings off, because an overflow shows as a non-finite
+    element, which ``_finite`` turns into a typed error; a float's
+    arithmetic warns of nothing."""
+    return np.errstate(all="ignore") if isinstance(t, _ARRAY) else _FLOAT_ARITHMETIC
 
 
 def _sqrt_2pi_ik(k: float) -> complex:
@@ -120,9 +180,16 @@ def _sqrt_2pi_ik(k: float) -> complex:
 
 
 def _finite(value, what: str):
-    """``value`` (float or complex) if finite; AccuracyError otherwise, where
-    the parameters push it past the double range."""
-    if not cmath.isfinite(value):
+    """``value`` (float or complex, or an array of them) if finite;
+    AccuracyError otherwise, where the parameters push it past the double
+    range, with the failing indices in ``rows`` for an array."""
+    if isinstance(value, _ARRAY):
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            raise _failure(AccuracyError, (
+                f"{what} is not finite at these parameters (overflow), "
+                f"at {bad.size} of {value.size} angles"), bad)
+    elif not cmath.isfinite(value):
         raise AccuracyError(f"{what} is not finite at these parameters (overflow)")
     return value
 
@@ -131,7 +198,7 @@ def _finite(value, what: str):
 # Zeroth order amplitude
 # =====================================================================
 
-def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
+def f0_amp(phi, alpha_prime: float, k: float = 1.0):
     """Unperturbed scattering amplitude.
 
         f0 = (1/sqrt(2 pi i k)) (-i) (-1)^N sin(pi alpha')
@@ -147,9 +214,12 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
 
     Parameters
     ----------
-    phi : float
+    phi : float or 1-D numpy array
         Observation angle; any finite value, reduced mod 2 pi. Must stay
-        1e-6 away from the forward direction +-pi.
+        1e-6 away from the forward direction +-pi. An array gives f0 at
+        each of its angles, by the same formula in numpy; an angle within
+        the margin raises ForwardSingularityError with the indices of such
+        angles in its ``rows``.
     alpha_prime : float
         Flux parameter.
     k : float
@@ -157,7 +227,7 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
 
     Returns
     -------
-    complex
+    complex, or a complex array for an array of angles
     """
     if not 0.0 < k < math.inf:  # also nan
         raise DomainValidationError(f"wave number must be finite and positive, got {k}")
@@ -166,9 +236,9 @@ def f0_amp(phi: float, alpha_prime: float, k: float = 1.0) -> complex:
     n = split.n_part
     sin_a = _cis_pi(split.alpha_prime).imag
     if sin_a == 0.0:
-        return 0.0 + 0.0j
+        return 0j * abs(t)  # 0, at every angle of an array
     num = -1j * ((-1.0) ** n * sin_a) * _cis_neg(n + 0.5, t)
-    return num / (math.cos(0.5 * t) * _sqrt_2pi_ik(k))
+    return num / (_trig(t).cos(0.5 * t) * _sqrt_2pi_ik(k))
 
 
 # =====================================================================
@@ -383,7 +453,22 @@ class GValue:
     x: complex
 
 
-def g_fn(alpha_prime: float, phi: float) -> GValue:
+def _six_f(gamma: float, x):
+    """The six 2F1(1, 1; c; .) of the kernel at the locus point x, in the
+    order G takes them: F(2 - g; x*), F(1 + g; x), F(3 - g; x*), F(g; x),
+    F(1 - g; x*), F(2 + g; x). A complex x takes six ``hyp2f1_11`` calls; an
+    array of x takes ``specfun._hyp2f1_11_rows``, which builds each row's x
+    side once for all six."""
+    if isinstance(x, _ARRAY):
+        f_g, f_1g, f_2g, f_1mg, f_2mg, f_3mg = _hyp2f1_11_rows(
+            (gamma, 1.0 + gamma, 2.0 + gamma), (1.0 - gamma, 2.0 - gamma, 3.0 - gamma), x)
+        return f_2mg, f_1g, f_3mg, f_g, f_1mg, f_2g
+    xc = x.conjugate()
+    return (hyp2f1_11(2.0 - gamma, xc), hyp2f1_11(1.0 + gamma, x), hyp2f1_11(3.0 - gamma, xc),
+            hyp2f1_11(gamma, x), hyp2f1_11(1.0 - gamma, xc), hyp2f1_11(2.0 + gamma, x))
+
+
+def g_fn(alpha_prime: float, phi) -> GValue:
     """Assemble the correction kernel G(alpha', phi).
 
     Six hypergeometric evaluations F(c; .) = 2F1(1, 1; c; .) at the locus
@@ -405,6 +490,17 @@ def g_fn(alpha_prime: float, phi: float) -> GValue:
     bitwise the same at both points of a mirror pair. ``GValue.x`` stays the
     caller's x.
 
+    ``phi`` may be a 1-D numpy array of angles at the one alpha'. Then G and
+    x are arrays, assembled by the same formula from the six F of
+    ``specfun._hyp2f1_11_rows``, which builds each angle's x side once
+    instead of six ``hyp2f1_11`` calls per angle. Each element is bitwise
+    the same in any split of the array, and the mirror rule holds element
+    by element; against a float call it differs by rounding alone (below
+    1e-13 relative on the kernel table of the tests, as the float call is).
+    An angle within 1e-6 of +-pi raises ForwardSingularityError with the
+    indices of such angles in its ``rows``. A single angle is faster as a
+    float: an array's fixed cost is several float calls.
+
     Returns
     -------
     GValue
@@ -413,33 +509,33 @@ def g_fn(alpha_prime: float, phi: float) -> GValue:
     require_noninteger(alpha_prime, "g_fn: alpha'", PoleError)
     t = _check_away_from_pi(phi, _PI_MARGIN)
     a = float(alpha_prime)
-    x0 = 0.5 * (1.0 + 1j * math.tan(0.5 * t))
+    x0 = 0.5 * (1.0 + 1j * _trig(t).tan(0.5 * t))
     # the mirror rule: G(a', phi) = G(-a', -phi) and x(-phi) = x*
     a, x = (a, x0) if a > 0.0 else (-a, x0.conjugate())
-    xc = x.conjugate()
     gamma = flux_split(a).gamma_part
     e_plus = _cis_pi(gamma)
     e_minus = e_plus.conjugate()
+    f_2mg, f_1g, f_3mg, f_g, f_1mg, f_2g = _six_f(gamma, x)
 
     g = (
         2.0 * a * a * (
-            e_plus / (1.0 - gamma) * hyp2f1_11(2.0 - gamma, xc)
-            - e_minus / gamma * hyp2f1_11(1.0 + gamma, x)
+            e_plus / (1.0 - gamma) * f_2mg
+            - e_minus / gamma * f_1g
         )
         + 12.0 * a * e_plus.real
         + a * a * (1.0 - 0.5 * a) * (
-            e_plus / (2.0 - gamma) * hyp2f1_11(3.0 - gamma, xc)
-            + e_minus / (1.0 - gamma) * hyp2f1_11(gamma, x)
+            e_plus / (2.0 - gamma) * f_3mg
+            + e_minus / (1.0 - gamma) * f_g
         )
         - a * a * (1.0 + 0.5 * a) * (
-            e_plus / gamma * hyp2f1_11(1.0 - gamma, xc)
-            + e_minus / (1.0 + gamma) * hyp2f1_11(2.0 + gamma, x)
+            e_plus / gamma * f_1mg
+            + e_minus / (1.0 + gamma) * f_2g
         )
     )
     return GValue(g=g, x=x0)
 
 
-def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
+def f1_amp(phi, alpha_prime: float, params: PhysicalParams):
     """First-order amplitude, closed hypergeometric form.
 
         f1 = i pi hbar^2 k^2 e^{-i(N + 1/2) phi}
@@ -451,23 +547,33 @@ def f1_amp(phi: float, alpha_prime: float, params: PhysicalParams) -> complex:
     ``specfun._cis_neg``, exact in the product (N + 1/2) phi, and with
     ``g_fn``'s mirror rule f1 is bitwise invariant under
     (phi, alpha') -> (-phi, -alpha').
+
+    ``phi`` may be a 1-D numpy array of angles at the one alpha': f1 is then
+    an array, from one array call of ``g_fn`` and the same prefactor in
+    numpy. A value past the double range raises AccuracyError; for an array
+    its ``rows`` holds the indices of the angles where it is.
     """
     t = _check_away_from_pi(phi, _PI_MARGIN)
-    kernel = g_fn(alpha_prime, t)
+    return _f1(t, alpha_prime, params, g_fn(alpha_prime, t).g)
+
+
+def _f1(t, alpha_prime: float, params: PhysicalParams, g):
+    """f1 at the principal angle t from its kernel value g."""
     n = flux_split(alpha_prime).n_part
     hk2 = square(params.hbar * params.k)
-    pref = (
-        1j * math.pi * hk2 * _cis_neg(n + 0.5, t)
-        / (4.0 * math.cos(0.5 * t) * _sqrt_2pi_ik(params.k))
-    )
-    return _finite(pref * kernel.g, "f1_amp")
+    with _quiet(t):
+        pref = (
+            1j * math.pi * hk2 * _cis_neg(n + 0.5, t)
+            / (4.0 * _trig(t).cos(0.5 * t) * _sqrt_2pi_ik(params.k))
+        )
+        return _finite(pref * g, "f1_amp")
 
 
 # =====================================================================
 # Cross section
 # =====================================================================
 
-def dsigma_integer_limits(n: int, phi: float, params: PhysicalParams) -> tuple[float, float]:
+def dsigma_integer_limits(n: int, phi, params: PhysicalParams) -> tuple:
     """One-sided integer-flux limits of the cross section at alpha' = n.
 
         upper (alpha' -> n from above):
@@ -479,13 +585,16 @@ def dsigma_integer_limits(n: int, phi: float, params: PhysicalParams) -> tuple[f
     they are formed as (n + 2) - 2(n - 2) s and (2 - n) + 2(n + 2) s, which
     cancel nowhere: at n = 2 the lower bracket is 8 s, not 8 - 8 cos^2(phi/2).
     An n that is not a finite integral value raises DomainValidationError.
+    A 1-D numpy array of angles gives both limits as arrays.
     """
     n = require_integral(n, "dsigma_integer_limits: n")
-    s2 = math.sin(0.5 * _principal(phi)) ** 2
+    t = _principal(phi)
+    s2 = _trig(t).sin(0.5 * t) ** 2
     scale = params.beta * math.pi * square(params.hbar) * params.k * n * n / 2.0
-    upper = scale * ((n + 2.0) - 2.0 * (n - 2.0) * s2)
-    lower = scale * ((2.0 - n) + 2.0 * (n + 2.0) * s2)
-    return _finite(upper, "dsigma_integer_limits"), _finite(lower, "dsigma_integer_limits")
+    with _quiet(t):
+        upper = scale * ((n + 2.0) - 2.0 * (n - 2.0) * s2)
+        lower = scale * ((2.0 - n) + 2.0 * (n + 2.0) * s2)
+        return _finite(upper, "dsigma_integer_limits"), _finite(lower, "dsigma_integer_limits")
 
 
 def width(n: int, phi: float, params: PhysicalParams) -> float:
@@ -499,11 +608,11 @@ def width(n: int, phi: float, params: PhysicalParams) -> float:
 
 
 def dsigma(
-    phi: float,
+    phi,
     alpha_prime: float,
     params: PhysicalParams,
     form: str = "linearized",
-) -> float:
+):
     """Differential cross section per unit angle.
 
     Forms
@@ -530,36 +639,51 @@ def dsigma(
     accuracy next to integer flux. With ``g_fn``'s mirror rule the value is
     bitwise invariant under (phi, alpha') -> (-phi, -alpha') at every beta.
 
+    ``phi`` may be a 1-D numpy array of angles at the one alpha': the cross
+    section is then an array, from one array call of ``g_fn`` (where the
+    kernel is needed) and the same two forms in numpy. Each element is
+    bitwise the same in any split of the array.
+
     A value past the double range (extreme hbar, k or beta) raises
-    AccuracyError.
+    AccuracyError; for an array its ``rows`` holds the indices of the angles
+    where it is.
     """
+    t = _check_away_from_pi(phi, _PI_MARGIN)
+    return _dsigma(t, alpha_prime, params, form, None)
+
+
+def _dsigma(t, alpha_prime: float, params: PhysicalParams, form: str, g):
+    """The cross section at the principal angle t; ``g`` is the kernel value
+    there, or None to build it where the routing needs it."""
     if form not in ("linearized", "modulus"):
         raise DomainValidationError(f"unknown cross-section form {form!r}")
-    t = _check_away_from_pi(phi, _PI_MARGIN)
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
     k = params.k
-    c2 = math.cos(0.5 * t) ** 2
+    c2 = _trig(t).cos(0.5 * t) ** 2
     sin_g = (-1.0) ** n * _cis_pi(split.alpha_prime).imag  # sin(pi gamma), from alpha'
 
     if params.beta == 0.0:
-        val = sin_g * sin_g / (2.0 * math.pi * k * c2)
+        with _quiet(t):
+            val = sin_g * sin_g / (2.0 * math.pi * k * c2)
     elif gamma < ENDPOINT_BAND:
         val = dsigma_integer_limits(n, t, params)[0]
     elif 1.0 - gamma < ENDPOINT_BAND:
         val = dsigma_integer_limits(n + 1, t, params)[1]
     else:
-        kernel = g_fn(alpha_prime, t)
+        if g is None:
+            g = g_fn(alpha_prime, t).g
         hk2 = square(params.hbar * k)
-        if form == "modulus":
-            amp = sin_g - (math.pi * hk2 * params.beta / 4.0) * kernel.g
-            val = square(abs(amp)) / (2.0 * math.pi * k * c2)
-        else:
-            val = (
-                sin_g
-                * (sin_g - params.beta * (math.pi * hk2 / 2.0) * kernel.g.real)
-                / (2.0 * math.pi * k * c2)
-            )
+        with _quiet(t):
+            if form == "modulus":
+                amp = sin_g - (math.pi * hk2 * params.beta / 4.0) * g
+                val = square(abs(amp)) / (2.0 * math.pi * k * c2)
+            else:
+                val = (
+                    sin_g
+                    * (sin_g - params.beta * (math.pi * hk2 / 2.0) * g.real)
+                    / (2.0 * math.pi * k * c2)
+                )
     return _finite(val, "dsigma")
 
 
@@ -614,7 +738,7 @@ class ScatterSample:
 
 
 def scatter_sample(
-    phi: float,
+    phi,
     alpha_prime: float,
     params: PhysicalParams,
     form: str = "modulus",
@@ -626,16 +750,26 @@ def scatter_sample(
     the truncated amplitude (hence nonnegative). Raises PoleError at
     integer flux, where f1 has a pole (callers scanning grids should catch
     and skip).
+
+    ``phi`` may be a 1-D numpy array of angles at the one alpha': the
+    sample's ``phi``, ``f0``, ``f1`` and ``dsigma`` are then arrays, and f1
+    and the cross section share one array call of ``g_fn``. A float angle
+    builds the kernel in ``f1_amp`` and again in ``dsigma``.
     """
     t = _check_away_from_pi(phi, _PI_MARGIN)
     f0 = f0_amp(t, alpha_prime, params.k)
-    f1 = f1_amp(t, alpha_prime, params)
-    ds = dsigma(t, alpha_prime, params, form=form)
+    if isinstance(t, _ARRAY):
+        g = g_fn(alpha_prime, t).g
+        f1 = _f1(t, alpha_prime, params, g)
+        ds = _dsigma(t, alpha_prime, params, form, g)
+    else:
+        f1 = f1_amp(t, alpha_prime, params)
+        ds = dsigma(t, alpha_prime, params, form=form)
     return ScatterSample(
         alpha_prime=float(alpha_prime),
         phi=t,
         beta=params.beta,
         f0=f0,
         f1=f1,
-        dsigma=float(ds),
+        dsigma=ds,
     )

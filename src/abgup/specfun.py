@@ -32,7 +32,10 @@ quadrature stay genuinely two-route:
                     one of x alone, each cached on its exact key; no branch
                     iterates. The direct evaluations are memoised (last 16,
                     keyed on the exact (c, x)), so a hit returns exactly what
-                    a fresh evaluation would.
+                    a fresh evaluation would. ``_hyp2f1_11_rows`` is its array
+                    form for the kernel G over an array of angles: the same
+                    branches, anchors and cached c sides, one x side per row
+                    and one ``einsum`` row reduction per direct value.
 * ``pfq_series`` -- generic hypergeometric sum with term-ratio stopping.
 
 Branch switchovers are chosen so each branch runs well inside its comfort
@@ -79,13 +82,18 @@ def _cis_neg(nu: float, t: float) -> complex:
     e^{-i p} (1 - i e) would not do: e reaches about 1 there. p and e both
     negate exactly with nu, so e^{-i nu t} at (-nu, -t) is bitwise the value
     at (nu, t). The split overflows past |nu| of about 1.3e300.
+
+    ``t`` may also be a 1-D array of angles; each element then takes the
+    same steps as a float, in numpy, so a mirror pair of elements is still
+    bitwise the same.
     """
     p = nu * t
     cn, ct = 134217729.0 * nu, 134217729.0 * t  # Veltkamp's split at 2^27 + 1
     nh, th = cn - (cn - nu), ct - (ct - t)
     nl, tl = nu - nh, t - th
     e = ((nh * th - p) + nh * tl + nl * th) + nl * tl
-    return cmath.exp(-1j * p) * cmath.exp(-1j * e)
+    exp = np.exp if isinstance(t, np.ndarray) else cmath.exp  # an array of angles: element-wise
+    return exp(-1j * p) * exp(-1j * e)
 
 
 def _near_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -772,7 +780,10 @@ def hyp2f1_11(c: float, x) -> complex:
     below 1.5 steps down from the family's lowest member at or above 1.5, so
     the six values of one kernel build cost three direct evaluations (four
     at gamma = 1/2), and a repeated build costs none. A hit is exact: it
-    returns the very value a fresh evaluation would.
+    returns the very value a fresh evaluation would. These counts describe
+    float calls, one x at a time. ``scattering`` builds the kernel over an
+    array of angles with ``_hyp2f1_11_rows``, which goes through neither the
+    memo nor the x-side caches; it shares only the cached c sides.
     """
     c = float(c)
     x = complex(x)
@@ -811,6 +822,111 @@ def hyp2f1_11(c: float, x) -> complex:
                 f"hyp2f1_11 is past the double range at c = {c}, x = {x}"
             )
     return f.conjugate() if lower else f
+
+
+# The array routine below takes its rows this many at a time, so each x-side
+# matrix holds at most 256 x 148 complex values (0.6 MB) for any number of rows.
+_ROW_CHUNK = 256
+
+
+def _direct_rows(cs, x: np.ndarray) -> dict[float, np.ndarray]:
+    """``_hyp_direct(c, x_i)`` for every c of ``cs`` (each >= 1.5, at most 60)
+    and every x_i of the 1-D array ``x`` (closed upper half-plane), as
+    {c: values}.
+
+    Each row's x side is built once, on ``_hyp_direct``'s branches and
+    thresholds: the powers x, ..., x^n of the power series where |x| <= 0.7,
+    zero past its term count n, and otherwise 1 / (1 - x t_i) on the rule's
+    nodes, with the node set and the pole subtraction of ``_euler_x`` chosen
+    per row. Each direct value is then one row reduction, ``np.einsum`` of a
+    group's x-side matrix with the cached c side, which sums every row in
+    the same order whatever the other rows are.
+    """
+    r = 2.0 * np.abs(0.5 * x)
+    out = {c: np.empty(len(x), dtype=complex) for c in cs}
+    rows = np.flatnonzero(r <= _SERIES_RADIUS)
+    if rows.size:
+        z = x[rows]
+        count = (_LOG_TOL / np.log(r[rows])).astype(int) + 2  # ``_term_count``, per row
+        powers = np.multiply.accumulate(np.repeat(z[:, None], _MAX_TERMS, axis=1), axis=1)
+        powers[_K[None, :] >= count[:, None]] = 0.0
+        for c in cs:
+            out[c][rows] = 1.0 + np.einsum("ij,j->i", powers, _series_c(c))
+    rows = np.flatnonzero(r > _SERIES_RADIUS)
+    if rows.size:
+        z = x[rows]
+        t0 = 1.0 / z
+        near = np.where(t0.real >= 0.0, np.abs(t0 - np.minimum(t0.real, 1.0)) < _POLE_GATE,
+                        np.abs(t0) < _POLE_GATE_BEHIND)
+        rule = np.zeros(len(z), dtype=int)
+        inside = near & (0.0 < t0.real) & (t0.real < 1.0)
+        if inside.any():
+            tr = t0.real[inside]
+            steps = np.arcsinh(np.log(tr / (1.0 - tr)) / math.pi) / _RULE_H
+            rule[inside] = np.abs(steps % 1.0 - 0.5) < 0.25
+        for k in (0, 1):
+            pick = rule == k
+            if not pick.any():
+                continue
+            zk, close = z[pick], near[pick]
+            t, one_minus_t, w = _RULES[k]
+            g = 1.0 / (one_minus_t + (1.0 - zk)[:, None] * t)
+            zn = zk[close]
+            base = (zn - 1.0) / zn
+            resid = -np.log(1.0 - zn) / zn - np.einsum("ij,j->i", g[close], w)
+            for c in cs:
+                f = np.einsum("ij,j->i", g, _euler_c(c, k))
+                f[close] += (c - 1.0) * base ** (c - 2.0) * resid
+                out[c][rows[pick]] = f
+    return out
+
+
+def _hyp2f1_11_rows(c_at_x, c_at_conj, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """2F1(1, 1; c; x) for each c of ``c_at_x``, then 2F1(1, 1; c; x*) for each
+    c of ``c_at_conj``, at every point of the 1-D complex array ``x``: one
+    array per c, in that order.
+
+    The array form of ``hyp2f1_11`` for the kernel G of ``scattering``, on
+    its domain: x on the locus Re x = 1/2 at |x| below 2^1022, so |1 - x| =
+    |x| >= 1/2 and the connection next to x = 1 never applies, and c in
+    (0, 60]. No argument is checked. It takes the same steps as
+    ``hyp2f1_11``, for all rows at once:
+
+    * the half-plane rule once, under a mask: every row computes at its x or
+      x*, whichever has Im x >= +0, and the values that belong to the other
+      one are conjugated at the end;
+    * each row's x side built once for all the c, and the direct values of
+      the anchors (each c >= 1.5 itself, and c + ceil(1.5 - c) for each
+      c < 1.5) as row reductions against the cached c sides
+      (``_direct_rows``);
+    * each c < 1.5 stepped down from its anchor by the same contiguous
+      relation, each step's c formed from c itself.
+
+    Rows run ``_ROW_CHUNK`` (256) at a time. Every row's value depends on
+    that row alone, bit for bit, so it is the same in any split of the
+    array; it differs from ``hyp2f1_11``'s only by the rounding of the sums
+    (numpy's complex products and ``einsum`` against ``np.dot``).
+    """
+    cs = (*c_at_x, *c_at_conj)
+    shifts = [0 if c >= _MIN_DIRECT_C else int(math.ceil(_MIN_DIRECT_C - c)) for c in cs]
+    anchors = {c + shift for c, shift in zip(cs, shifts)}
+    lower = np.signbit(x.imag)
+    upper = np.where(lower, x.conjugate(), x)
+    out = np.empty((len(cs), len(x)), dtype=complex)
+    for lo in range(0, len(x), _ROW_CHUNK):
+        z = upper[lo:lo + _ROW_CHUNK]
+        direct = _direct_rows(anchors, z)
+        for i, (c, shift) in enumerate(zip(cs, shifts)):
+            f = direct[c + shift]
+            for k in range(shift - 1, -1, -1):
+                ck = c + k
+                f = (ck - (ck - 1.0) * z * f) / (ck * (1.0 - z))
+            out[i, lo:lo + _ROW_CHUNK] = f
+    # F(x*) = F(x)*: F(c; x) at a lower x, and F(c; x*) at an upper x, are conjugates
+    n = len(c_at_x)
+    out[:n] = np.where(lower, out[:n].conjugate(), out[:n])
+    out[n:] = np.where(lower, out[n:], out[n:].conjugate())
+    return tuple(out)
 
 
 # =====================================================================

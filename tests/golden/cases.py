@@ -44,6 +44,14 @@ _COMMANDS = {
     "phi_scan_across_pi": ["phi-scan", "--alpha", "2.5", "--beta", "0.008", "--margin", "0.06",
                            "--phi-min", "2.6415926535897931", "--phi-max", "3.6415926535897931",
                            "--steps", "21"],
+    # integer flux: every row is skipped on the integer-flux margin
+    "phi_scan_integer_flux": ["phi-scan", "--alpha", "2", "--beta", "0.01",
+                              "--phi-min", "-3", "--phi-max", "3", "--steps", "7"],
+    # --margin 0: the last point reduces to -pi + 5e-7, within the amplitudes'
+    # 1e-6 of forward, and is skipped as a ForwardSingularityError row
+    "phi_scan_forward_error": ["phi-scan", "--alpha", "1.3", "--beta", "0.01", "--margin", "0",
+                               "--phi-min", "2.1415926535897931",
+                               "--phi-max", "3.1415931535897931", "--steps", "11"],
     "radial_beta0": ["radial", "--m", "1", "--alpha", "0.3", "--beta", "0",
                      "--z-min", "0.5", "--z-max", "16", "--steps", "12"],
     "radial_beta": ["radial", "--m", "-2", "--alpha", "0.5", "--beta", "0.01",

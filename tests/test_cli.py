@@ -16,7 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from abgup import PhysicalParams, dsigma, flux_split, selftest, width
+from abgup import (
+    AccuracyError,
+    DomainValidationError,
+    PhysicalParams,
+    dsigma,
+    flux_split,
+    scatter_sample,
+    selftest,
+    width,
+)
 from abgup.cli import _build_parser, _write, main
 
 
@@ -239,6 +248,78 @@ class TestScans:
             ]
         )
         assert rc == 1
+
+
+def _scan_entries(out: str) -> list:
+    """A scan's output in row order: a dict of floats for each row and the
+    reason string for each skip (JSON lists its skips after its rows)."""
+    if out.startswith("{"):
+        doc = json.loads(out)
+        return doc["records"] + [rec["reason"] for rec in doc["skipped"]]
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    return [ln.rsplit("reason=", 1)[1] if ln.startswith("#")
+            else dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
+
+
+def _close(got: dict, want: dict, bound: float) -> bool:
+    return got.keys() == want.keys() and all(
+        abs(got[key] - want[key]) <= bound * abs(want[key]) for key in want)
+
+
+class TestPhiScanArrays:
+    """A phi-scan evaluates its angles in one array call; an alpha-scan, and
+    the parent's phi-scan, row by row in float calls."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_angles_are_skipped_as_float_calls_skip_them(self, fmt):
+        # at hbar = 1e150 the cross section overflows next to pi, and with
+        # --margin 0 the last angle (-pi + 5e-7 after reduction) is within the
+        # amplitudes' 1e-6 of forward: one AccuracyError row, then one
+        # ForwardSingularityError row, in the same places as float calls
+        argv = ["phi-scan", "--alpha=1.3", "--beta=0.01", "--hbar=1e150", "--margin=0",
+                "--phi-min=3.1415", "--phi-max=3.1415931535897931", "--steps=7", f"--format={fmt}"]
+        rc, out, _ = _run_to_stdout(argv)
+        assert rc == 0
+        params = PhysicalParams(beta=0.01, hbar=1e150)
+        want, reasons = [], []
+        for phi in np.linspace(3.1415, 3.1415931535897931, 7).tolist():
+            try:
+                if fmt == "csv":
+                    want.append({"alpha_prime": 1.3, "phi": phi, "beta": 0.01,
+                                 "dsigma": dsigma(phi, 1.3, params)})
+                else:
+                    s = scatter_sample(phi, 1.3, params, form="linearized")
+                    want.append({"alpha_prime": 1.3, "phi": s.phi, "beta": 0.01,
+                                 "f0_re": s.f0.real, "f0_im": s.f0.imag, "f1_re": s.f1.real,
+                                 "f1_im": s.f1.imag, "dsigma": s.dsigma})
+            except (DomainValidationError, AccuracyError) as exc:
+                (reasons if fmt == "json" else want).append(type(exc).__name__)
+        want += reasons
+        got = _scan_entries(out)
+        assert ["AccuracyError", "ForwardSingularityError"] == [e for e in want if isinstance(e, str)]
+        assert [e for e in got if isinstance(e, str)] == [e for e in want if isinstance(e, str)]
+        assert [isinstance(e, str) for e in got] == [isinstance(e, str) for e in want]
+        assert all(_close(g, w, 1e-13) for g, w in zip(got, want) if isinstance(w, dict))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("phi", [0.7, 2.6, -3.1])
+    def test_alpha_and_phi_scans_agree_at_shared_points(self, fmt, phi):
+        # |x| <= 0.7 sums the power series, 2.6 and -3.1 take Euler's
+        # integral; worst relative gap 5.6e-15
+        common = ["--beta=0.01", f"--format={fmt}"]
+        rc, out, _ = _run_to_stdout(["alpha-scan", f"--phi={phi!r}", "--alpha-min=-2.9",
+                                     "--alpha-max=3.3", "--steps=9", *common])
+        assert rc == 0
+        rows = [e for e in _scan_entries(out) if isinstance(e, dict)]
+        assert len(rows) == 9
+        for row in rows:
+            rc, out, _ = _run_to_stdout(["phi-scan", f"--alpha={row['alpha_prime']!r}",
+                                         f"--phi-min={phi!r}", f"--phi-max={-phi!r}",
+                                         "--steps=3", *common])
+            assert rc == 0
+            shared = _scan_entries(out)[0]
+            assert _close(shared, row, 1e-13), (shared, row)
 
 
 # =====================================================================

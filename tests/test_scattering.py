@@ -2,10 +2,14 @@
 assembly, integer-flux behaviour and the mirror-symmetry probes."""
 
 import cmath
+import functools
+import json
 import math
 import random
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from abgup import (
@@ -25,6 +29,7 @@ from abgup import (
     regularized_alternating_gamma_sum,
     scatter_sample,
     scattering,
+    specfun,
     symmetry_probe,
     width,
 )
@@ -287,6 +292,93 @@ class TestKernel:
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
+def _kernel_table_points() -> list[tuple[float, float]]:
+    """(alpha', phi) of the kernel-G table: ten flux values, the cancellation
+    rows alpha' = 2.5 and -1.8 (where G's six terms cancel) and eight drawn
+    from [-3.9, 3.9] at least 0.05 from an integer, each at twelve angles
+    drawn from [-3, 3] and six within 0.1 of +-pi (10^-5.9 to 0.1 from it);
+    then the ``_NEAR_INTEGER`` points."""
+    rng = random.Random(25)
+    alphas = [2.5, -1.8]
+    while len(alphas) < 10:
+        a = rng.uniform(-3.9, 3.9)
+        if abs(a - round(a)) >= 0.05:
+            alphas.append(a)
+    points = []
+    for a in alphas:
+        phis = [rng.uniform(-3.0, 3.0) for _ in range(12)]
+        phis += [rng.choice((1.0, -1.0)) * (math.pi - 10.0 ** rng.uniform(-5.9, -1.0))
+                 for _ in range(6)]
+        points += [(a, phi) for phi in phis]
+    return points + [pt for n in sorted(_NEAR_INTEGER) for pt in _NEAR_INTEGER[n]]
+
+
+# The points of the committed mpmath table under tests/reference/, by file
+# name; tests/reference/hyp2f1_tables.py writes it.
+_MP_TABLES = {"kernel_g.json": _kernel_table_points}
+
+
+def _mp_reference(a: float, phi: float) -> mpmath.mpc:
+    """G(a, phi) by ``TestKernel._g_mpmath``, at the kernel's own gamma and
+    locus point x (a float call's x)."""
+    return TestKernel._g_mpmath(a, flux_split(a).gamma_part, g_fn(a, phi).x)
+
+
+@functools.cache
+def _kernel_table() -> dict[tuple[float, float], mpmath.mpc]:
+    path = Path(__file__).resolve().parent / "reference" / "kernel_g.json"
+    with mpmath.workdps(50):
+        return {(a, phi): mpmath.mpc(mpmath.mpf(g_re), mpmath.mpf(g_im))
+                for a, phi, g_re, g_im in json.loads(path.read_text())["points"]}
+
+
+def _kernel_error(value: complex, a: float, phi: float) -> float:
+    """|G - table| / max(|table|, a'^2): relative, except where G is small
+    beside its six terms, which carry a'^2. At half-integer flux G vanishes
+    linearly at +-pi while its terms do not, so there the rounding of the
+    terms sets the error: plainly relative, both paths read 8.2e-12 at
+    (2.5, -pi + 2.8e-6), where |G| = 2.4e-4."""
+    with mpmath.workdps(50):
+        ref = _kernel_table()[(a, phi)]
+        return float(abs(mpmath.mpc(value.real, value.imag) - ref) / max(abs(ref), a * a))
+
+
+class TestKernelTable:
+    """``g_fn`` by float calls and by array calls, against the 50-digit table
+    tests/reference/kernel_g.json, with ``TestKernel``'s bound of 1e-13 on
+    ``_kernel_error``."""
+
+    def test_float_calls(self):
+        # worst 6.4e-14, at a _NEAR_INTEGER point (alpha' = 2 + 2.4e-6, phi = 3.139)
+        points = _kernel_table_points()
+        assert max(_kernel_error(g_fn(a, phi).g, a, phi) for a, phi in points) < 1e-13
+
+    def test_array_calls(self):
+        # one call per flux value, over its angles; worst 4.2e-14, at the same
+        # point. numpy's tan may put x an ulp from the float call's x, the
+        # table's, which moves G by about 1e-16 relative.
+        by_flux: dict[float, list[float]] = {}
+        for a, phi in _kernel_table_points():
+            by_flux.setdefault(a, []).append(phi)
+        worst = 0.0
+        for a, phis in by_flux.items():
+            val = g_fn(a, np.array(phis))
+            x = np.array([g_fn(a, phi).x for phi in phis])
+            assert np.all(np.abs(val.x - x) <= 2.3e-16 * np.abs(x))
+            worst = max([worst] + [_kernel_error(g, a, phi) for g, phi in zip(val.g.tolist(), phis)])
+        assert worst < 1e-13
+
+    def test_table_guard(self):
+        # the table's points are exactly the test's, and 8 seeded entries
+        # agree with a fresh mpmath evaluation to 1e-45
+        table = _kernel_table()
+        assert list(table) == _kernel_table_points()
+        with mpmath.workdps(50):
+            for a, phi in random.Random(26).sample(sorted(table), 8):
+                ref = _mp_reference(a, phi)
+                assert abs(table[(a, phi)] - ref) <= 1e-45 * abs(ref), (a, phi)
+
+
 # =====================================================================
 # Cross section
 # =====================================================================
@@ -544,6 +636,89 @@ def test_mirror_is_bitwise_at_beta_above_zero():
         assert dsigma(phi, a, params) == dsigma(-phi, -a, params), (a, phi)
         assert f1_amp(phi, a, params) == f1_amp(-phi, -a, params), (a, phi)
         assert f0_amp(phi, a) == f0_amp(-phi, -a), (a, phi)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+class TestArrayCalls:
+    """``g_fn``, ``f0_amp``, ``f1_amp``, ``dsigma`` and ``scatter_sample`` over
+    a 1-D array of angles at one alpha'."""
+
+    # both 2F1 branches (|x| <= 0.7 below |phi| of about 1.55), the rule's
+    # pole subtraction next to +-pi, and signed zeros; more than two chunks
+    _PHIS = np.array([0.0, -0.0, 1.5, -1.6, math.pi - 2e-6, -(math.pi - 2e-6)]
+                     + [random.Random(4).uniform(-3.14, 3.14) for _ in range(515)])
+    _CHUNK = specfun._ROW_CHUNK
+    # generic flux, the cancellation rows, half-integer flux, next to an
+    # integer (kernel) and inside the endpoint band (the integer-flux limits)
+    _ALPHAS = [0.3, 2.5, -1.8, 1.7, 3.0 - 3e-6, -2.0 + 5e-5]
+
+    @staticmethod
+    def _evaluations(a):
+        return {
+            "g_fn": lambda phis: g_fn(a, phis).g,
+            "f0_amp": lambda phis: f0_amp(phis, a),
+            "f1_amp": lambda phis: f1_amp(phis, a, PB),
+            "dsigma": lambda phis: dsigma(phis, a, PB),
+            "dsigma_modulus": lambda phis: dsigma(phis, a, PB, form="modulus"),
+            "dsigma_beta0": lambda phis: dsigma(phis, a, P0),
+            "scatter_sample": lambda phis: [getattr(scatter_sample(phis, a, PB), field)
+                                            for field in ("phi", "f0", "f1", "dsigma")],
+        }
+
+    @pytest.mark.parametrize("a", _ALPHAS)
+    def test_each_element_is_the_same_in_any_split(self, a):
+        # splits of sizes 1, 2 and 7 over the first 70 angles, and of a chunk
+        # of rows either side of one over all of them
+        for name, f in self._evaluations(a).items():
+            for size in (1, 2, 7, self._CHUNK - 1, self._CHUNK + 1):
+                phis = self._PHIS[:70] if size < 10 else self._PHIS
+                parts = [f(phis[lo:lo + size]) for lo in range(0, len(phis), size)]
+                if name == "scatter_sample":
+                    parts = [np.concatenate(column) for column in zip(*parts)]
+                else:
+                    parts = np.concatenate(parts)
+                assert _bits(parts) == _bits(f(phis)), (name, size)
+
+    @pytest.mark.parametrize("a", _ALPHAS)
+    def test_elements_match_float_calls(self, a):
+        # the same formulas in numpy, and einsum row sums for np.dot: at most
+        # 8.8e-16 of max|value| (f1 at alpha' = 2.5)
+        evaluations = self._evaluations(a)
+        for name in ("g_fn", "f0_amp", "f1_amp", "dsigma", "dsigma_modulus", "dsigma_beta0"):
+            whole = evaluations[name](self._PHIS)
+            floats = np.array([evaluations[name](phi) for phi in self._PHIS.tolist()])
+            assert np.max(np.abs(whole - floats)) <= 1e-13 * np.max(np.abs(floats)), name
+
+    def test_mirror_is_bitwise(self):
+        # the paper's invariance (phi, alpha') -> (-phi, -alpha') at beta > 0,
+        # element by element, as test_mirror_is_bitwise_at_beta_above_zero
+        # checks it for float calls
+        params = PhysicalParams(beta=0.008)
+        rng = random.Random(6)
+        for _ in range(40):
+            a = rng.uniform(-3.9, 3.9)
+            while abs(a - round(a)) < 2e-4:
+                a = rng.uniform(-3.9, 3.9)
+            phis = np.array([rng.uniform(-3.1, 3.1) for _ in range(50)])
+            assert np.array_equal(dsigma(phis, a, params), dsigma(-phis, -a, params)), a
+            assert np.array_equal(f1_amp(phis, a, params), f1_amp(-phis, -a, params)), a
+            assert np.array_equal(f0_amp(phis, a), f0_amp(-phis, -a)), a
+
+    def test_failing_angles_are_named(self):
+        phis = np.array([0.3, math.pi, -0.2, -math.pi + 5e-7, 7.0])
+        with pytest.raises(ForwardSingularityError) as info:
+            dsigma(phis, 0.3, PB)
+        assert info.value.rows.tolist() == [1, 3]
+        with pytest.raises(DomainValidationError) as info:
+            g_fn(0.3, np.array([0.1, math.nan, 2e6, -0.1]))
+        assert info.value.rows.tolist() == [1, 2]
+        # the cross section overflows next to pi at hbar = 1e150
+        with pytest.raises(AccuracyError) as info:
+            dsigma(np.array([3.0, math.pi - 2e-6, 1.0]), 1.3, PhysicalParams(beta=0.01, hbar=1e150))
+        assert info.value.rows.tolist() == [1]
 
 
 class TestSymmetryProbe:

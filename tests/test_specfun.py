@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 from abgup import (
     AccuracyError,
     DomainValidationError,
+    PhysicalParams,
     PoleError,
     bessel_j,
     digamma,
@@ -622,13 +623,14 @@ class TestHypDirectMemo:
         assert _bits(direct(c, complex(re, 0.0))) == _bits(direct(c, complex(re, -0.0)))
 
     def test_size_stays_bounded_over_a_scan(self, capsys):
-        from abgup import cli
+        from abgup import cli, scattering
 
+        # the rows of a JSON phi-scan, one float call each (a phi-scan itself
+        # takes its angles as one array, below)
         _clear_sides()
-        argv = ["phi-scan", "--beta=0.01", "--alpha=1.3", "--phi-min=-3.1",
-                "--phi-max=3.1", "--steps=120", "--format=json"]
-        assert cli.main(argv) == 0
-        capsys.readouterr()
+        params = PhysicalParams(beta=0.01)
+        for phi in np.linspace(-3.1, 3.1, 120).tolist():
+            scattering.scatter_sample(phi, 1.3, params, form="linearized")
         info = specfun._hyp_direct.cache_info()
         # the JSON row's second build is all hits; rows at -phi and phi close
         # enough to be still cached share entries too (measured 351 misses)
@@ -639,6 +641,18 @@ class TestHypDirectMemo:
         # rows at -phi and phi close enough to be still cached share it too)
         assert _side_misses(_X_SIDES) <= 120
         assert _side_misses(_C_SIDES) <= 12
+
+        # the array path of the phi-scan builds its own x sides and shares
+        # only the c sides, all of them still cached from the rows above
+        _clear_sides()
+        scattering.scatter_sample(np.linspace(-3.1, 3.1, 120), 1.3, params)
+        c_misses = _side_misses(_C_SIDES)
+        argv = ["phi-scan", "--beta=0.01", "--alpha=1.3", "--phi-min=-3.1",
+                "--phi-max=3.1", "--steps=120", "--format=json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert specfun._hyp_direct.cache_info().currsize == 0
+        assert _side_misses(_X_SIDES) == 0 and 0 < c_misses == _side_misses(_C_SIDES) <= 9
 
     def test_alpha_scan_builds_one_x_side(self, capsys):
         from abgup import cli
@@ -664,6 +678,11 @@ _MP_TABLES = {
     "hyp2f1_rule.json": lambda: [pt for pts in _rule_points().values() for pt in pts],
     "hyp2f1_near_one.json": lambda: TestHyp2f1NearOne.points(),
 }
+
+
+def _mp_reference(c: float, x: complex) -> mpmath.mpc:
+    """2F1(1, 1; c; x) by mpmath, at the working precision."""
+    return mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(x.real, x.imag))
 
 
 @functools.cache
@@ -696,7 +715,7 @@ def _check_table(name: str, seed: int) -> None:
     with mpmath.workdps(50):
         for key in random.Random(seed).sample(sorted(table), 8):
             c, re, im = (float(v) for v in key)
-            ref = mpmath.hyp2f1(1, 1, mpmath.mpf(c), mpmath.mpc(re, im))
+            ref = _mp_reference(c, complex(re, im))
             assert abs(table[key] - ref) <= 1e-45 * abs(ref), key
 
 
@@ -998,12 +1017,13 @@ class TestEulerRule:
                        and n.func.attr == "conjugate" for n in ast.walk(node))}
 
     def test_only_hyp2f1_11_conjugates(self):
-        # F(x*) = F(x)* is applied once, at hyp2f1_11's entry and exit
+        # F(x*) = F(x)* is applied once, at hyp2f1_11's entry and exit, and
+        # once in its array form, at the entry and exit of _hyp2f1_11_rows
         src = ("def f(x):\n    return x.conjugate()\ndef g(x):\n    return x\n"
                "Y = (1j).conjugate()\n")
         assert self._conjugating_functions(src) == {"f", "<module>"}
         source = Path(specfun.__file__).read_text()
-        assert self._conjugating_functions(source) == {"hyp2f1_11"}
+        assert self._conjugating_functions(source) == {"hyp2f1_11", "_hyp2f1_11_rows"}
 
     @staticmethod
     def _loops_reached_from(source: str, root: str) -> tuple[set[str], list[str]]:
