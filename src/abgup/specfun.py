@@ -829,6 +829,17 @@ def hyp2f1_11(c: float, x) -> complex:
 _ROW_CHUNK = 256
 
 
+def _row_sums(re: np.ndarray, im: np.ndarray, c_side: np.ndarray) -> np.ndarray:
+    """sum_j (re + i im)_ij c_j for each row i, for a c side with real
+    entries: two ``np.einsum`` row reductions over float matrices, each of
+    which sums every row in one order whatever the other rows are."""
+    c = c_side.real
+    out = np.empty(len(re), dtype=complex)
+    out.real = np.einsum("ij,j->i", re, c)
+    out.imag = np.einsum("ij,j->i", im, c)
+    return out
+
+
 def _direct_rows(cs, x: np.ndarray) -> dict[float, np.ndarray]:
     """``_hyp_direct(c, x_i)`` for every c of ``cs`` (each >= 1.5, at most 60)
     and every x_i of the 1-D array ``x`` (closed upper half-plane), as
@@ -838,9 +849,9 @@ def _direct_rows(cs, x: np.ndarray) -> dict[float, np.ndarray]:
     thresholds: the powers x, ..., x^n of the power series where |x| <= 0.7,
     zero past its term count n, and otherwise 1 / (1 - x t_i) on the rule's
     nodes, with the node set and the pole subtraction of ``_euler_x`` chosen
-    per row. Each direct value is then one row reduction, ``np.einsum`` of a
-    group's x-side matrix with the cached c side, which sums every row in
-    the same order whatever the other rows are.
+    per row. A group's x sides are kept as the float matrices of their real
+    and imaginary parts, and each direct value is their row sums against the
+    cached c side, whose entries are real (``_row_sums``).
     """
     r = 2.0 * np.abs(0.5 * x)
     out = {c: np.empty(len(x), dtype=complex) for c in cs}
@@ -850,8 +861,9 @@ def _direct_rows(cs, x: np.ndarray) -> dict[float, np.ndarray]:
         count = (_LOG_TOL / np.log(r[rows])).astype(int) + 2  # ``_term_count``, per row
         powers = np.multiply.accumulate(np.repeat(z[:, None], _MAX_TERMS, axis=1), axis=1)
         powers[_K[None, :] >= count[:, None]] = 0.0
+        re, im = powers.real.copy(), powers.imag.copy()
         for c in cs:
-            out[c][rows] = 1.0 + np.einsum("ij,j->i", powers, _series_c(c))
+            out[c][rows] = 1.0 + _row_sums(re, im, _series_c(c))
     rows = np.flatnonzero(r > _SERIES_RADIUS)
     if rows.size:
         z = x[rows]
@@ -870,13 +882,17 @@ def _direct_rows(cs, x: np.ndarray) -> dict[float, np.ndarray]:
                 continue
             zk, close = z[pick], near[pick]
             t, one_minus_t, w = _RULES[k]
-            g = 1.0 / (one_minus_t + (1.0 - zk)[:, None] * t)
+            # 1 / (1 - x t) with 1 - x t = (1 - t) + (1 - x) t = d_re + i d_im
+            d_re = one_minus_t + (1.0 - zk.real)[:, None] * t
+            d_im = -zk.imag[:, None] * t
+            size = d_re * d_re + d_im * d_im
+            re, im = d_re / size, -d_im / size
             zn = zk[close]
-            base = (zn - 1.0) / zn
-            resid = -np.log(1.0 - zn) / zn - np.einsum("ij,j->i", g[close], w)
+            log_base = np.log((zn - 1.0) / zn)
+            resid = -np.log(1.0 - zn) / zn - _row_sums(re[close], im[close], w)
             for c in cs:
-                f = np.einsum("ij,j->i", g, _euler_c(c, k))
-                f[close] += (c - 1.0) * base ** (c - 2.0) * resid
+                f = _row_sums(re, im, _euler_c(c, k))
+                f[close] += (c - 1.0) * np.exp((c - 2.0) * log_base) * resid
                 out[c][rows[pick]] = f
     return out
 

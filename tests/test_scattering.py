@@ -337,7 +337,7 @@ def _kernel_error(value: complex, a: float, phi: float) -> float:
     beside its six terms, which carry a'^2. At half-integer flux G vanishes
     linearly at +-pi while its terms do not, so there the rounding of the
     terms sets the error: plainly relative, both paths read 8.2e-12 at
-    (2.5, -pi + 2.8e-6), where |G| = 2.4e-4."""
+    (2.5, -pi + 2.8e-6), where |G| = 2.2e-4."""
     with mpmath.workdps(50):
         ref = _kernel_table()[(a, phi)]
         return float(abs(mpmath.mpc(value.real, value.imag) - ref) / max(abs(ref), a * a))
@@ -685,7 +685,7 @@ class TestArrayCalls:
     @pytest.mark.parametrize("a", _ALPHAS)
     def test_elements_match_float_calls(self, a):
         # the same formulas in numpy, and einsum row sums for np.dot: at most
-        # 8.8e-16 of max|value| (f1 at alpha' = 2.5)
+        # 9.1e-16 of max|value| (f1 at alpha' = 2.5)
         evaluations = self._evaluations(a)
         for name in ("g_fn", "f0_amp", "f1_amp", "dsigma", "dsigma_modulus", "dsigma_beta0"):
             whole = evaluations[name](self._PHIS)
