@@ -227,9 +227,9 @@ def _scan_skip_reason(alpha_prime: float, phi: float, margin: float) -> str | No
     return None
 
 
-def _phi_rows(evaluate, a: float, phis: list[float], kept: list[int], reasons: list) -> dict:
-    """The rows of a phi-scan at the angles ``phis[i]``, i in ``kept``, from
-    one array call ``evaluate(a, angles)``, as {i: row}.
+def _phi_rows(evaluate, a: float, phis: list[float], reasons: list) -> dict:
+    """The rows of a phi-scan from one array call ``evaluate(a, angles)`` over
+    the angles ``phis[i]`` whose ``reasons[i]`` is None, as {i: row}.
 
     An array call that fails names the failing angles in its error's
     ``rows``; each of them takes the error's name in ``reasons``, as it would
@@ -237,6 +237,7 @@ def _phi_rows(evaluate, a: float, phis: list[float], kept: list[int], reasons: l
     element of an array call is bitwise the same in any split of the array,
     so the other rows keep their values.
     """
+    kept = [i for i, reason in enumerate(reasons) if reason is None]
     while kept:
         try:
             columns = evaluate(a, np.array([phis[i] for i in kept]))
@@ -282,25 +283,24 @@ def _run_scan(args: argparse.Namespace, mode: str) -> int:
         def evaluate(a: float, phi) -> tuple:
             return (a, phi, scattering.dsigma(phi, a, params, form=args.form))
 
-    reasons = [_scan_skip_reason(a, phi, args.margin) for a, phi in grid]
-    kept = [i for i, reason in enumerate(reasons) if reason is None]
-    if mode == "alpha":
-        rows = {}
-        for i in kept:
-            try:
-                rows[i] = evaluate(*grid[i])
-            except (DomainValidationError, AccuracyError) as exc:
-                reasons[i] = type(exc).__name__
-    else:
-        rows = _phi_rows(evaluate, args.alpha, points, kept, reasons)
-
+    if mode == "phi":  # every angle in one array call
+        reasons = [_scan_skip_reason(a, phi, args.margin) for a, phi in grid]
+        rows = _phi_rows(evaluate, args.alpha, points, reasons)
     values: list[float] = []
     skipped: list[tuple[int, str, dict]] = []
     for i, (a, phi) in enumerate(grid):
-        if reasons[i] is None:
+        if mode == "alpha":  # one row at a time
+            reason = _scan_skip_reason(a, phi, args.margin)
+            if reason is None:
+                try:
+                    values += evaluate(a, phi)
+                    continue
+                except (DomainValidationError, AccuracyError) as exc:
+                    reason = type(exc).__name__
+        elif (reason := reasons[i]) is None:
             values += rows[i]
             continue
-        rec = {"alpha_prime": a, "phi": phi, "reason": reasons[i]}
+        rec = {"alpha_prime": a, "phi": phi, "reason": reason}
         # the position in rows, of which every column but beta is in values
         skipped.append((len(values) // (len(columns) - 1), _SCAN_SKIP_NOTE, rec))
     _write(args, columns, values, skipped)
