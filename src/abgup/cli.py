@@ -35,6 +35,8 @@ _PHI_MARGIN_DEFAULT = 1e-3  # scans skip angles this close to +-pi
 _NUM = "%.17g"  # every float written to CSV
 
 _SCAN_SKIP_NOTE = "skipped alpha_prime=%(alpha_prime).17g phi=%(phi).17g reason=%(reason)s"
+_INTEGER_SKIP = "integer-flux margin"
+_FORWARD_SKIP = "forward-direction margin"
 _TRUNCATED_NOTE = "%(reason)s (field evaluation failed)"
 
 
@@ -217,14 +219,27 @@ def _build_parser() -> argparse.ArgumentParser:
 # Scan subcommands
 # =====================================================================
 
-def _scan_skip_reason(alpha_prime: float, phi: float, margin: float) -> str | None:
+def _integer_flux(alpha_prime: float) -> bool:
     split = flux_split(alpha_prime)
-    if min(split.gamma_part, 1.0 - split.gamma_part) < ENDPOINT_BAND:
-        return "integer-flux margin"
+    return min(split.gamma_part, 1.0 - split.gamma_part) < ENDPOINT_BAND
+
+
+def _scan_skip_reason(alpha_prime: float, phi: float, margin: float) -> str | None:
+    if _integer_flux(alpha_prime):
+        return _INTEGER_SKIP
     t = scattering._principal(phi)
     if math.pi - abs(t) < margin:
-        return "forward-direction margin"
+        return _FORWARD_SKIP
     return None
+
+
+def _phi_skip_reasons(alpha_prime: float, phis: list[float], margin: float) -> list:
+    """``_scan_skip_reason`` at one flux and each of the angles ``phis``: the
+    flux is tested once, and the angles are reduced as one array."""
+    if _integer_flux(alpha_prime):
+        return [_INTEGER_SKIP] * len(phis)
+    near = math.pi - np.abs(scattering._principal(np.array(phis))) < margin
+    return [_FORWARD_SKIP if n else None for n in near.tolist()]
 
 
 def _phi_rows(evaluate, a: float, phis: list[float], reasons: list) -> dict:
@@ -284,7 +299,7 @@ def _run_scan(args: argparse.Namespace, mode: str) -> int:
             return (a, phi, scattering.dsigma(phi, a, params, form=args.form))
 
     if mode == "phi":  # every angle in one array call
-        reasons = [_scan_skip_reason(a, phi, args.margin) for a, phi in grid]
+        reasons = _phi_skip_reasons(args.alpha, points, args.margin)
         rows = _phi_rows(evaluate, args.alpha, points, reasons)
     values: list[float] = []
     skipped: list[tuple[int, str, dict]] = []
