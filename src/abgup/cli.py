@@ -238,7 +238,7 @@ def _phi_skip_reasons(alpha_prime: float, phis: list[float], margin: float) -> l
     flux is tested once, and the angles are reduced as one array."""
     if _integer_flux(alpha_prime):
         return [_INTEGER_SKIP] * len(phis)
-    near = math.pi - np.abs(scattering._principal(np.array(phis))) < margin
+    near = math.pi - np.abs(scattering._principal_rows(np.array(phis))) < margin
     return [_FORWARD_SKIP if n else None for n in near.tolist()]
 
 

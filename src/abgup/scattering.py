@@ -32,9 +32,10 @@ call.
 ``g_fn``, ``f0_amp``, ``f1_amp``, ``dsigma`` and ``scatter_sample`` also take
 a 1-D numpy array of angles at one alpha', which is how a phi-scan calls
 them. Each formula is written once and runs on a float or on an array
-alike; only the angle reduction (``_principal``, ``_check_away_from_pi``,
-``_trig``), the finiteness check and the kernel's six 2F1 values branch on
-the input. An array's six F come from ``specfun._hyp2f1_11_rows``, so no
+alike. The angle reduction, ``_angle``, tells the two apart and returns the
+module (``math`` or numpy) whose functions take the angle; beyond it only
+the finiteness check and the kernel's six 2F1 values branch on the input.
+An array's six F come from ``specfun._hyp2f1_11_rows``, so no
 array passes through ``hyp2f1_11``. Each element is bitwise the same in any
 split of its array, and a float call keeps the float arithmetic it always
 had. An array call that fails at some angles raises its typed error with
@@ -102,7 +103,7 @@ def _failure(error: type[Exception], message: str, rows: np.ndarray) -> Exceptio
     return exc
 
 
-def _principal(phi):
+def _principal(phi: float) -> float:
     """Reduce an angle to the principal window (-pi, pi].
 
     The assembled amplitudes are 2 pi periodic (the half-angle factors and
@@ -111,19 +112,7 @@ def _principal(phi):
     DomainValidationError: neighbouring doubles are 1.2e-10 apart at 1e6 and
     ever further beyond it, so a larger value no longer fixes an angle to
     the accuracy the amplitudes carry.
-
-    A 1-D array of angles is reduced element by element, to the same bits
-    as a float; its error carries the failing indices in ``rows``.
     """
-    if isinstance(phi, _ARRAY):
-        t = phi.astype(float)
-        bad = np.flatnonzero(~(np.abs(t) <= _PHI_ABS_MAX))  # also nan and +-inf
-        if bad.size:
-            raise _failure(DomainValidationError, (
-                f"phi must be finite with |phi| <= {_PHI_ABS_MAX:g}, got {t[bad[0]]} "
-                f"(and {bad.size - 1} more)"), bad)
-        t = np.fmod(t, 2.0 * math.pi)
-        return np.where(t <= -math.pi, t + 2.0 * math.pi, np.where(t > math.pi, t - 2.0 * math.pi, t))
     t = float(phi)
     if not abs(t) <= _PHI_ABS_MAX:  # also rejects nan and +-inf
         raise DomainValidationError(
@@ -137,16 +126,39 @@ def _principal(phi):
     return t
 
 
-def _check_away_from_pi(phi, margin: float):
-    t = _principal(phi)
-    close = math.pi - abs(t) < margin
-    if isinstance(t, _ARRAY):
+def _principal_rows(phi: np.ndarray) -> np.ndarray:
+    """``_principal`` of each angle of a 1-D array, to the same bits; the
+    error names the failing indices in ``rows``."""
+    t = phi.astype(float)
+    bad = np.flatnonzero(~(np.abs(t) <= _PHI_ABS_MAX))  # also nan and +-inf
+    if bad.size:
+        raise _failure(DomainValidationError, (
+            f"phi must be finite with |phi| <= {_PHI_ABS_MAX:g}, got {t[bad[0]]} "
+            f"(and {bad.size - 1} more)"), bad)
+    t = np.fmod(t, 2.0 * math.pi)
+    return np.where(t <= -math.pi, t + 2.0 * math.pi, np.where(t > math.pi, t - 2.0 * math.pi, t))
+
+
+def _angle(phi, margin: float):
+    """(t, m): the principal angle t of ``phi``, at least ``margin`` from
+    +-pi, and the module whose functions take t: ``math`` for a float, numpy
+    for a 1-D array of angles, element by element. The functions that take
+    either branch on m, not on the angle's type.
+
+    An angle within the margin raises ForwardSingularityError; for an array,
+    with the indices of such angles in ``rows``.
+    """
+    if isinstance(phi, _ARRAY):
+        t = _principal_rows(phi)
+        close = math.pi - np.abs(t) < margin
         if close.any():
             raise _failure(ForwardSingularityError, _forward_message(phi[close][0], margin),
                            np.flatnonzero(close))
-    elif close:
+        return t, np
+    t = _principal(phi)
+    if math.pi - abs(t) < margin:
         raise ForwardSingularityError(_forward_message(phi, margin))
-    return t
+    return t, math
 
 
 def _forward_message(phi, margin: float) -> str:
@@ -157,21 +169,15 @@ def _forward_message(phi, margin: float) -> str:
     )
 
 
-def _trig(t):
-    """The module whose cos, sin and tan take the angle ``t``: ``math`` for a
-    float, numpy for an array, element by element."""
-    return np if isinstance(t, _ARRAY) else math
-
-
 _FLOAT_ARITHMETIC = contextlib.nullcontext()
 
 
-def _quiet(t):
-    """The context for arithmetic at the angle ``t``: for an array, numpy's
-    floating-point warnings off, because an overflow shows as a non-finite
-    element, which ``_finite`` turns into a typed error; a float's
-    arithmetic warns of nothing."""
-    return np.errstate(all="ignore") if isinstance(t, _ARRAY) else _FLOAT_ARITHMETIC
+def _quiet(m):
+    """The context for arithmetic on angles of the module ``m`` (as ``_angle``
+    returns it): for numpy, its floating-point warnings off, because an
+    overflow shows as a non-finite element, which ``_finite`` turns into a
+    typed error; float arithmetic warns of nothing."""
+    return np.errstate(all="ignore") if m is np else _FLOAT_ARITHMETIC
 
 
 def _sqrt_2pi_ik(k: float) -> complex:
@@ -231,14 +237,14 @@ def f0_amp(phi, alpha_prime: float, k: float = 1.0):
     """
     if not 0.0 < k < math.inf:  # also nan
         raise DomainValidationError(f"wave number must be finite and positive, got {k}")
-    t = _check_away_from_pi(phi, _PI_MARGIN)
+    t, m = _angle(phi, _PI_MARGIN)
     split = flux_split(alpha_prime)
     n = split.n_part
     sin_a = _cis_pi(split.alpha_prime).imag
     if sin_a == 0.0:
         return 0j * abs(t)  # 0, at every angle of an array
     num = -1j * ((-1.0) ** n * sin_a) * _cis_neg(n + 0.5, t)
-    return num / (_trig(t).cos(0.5 * t) * _sqrt_2pi_ik(k))
+    return num / (m.cos(0.5 * t) * _sqrt_2pi_ik(k))
 
 
 # =====================================================================
@@ -373,7 +379,7 @@ def _series_angle(phi: float, alpha_prime: float, what: str) -> float:
     """The principal angle of a regularized-series call, after the checks the
     series routes share: non-integer flux, and phi away from +-pi and from 0."""
     require_noninteger(alpha_prime, f"{what}: alpha'", PoleError)
-    t = _check_away_from_pi(phi, _SERIES_PHI_MARGIN)
+    t, _ = _angle(phi, _SERIES_PHI_MARGIN)
     if abs(t) < _SERIES_PHI_MARGIN:
         raise DomainValidationError(
             f"phi = {phi} is within {_SERIES_PHI_MARGIN} of 0; at half-integer flux f1 "
@@ -453,21 +459,6 @@ class GValue:
     x: complex
 
 
-def _six_f(gamma: float, x):
-    """The six 2F1(1, 1; c; .) of the kernel at the locus point x, in the
-    order G takes them: F(2 - g; x*), F(1 + g; x), F(3 - g; x*), F(g; x),
-    F(1 - g; x*), F(2 + g; x). A complex x takes six ``hyp2f1_11`` calls; an
-    array of x takes ``specfun._hyp2f1_11_rows``, which builds each row's x
-    side once for all six."""
-    if isinstance(x, _ARRAY):
-        f_g, f_1g, f_2g, f_1mg, f_2mg, f_3mg = _hyp2f1_11_rows(
-            (gamma, 1.0 + gamma, 2.0 + gamma), (1.0 - gamma, 2.0 - gamma, 3.0 - gamma), x)
-        return f_2mg, f_1g, f_3mg, f_g, f_1mg, f_2g
-    xc = x.conjugate()
-    return (hyp2f1_11(2.0 - gamma, xc), hyp2f1_11(1.0 + gamma, x), hyp2f1_11(3.0 - gamma, xc),
-            hyp2f1_11(gamma, x), hyp2f1_11(1.0 - gamma, xc), hyp2f1_11(2.0 + gamma, x))
-
-
 def g_fn(alpha_prime: float, phi) -> GValue:
     """Assemble the correction kernel G(alpha', phi).
 
@@ -507,15 +498,23 @@ def g_fn(alpha_prime: float, phi) -> GValue:
         The kernel value and the locus point x.
     """
     require_noninteger(alpha_prime, "g_fn: alpha'", PoleError)
-    t = _check_away_from_pi(phi, _PI_MARGIN)
+    t, m = _angle(phi, _PI_MARGIN)
     a = float(alpha_prime)
-    x0 = 0.5 * (1.0 + 1j * _trig(t).tan(0.5 * t))
+    x0 = 0.5 * (1.0 + 1j * m.tan(0.5 * t))
     # the mirror rule: G(a', phi) = G(-a', -phi) and x(-phi) = x*
     a, x = (a, x0) if a > 0.0 else (-a, x0.conjugate())
     gamma = flux_split(a).gamma_part
     e_plus = _cis_pi(gamma)
     e_minus = e_plus.conjugate()
-    f_2mg, f_1g, f_3mg, f_g, f_1mg, f_2g = _six_f(gamma, x)
+    # the six F(c; .), from one x side per angle for an array
+    if m is np:
+        f_g, f_1g, f_2g, f_1mg, f_2mg, f_3mg = _hyp2f1_11_rows(
+            (gamma, 1.0 + gamma, 2.0 + gamma), (1.0 - gamma, 2.0 - gamma, 3.0 - gamma), x)
+    else:
+        xc = x.conjugate()
+        f_2mg, f_1g = hyp2f1_11(2.0 - gamma, xc), hyp2f1_11(1.0 + gamma, x)
+        f_3mg, f_g = hyp2f1_11(3.0 - gamma, xc), hyp2f1_11(gamma, x)
+        f_1mg, f_2g = hyp2f1_11(1.0 - gamma, xc), hyp2f1_11(2.0 + gamma, x)
 
     g = (
         2.0 * a * a * (
@@ -553,18 +552,18 @@ def f1_amp(phi, alpha_prime: float, params: PhysicalParams):
     numpy. A value past the double range raises AccuracyError; for an array
     its ``rows`` holds the indices of the angles where it is.
     """
-    t = _check_away_from_pi(phi, _PI_MARGIN)
-    return _f1(t, alpha_prime, params, g_fn(alpha_prime, t).g)
+    t, m = _angle(phi, _PI_MARGIN)
+    return _f1(t, m, alpha_prime, params, g_fn(alpha_prime, t).g)
 
 
-def _f1(t, alpha_prime: float, params: PhysicalParams, g):
-    """f1 at the principal angle t from its kernel value g."""
+def _f1(t, m, alpha_prime: float, params: PhysicalParams, g):
+    """f1 at the principal angle t (of the module m) from its kernel value g."""
     n = flux_split(alpha_prime).n_part
     hk2 = square(params.hbar * params.k)
-    with _quiet(t):
+    with _quiet(m):
         pref = (
             1j * math.pi * hk2 * _cis_neg(n + 0.5, t)
-            / (4.0 * _trig(t).cos(0.5 * t) * _sqrt_2pi_ik(params.k))
+            / (4.0 * m.cos(0.5 * t) * _sqrt_2pi_ik(params.k))
         )
         return _finite(pref * g, "f1_amp")
 
@@ -588,10 +587,10 @@ def dsigma_integer_limits(n: int, phi, params: PhysicalParams) -> tuple:
     A 1-D numpy array of angles gives both limits as arrays.
     """
     n = require_integral(n, "dsigma_integer_limits: n")
-    t = _principal(phi)
-    s2 = _trig(t).sin(0.5 * t) ** 2
+    t, m = _angle(phi, 0.0)
+    s2 = m.sin(0.5 * t) ** 2
     scale = params.beta * math.pi * square(params.hbar) * params.k * n * n / 2.0
-    with _quiet(t):
+    with _quiet(m):
         upper = scale * ((n + 2.0) - 2.0 * (n - 2.0) * s2)
         lower = scale * ((2.0 - n) + 2.0 * (n + 2.0) * s2)
         return _finite(upper, "dsigma_integer_limits"), _finite(lower, "dsigma_integer_limits")
@@ -648,23 +647,23 @@ def dsigma(
     AccuracyError; for an array its ``rows`` holds the indices of the angles
     where it is.
     """
-    t = _check_away_from_pi(phi, _PI_MARGIN)
-    return _dsigma(t, alpha_prime, params, form, None)
+    t, m = _angle(phi, _PI_MARGIN)
+    return _dsigma(t, m, alpha_prime, params, form, None)
 
 
-def _dsigma(t, alpha_prime: float, params: PhysicalParams, form: str, g):
-    """The cross section at the principal angle t; ``g`` is the kernel value
-    there, or None to build it where the routing needs it."""
+def _dsigma(t, m, alpha_prime: float, params: PhysicalParams, form: str, g):
+    """The cross section at the principal angle t (of the module m); ``g`` is
+    the kernel value there, or None to build it where the routing needs it."""
     if form not in ("linearized", "modulus"):
         raise DomainValidationError(f"unknown cross-section form {form!r}")
     split = flux_split(alpha_prime)
     n, gamma = split.n_part, split.gamma_part
     k = params.k
-    c2 = _trig(t).cos(0.5 * t) ** 2
+    c2 = m.cos(0.5 * t) ** 2
     sin_g = (-1.0) ** n * _cis_pi(split.alpha_prime).imag  # sin(pi gamma), from alpha'
 
     if params.beta == 0.0:
-        with _quiet(t):
+        with _quiet(m):
             val = sin_g * sin_g / (2.0 * math.pi * k * c2)
     elif gamma < ENDPOINT_BAND:
         val = dsigma_integer_limits(n, t, params)[0]
@@ -674,7 +673,7 @@ def _dsigma(t, alpha_prime: float, params: PhysicalParams, form: str, g):
         if g is None:
             g = g_fn(alpha_prime, t).g
         hk2 = square(params.hbar * k)
-        with _quiet(t):
+        with _quiet(m):
             if form == "modulus":
                 amp = sin_g - (math.pi * hk2 * params.beta / 4.0) * g
                 val = square(abs(amp)) / (2.0 * math.pi * k * c2)
@@ -756,12 +755,12 @@ def scatter_sample(
     and the cross section share one array call of ``g_fn``. A float angle
     builds the kernel in ``f1_amp`` and again in ``dsigma``.
     """
-    t = _check_away_from_pi(phi, _PI_MARGIN)
+    t, m = _angle(phi, _PI_MARGIN)
     f0 = f0_amp(t, alpha_prime, params.k)
-    if isinstance(t, _ARRAY):
+    if m is np:
         g = g_fn(alpha_prime, t).g
-        f1 = _f1(t, alpha_prime, params, g)
-        ds = _dsigma(t, alpha_prime, params, form, g)
+        f1 = _f1(t, m, alpha_prime, params, g)
+        ds = _dsigma(t, m, alpha_prime, params, form, g)
     else:
         f1 = f1_amp(t, alpha_prime, params)
         ds = dsigma(t, alpha_prime, params, form=form)
