@@ -486,11 +486,16 @@ def g_fn(alpha_prime: float, phi) -> GValue:
     ``specfun._hyp2f1_11_rows``, which builds each angle's x side once
     instead of six ``hyp2f1_11`` calls per angle. Each element is bitwise
     the same in any split of the array, and the mirror rule holds element
-    by element; against a float call it differs by rounding alone (below
-    1e-13 relative on the kernel table of the tests, as the float call is).
-    An angle within 1e-6 of +-pi raises ForwardSingularityError with the
-    indices of such angles in its ``rows``. A single angle is faster as a
-    float: an array's fixed cost is several float calls.
+    by element. It differs from a float call by rounding alone: against
+    mpmath on the 222 points of the tests' kernel table it reads at most
+    4.2e-14 of max(|G|, a'^2), the float call 6.4e-14. (At half-integer flux
+    G vanishes at +-pi while its six terms, of size a'^2, do not, so there
+    the error of either relative to |G| grows as 1/|G|: 8.2e-12 at
+    (2.5, -pi + 2.8e-6).) An angle within 1e-6 of +-pi raises
+    ForwardSingularityError with the indices of such angles in its ``rows``.
+    A single angle is faster as a float: an array of one angle took 121 us
+    for G against 20 us for a float call; arrays pay from about 8 angles
+    on (21 us per angle) and take 4-6 us per angle from 40 on.
 
     Returns
     -------

@@ -35,7 +35,7 @@ quadrature stay genuinely two-route:
                     a fresh evaluation would. ``_hyp2f1_11_rows`` is its array
                     form for the kernel G over an array of angles: the same
                     branches, anchors and cached c sides, one x side per row
-                    and one ``einsum`` row reduction per direct value.
+                    and ``einsum`` row sums per direct value.
 * ``pfq_series`` -- generic hypergeometric sum with term-ratio stopping.
 
 Branch switchovers are chosen so each branch runs well inside its comfort
@@ -824,8 +824,9 @@ def hyp2f1_11(c: float, x) -> complex:
     return f.conjugate() if lower else f
 
 
-# The array routine below takes its rows this many at a time, so each x-side
-# matrix holds at most 256 x 148 complex values (0.6 MB) for any number of rows.
+# The array routine below takes its rows this many at a time, so its x-side
+# matrices, the real and the imaginary parts of up to 256 x 148 values (0.3 MB
+# each), stay that size for any number of rows.
 _ROW_CHUNK = 256
 
 
@@ -903,9 +904,10 @@ def _hyp2f1_11_rows(c_at_x, c_at_conj, x: np.ndarray) -> tuple[np.ndarray, ...]:
     array per c, in that order.
 
     The array form of ``hyp2f1_11`` for the kernel G of ``scattering``, on
-    its domain: x on the locus Re x = 1/2 at |x| below 2^1022, so |1 - x| =
-    |x| >= 1/2 and the connection next to x = 1 never applies, and c in
-    (0, 60]. No argument is checked. It takes the same steps as
+    its domain: x on the locus Re x = 1/2 with |x| up to about 1e6 (the
+    kernel's angles stay 1e-6 from +-pi), so |1 - x| = |x| >= 1/2 and the
+    connection next to x = 1 never applies, and c in (0, 60]. No argument is
+    checked. It takes the same steps as
     ``hyp2f1_11``, for all rows at once:
 
     * the half-plane rule once, under a mask: every row computes at its x or
@@ -920,8 +922,9 @@ def _hyp2f1_11_rows(c_at_x, c_at_conj, x: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Rows run ``_ROW_CHUNK`` (256) at a time. Every row's value depends on
     that row alone, bit for bit, so it is the same in any split of the
-    array; it differs from ``hyp2f1_11``'s only by the rounding of the sums
-    (numpy's complex products and ``einsum`` against ``np.dot``).
+    array. It differs from ``hyp2f1_11``'s only by rounding: numpy's
+    arithmetic, float ``einsum`` row sums in place of ``np.dot``, and the pole
+    term's power as exp((c - 2) log(1 - 1/x)).
     """
     cs = (*c_at_x, *c_at_conj)
     shifts = [0 if c >= _MIN_DIRECT_C else int(math.ceil(_MIN_DIRECT_C - c)) for c in cs]
