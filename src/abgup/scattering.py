@@ -146,9 +146,12 @@ def _angle(phi, margin: float):
     either branch on m, not on the angle's type.
 
     An angle within the margin raises ForwardSingularityError; for an array,
-    with the indices of such angles in ``rows``.
+    with the indices of such angles in ``rows``. An array that is not 1-D
+    raises DomainValidationError.
     """
     if isinstance(phi, _ARRAY):
+        if phi.ndim != 1:
+            raise DomainValidationError(f"an array of angles must be 1-D, got shape {phi.shape}")
         t = _principal_rows(phi)
         close = math.pi - np.abs(t) < margin
         if close.any():

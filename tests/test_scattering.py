@@ -715,6 +715,10 @@ class TestArrayCalls:
         with pytest.raises(DomainValidationError) as info:
             g_fn(0.3, np.array([0.1, math.nan, 2e6, -0.1]))
         assert info.value.rows.tolist() == [1, 2]
+        for shape in ((), (2, 2)):
+            with pytest.raises(DomainValidationError, match="1-D"):
+                f1_amp(np.zeros(shape), 0.3, PB)
+        assert g_fn(0.3, np.array([])).g.shape == (0,)
         # the cross section overflows next to pi at hbar = 1e150
         with pytest.raises(AccuracyError) as info:
             dsigma(np.array([3.0, math.pi - 2e-6, 1.0]), 1.3, PhysicalParams(beta=0.01, hbar=1e150))
