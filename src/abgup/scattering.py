@@ -670,18 +670,17 @@ def _dsigma(t, m, alpha_prime: float, params: PhysicalParams, form: str, g):
     c2 = m.cos(0.5 * t) ** 2
     sin_g = (-1.0) ** n * _cis_pi(split.alpha_prime).imag  # sin(pi gamma), from alpha'
 
-    if params.beta == 0.0:
-        with _quiet(m):
+    with _quiet(m):
+        if params.beta == 0.0:
             val = sin_g * sin_g / (2.0 * math.pi * k * c2)
-    elif gamma < ENDPOINT_BAND:
-        val = dsigma_integer_limits(n, t, params)[0]
-    elif 1.0 - gamma < ENDPOINT_BAND:
-        val = dsigma_integer_limits(n + 1, t, params)[1]
-    else:
-        if g is None:
-            g = g_fn(alpha_prime, t).g
-        hk2 = square(params.hbar * k)
-        with _quiet(m):
+        elif gamma < ENDPOINT_BAND:
+            val = dsigma_integer_limits(n, t, params)[0]
+        elif 1.0 - gamma < ENDPOINT_BAND:
+            val = dsigma_integer_limits(n + 1, t, params)[1]
+        else:
+            if g is None:
+                g = g_fn(alpha_prime, t).g
+            hk2 = square(params.hbar * k)
             if form == "modulus":
                 amp = sin_g - (math.pi * hk2 * params.beta / 4.0) * g
                 val = square(abs(amp)) / (2.0 * math.pi * k * c2)
@@ -691,7 +690,7 @@ def _dsigma(t, m, alpha_prime: float, params: PhysicalParams, form: str, g):
                     * (sin_g - params.beta * (math.pi * hk2 / 2.0) * g.real)
                     / (2.0 * math.pi * k * c2)
                 )
-    return _finite(val, "dsigma")
+        return _finite(val, "dsigma")
 
 
 def symmetry_probe(
