@@ -87,7 +87,7 @@ _LERCH_REACH = 8.0         # least distance a |1 - q| of a Lerch tail's pole fro
 _EXPLICIT_MODES = 200
 _LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(40)
 _PHI_ABS_MAX = 1e6         # largest |phi| taken as an angle; doubles there are 1.2e-10 apart
-_ARRAY = np.ndarray        # an angle of this type is an array of angles; looked up once per test
+_ARRAY = np.ndarray        # the type of an array of angles, bound once for the per-call type tests
 
 
 # =====================================================================
