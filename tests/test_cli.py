@@ -269,7 +269,7 @@ def _close(got: dict, want: dict, bound: float) -> bool:
 
 class TestPhiScanArrays:
     """A phi-scan evaluates its angles in one array call; an alpha-scan, and
-    the parent's phi-scan, row by row in float calls."""
+    a phi-scan of earlier versions, row by row in float calls."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failing_angles_are_skipped_as_float_calls_skip_them(self, fmt):
