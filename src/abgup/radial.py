@@ -16,6 +16,11 @@ lives here:
 * ``ode_residual``  -- finite-difference check that sampled modes satisfy
                        their radial equation.
 
+Every J these closed forms take on one set of z comes from one order table
+(``_BesselTable``): a nonnegative order is a row of one Miller sweep per
+fractional order (``specfun._bessel_rows``), and a negative one is carried
+down from the table's own rows.
+
 Conventions: z is the scaled radius (wave number times radius), m the integer
 angular index, ``alpha_prime`` the flux parameter, and nu = |m + alpha_prime|
 the Bessel order of the mode. Order combinations within 1e-6 of an integer sit
@@ -42,7 +47,8 @@ from .core import (
     require_noninteger,
     square,
 )
-from .specfun import _MILLER_Z_MAX, _bessel_negative, _cis_pi, bessel_j, digamma, pfq_series
+from .specfun import (_MILLER_Z_MAX, _ORDER_MAX, _bessel_negative, _bessel_rows, _bessel_z,
+                      _cis_pi, bessel_j, digamma, pfq_series)
 
 _DEGENERATE_TOL = 1e-9
 _ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature continuation above
@@ -206,25 +212,49 @@ def _finite(value, what: str):
 class _BesselTable:
     """J at any order on one fixed point set, each order evaluated once.
 
-    A nonnegative order is one ``bessel_j`` call. A negative order is carried
-    down from the table's own rows at its two nonnegative seed orders (see
-    ``specfun._bessel_negative``), so it costs only the recurrence steps and
-    returns the same floats ``bessel_j`` would.
+    Every row comes from a Miller sweep (``specfun._bessel_rows``) on the
+    exact fraction it is asked for, which the table keeps. A nonnegative
+    order nu asks for the fraction nu - floor(nu), the split ``bessel_j``
+    makes; a negative order is carried down from the rows 0 and 1 of the
+    sweep on its seed order mu0 in (0, 1) (see ``specfun._bessel_negative``),
+    so it costs only the recurrence steps. A sweep keeps every offset within
+    3 of the ones asked (only those below where a point passes z = 1e4), so
+    one sweep serves all the orders of one fraction that the F1 pairs ask
+    for. A row is bit for bit what ``bessel_j`` returns while its sweep's
+    highest order is below 11, so every negative row is; above, the sweep
+    can start later than a lone call, and the two differ in the last digits.
     """
 
     def __init__(self, points):
         self.points = points
+        self.flat = _bessel_z(points)
+        # the offsets a sweep keeps above the ones asked: none where a point
+        # passes z = 1e4, where a higher order may need Miller past its cap
+        self._reach = 3 if np.all(self.flat <= _MILLER_Z_MAX) else 0
         self._rows: dict = {}
+        self._sweeps: dict = {}  # fraction -> (its lowest offset kept, rows)
 
     def __call__(self, order: float):
-        row = self._rows.get(order)
-        if row is None:
-            if order >= 0.0:
-                row = bessel_j(order, self.points)
+        if order not in self._rows:
+            if order < 0.0:
+                self._rows[order] = _bessel_negative(order, self.points, self.swept)
+            elif order <= _ORDER_MAX:
+                n = math.floor(order)
+                self._rows[order] = self.swept(order - n, n, n)[0]
             else:
-                row = _bessel_negative(order, self.points, self)
-            self._rows[order] = row
-        return row
+                raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {order}")
+        return self._rows[order]
+
+    def swept(self, frac: float, lo: int, hi: int) -> list:
+        """J at the orders frac + lo .. frac + hi, from the sweep on ``frac``."""
+        first, rows = self._sweeps.get(frac, (0, ()))
+        if not first <= lo <= hi < first + len(rows):
+            first = max(0, lo - 3)
+            rows = _bessel_rows(frac, first, hi + self._reach, self.flat)
+            scalar = np.ndim(self.points) == 0
+            rows = [float(row[0]) if scalar else row.reshape(np.shape(self.points)) for row in rows]
+            self._sweeps[frac] = first, rows
+        return rows[lo - first:hi - first + 1]
 
 
 class _PanelPlan:
@@ -319,6 +349,9 @@ class _F1Grid:
         self.shape = arr.shape
         self.on_z = _BesselTable(self.z)
         self._plan: _PanelPlan | None = None
+        # what a sum of the F1 so far is rounded against, over the F1 themselves:
+        # the two parts of each generic F1, weighted by their denominators
+        self.scale = 0.0
 
     def f1(self, mu: float, nu: float):
         mu = float(mu)
@@ -355,8 +388,13 @@ class _F1Grid:
         jm1 = self.on_z(mu + 1.0)
         jn = self.on_z(nu)
         jn1 = self.on_z(nu + 1.0)
-        f1 = -self.z / (mu * mu - nu * nu) * (jm1 * jn - jm * jn1) + jm * jn / (mu + nu)
-        return _finite(f1, f"F1 at orders {mu}, {nu}")
+        head = -self.z / (mu * mu - nu * nu) * (jm1 * jn - jm * jn1)
+        tail = jm * jn / (mu + nu)
+        # each part carries the rounding of its denominator, which cancels
+        # where the pair nears a degenerate one
+        self.scale = self.scale + (np.abs(head) * ((mu * mu + nu * nu) / abs(mu * mu - nu * nu))
+                                   + np.abs(tail) * ((abs(mu) + abs(nu)) / abs(mu + nu)))
+        return _finite(head + tail, f"F1 at orders {mu}, {nu}")
 
     def _degenerate(self, mu: float, nu: float, series_fn):
         """Series anchor ``series_fn(z, mu)`` at the smallest z, then the
@@ -417,25 +455,46 @@ def f1_integral(z, mu: float, nu: float):
     which keeps the result smooth to machine precision (no order-limit noise
     for the second differences to amplify). The panels of every gap share
     one node array, so each order is evaluated once over all of them, and an
-    equal-order product squares one array. A negative non-integer order
-    comes from the table's rows at its two nonnegative seed orders by the
-    downward recurrence of ``bessel_j``, so it costs no ``bessel_j`` call
-    and returns the same floats. This is the one-pair case of the order
-    table ``uv_pair`` shares across its eleven pairs.
+    equal-order product squares one array. Each order comes from the order
+    table's rows (see ``_BesselTable``): one Miller sweep per fractional
+    order, and the downward recurrence for a negative order.
+    This is the one-pair case of the order table ``uv_pair`` shares across
+    its eleven pairs.
     """
     return _F1Grid(z).f1(mu, nu)
+
+
+def _recurrence(grid: _F1Grid, terms, denominator: float, what: str):
+    """An order recurrence's sum of the F1 values ``terms`` from ``grid``,
+    over ``denominator``.
+
+    The sum is the value times the denominator, so it cancels where an order
+    in the denominator is tiny: at F3(5; 5.96e-8, 1e-310) four F1 of about
+    0.5, two of them the sum of parts of about 1.8e6, add up to -2e-310.
+    Where the sum falls below 1e-13 of the size its terms were rounded
+    against (``grid.scale`` and the terms themselves), fewer than about two
+    of its digits are left, and AccuracyError is raised, as it is where the
+    value is past the double range.
+    """
+    acc = sum(terms)
+    if np.any(np.abs(acc) < 1e-13 * (grid.scale + sum(map(np.abs, terms)))):
+        raise AccuracyError(f"{what} cancels to rounding at these orders on this z range")
+    return _finite(acc / denominator, what)
 
 
 def f2_integral(z, mu: float, nu: float):
     """Antiderivative of J_mu J_nu / z^2 via the order recurrence.
 
     F2(mu, nu) = [F1(mu, nu-1) + F1(mu, nu+1)] / (2 nu).
+
+    Raises AccuracyError where the sum cancels to the rounding of its terms
+    (see ``_recurrence``) or the value is past the double range.
     """
     nu = float(nu)
     if nu == 0.0:
         raise DomainValidationError("f2_integral recurrence needs nu != 0")
-    f1 = _F1Grid(z).f1
-    return _finite((f1(mu, nu - 1.0) + f1(mu, nu + 1.0)) / (2.0 * nu), "f2_integral")
+    grid = _F1Grid(z)
+    return _recurrence(grid, (grid.f1(mu, nu - 1.0), grid.f1(mu, nu + 1.0)), 2.0 * nu, "f2_integral")
 
 
 def f3_integral(z, mu: float, nu: float):
@@ -443,19 +502,19 @@ def f3_integral(z, mu: float, nu: float):
 
     F3(mu, nu) = [F1(mu-1, nu-1) + F1(mu-1, nu+1) + F1(mu+1, nu-1)
                   + F1(mu+1, nu+1)] / (4 mu nu).
+
+    Raises AccuracyError where the sum cancels to the rounding of its terms
+    (see ``_recurrence``) or the value is past the double range.
     """
     mu = float(mu)
     nu = float(nu)
     if mu == 0.0 or nu == 0.0:
         raise DomainValidationError("f3_integral recurrence needs mu, nu != 0")
-    f1 = _F1Grid(z).f1
-    acc = (
-        f1(mu - 1.0, nu - 1.0)
-        + f1(mu - 1.0, nu + 1.0)
-        + f1(mu + 1.0, nu - 1.0)
-        + f1(mu + 1.0, nu + 1.0)
-    )
-    return _finite(acc / (4.0 * mu * nu), "f3_integral")
+    grid = _F1Grid(z)
+    f1 = grid.f1
+    terms = (f1(mu - 1.0, nu - 1.0), f1(mu - 1.0, nu + 1.0), f1(mu + 1.0, nu - 1.0),
+             f1(mu + 1.0, nu + 1.0))
+    return _recurrence(grid, terms, 4.0 * mu * nu, "f3_integral")
 
 
 def fn_quadrature(
@@ -606,7 +665,9 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     three equal and three opposite pairs need J at ±nu and ±(nu ± 1) on the
     Gauss nodes of one panel plan. Each of these is evaluated once. The
     negative orders come from the table's seed rows by recurrence, so a call
-    costs one ``bessel_j`` call per distinct nonnegative order and point set.
+    costs one Miller sweep per point set and fractional order, split as
+    ``bessel_j`` splits the order asked for (nu + 2 and nu can differ in
+    their last bit of fraction, and then take one sweep each).
     """
     return _uv_on(_F1Grid(z), m, alpha_prime, params)
 

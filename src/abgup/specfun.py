@@ -16,12 +16,15 @@ quadrature stay genuinely two-route:
                     |Gamma(x)| is not a normal double.
 * ``log_gamma``  -- ``math.lgamma`` for finite x > 0, with a typed overflow.
 * ``digamma``    -- recurrence into the asymptotic region plus Bernoulli tail.
-* ``bessel_j``   -- J_nu for real order and z >= 0, vectorised over z, with an
-                    ascending series / backward-recurrence / asymptotic split;
-                    the asymptotic expansion only where nu^2 <= z.
-                    Negative orders come from ``_bessel_negative``, the one
-                    downward order recurrence; the radial order table seeds it
-                    from its own cached rows.
+* ``bessel_j``   -- J_nu for real order and z >= 0, vectorised over z, on two
+                    branches: the Hankel expansion for z >= 1000 where
+                    nu^2 <= z, and Miller's backward sweep below it, with the
+                    series' leading term next to z = 0. One sweep
+                    (``_bessel_rows``) gives every order nu_frac + k it passes,
+                    so the radial order table fills all the orders of one
+                    fraction from it. Negative orders come from
+                    ``_bessel_negative``, the one downward order recurrence;
+                    the radial order table seeds it from its own rows.
 * ``hyp2f1_11``  -- 2F1(1, 1; c; x) via the power series (|x| <= 0.7),
                     Euler's integral on a fixed tanh-sinh rule (|x| > 0.7,
                     c <= 60), the connection to 1 - x next to x = 1 away
@@ -182,8 +185,8 @@ def digamma(x: float) -> float:
 
     Uses the reflection formula for x < 0, the upward recurrence
     ``psi(x) = psi(x+1) - 1/x`` to push the argument above 10, then the
-    Bernoulli asymptotic series. Accuracy is ~1e-12 absolute over the test
-    range.
+    Bernoulli asymptotic series. Against mpmath at 40 digits, over 3,000
+    seeded points in [-30, 60], it reads at most 9.8e-16 of max(1, |psi|).
     """
     x = float(x)
     if not math.isfinite(x):
@@ -211,6 +214,8 @@ def digamma(x: float) -> float:
 # Bessel J of real order
 # =====================================================================
 
+# Not a branch of bessel_j: perfbench's tracer reads it, by a copy that a test
+# pins equal, to split the points it counts at z = 14.
 _SERIES_Z_MAX = 14.0
 _ASYMPTOTIC_Z_MIN = 1000.0
 # The Hankel expansion runs only where also nu^2 <= z: its terms grow until
@@ -226,101 +231,71 @@ _MILLER_Z_MAX = 1.0e4
 # below the smallest double for nu > 0 or at a negative integer, above the
 # largest otherwise. Only the Hankel range z >= nu^2 > 1e10 loses values.
 _ORDER_MAX = 1.0e5
+# Where (z/2)^2 / (nu + 1) < 2^-53 the ascending series is its leading term to
+# within rounding; Miller's sweep would overflow below z of about 6e-71.
+_LEAD_TOL = 2.0 ** -53
 
 
-def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Ascending series for J_nu(z), nu >= 0, vectorised over z < ~14."""
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    if nu == 0.0:
-        out[~pos] = 1.0
-    if np.any(pos):
-        zp = z[pos]
-        quarter = -0.25 * zp * zp
-        term = np.ones_like(zp)
-        acc = np.ones_like(zp)
-        for j in range(1, 200):
-            term = term * quarter / (j * (nu + j))
-            acc += term
-            done = np.abs(term) <= 1e-17 * np.abs(acc)
-            if done.all():
-                break
-            term[done] = 0.0  # a converged point takes no further terms
-        else:  # pragma: no cover - series range is capped well under this
-            raise AccuracyError("bessel_j ascending series did not converge")
-        half = 0.5 * zp
-        prefactor = np.exp(nu * np.log(half) - log_gamma(nu + 1.0))
-        out[pos] = prefactor * acc
-    return out
+def _bessel_miller(nu_frac: float, lo: int, hi: int, z: np.ndarray, saved: np.ndarray) -> None:
+    """J at the orders nu_frac + k, k = lo .. hi, by one backward (Miller)
+    sweep over z > 0, sorted ascending, written into the rows of ``saved``.
 
-
-def _bessel_miller(nu_frac: float, nu_int: int, z: np.ndarray) -> np.ndarray:
-    """Backward (Miller) recurrence for J at order ``nu_frac + nu_int``.
-
-    Parameters
-    ----------
-    nu_frac : float
-        Fractional base order in [0, 1).
-    nu_int : int
-        Non-negative integer offset of the order.
-    z : ndarray
-        Arguments, all in the backward-recurrence window.
-
-    Returns
-    -------
-    ndarray, shape (len(z),)
-
-    Notes
-    -----
+    Each point starts its trial solution at max(z + 6 sqrt(max(z, 1)) + 24,
+    hi + 20), at least 30, so up to hi = 10 a row is, bit for bit, what a
+    sweep that keeps only its offset gives; and a batch gives, point by
+    point, what one-point sweeps give. A start of z + 12 sqrt(max(z, 1)) +
+    30 read the same against mpmath (to rounding, for nu from 0.3 to 300.3
+    at z from 14 to 1e4, and below z = 14 as in ``bessel_j``'s Notes), in up
+    to 40% more steps. The starts grow with z, so the points
+    started by a step are a tail of z, and each step runs over those only.
     The trial solution is normalised with the Neumann-series identity
 
         sum_k (nu + 2k) Gamma(nu + k) / k!  J_{nu+2k}(z) = (z/2)^nu
 
     which reduces to ``J_0 + 2 J_2 + 2 J_4 + ... = 1`` at nu = 0.
     """
-    starts = (z + 12.0 * np.sqrt(np.maximum(z, 1.0)) + 30.0).astype(int)
-    starts = np.maximum(starts, nu_int + 20)
-    start = int(np.max(starts))
-
+    starts = np.maximum((z + 6.0 * np.sqrt(np.maximum(z, 1.0)) + 24.0).astype(int), hi + 20)
+    start = int(starts[-1])
+    first = np.searchsorted(starts, np.arange(start + 1))  # z[first[j]:] have started by step j
     # Normalisation coefficients c_k = (nu + 2k) Gamma(nu + k) / k!.
-    n_coef = start // 2 + 1
-    coef = np.empty(n_coef)
-    coef[0] = gamma_fn(nu_frac + 1.0) if nu_frac > 0.0 else 1.0
-    if n_coef > 1:
-        coef[1] = (nu_frac + 2.0) * (gamma_fn(nu_frac + 1.0) if nu_frac > 0.0 else 1.0)
-        for k in range(2, n_coef):
-            coef[k] = (
-                coef[k - 1]
-                * ((nu_frac + 2.0 * k) / (nu_frac + 2.0 * k - 2.0))
-                * ((nu_frac + k - 1.0) / k)
-            )
+    coef = [gamma_fn(nu_frac + 1.0) if nu_frac > 0.0 else 1.0]
+    coef.append((nu_frac + 2.0) * coef[0])
+    for k in range(2, start // 2 + 1):
+        coef.append(coef[-1] * ((nu_frac + 2.0 * k) / (nu_frac + 2.0 * k - 2.0))
+                    * ((nu_frac + k - 1.0) / k))
 
-    f_hi = np.zeros_like(z)    # order nu_frac + j + 1
-    f_cur = np.zeros_like(z)   # order nu_frac + j; 0 until the point's start
-    norm = np.zeros_like(z)
-    saved = np.zeros_like(z)
-
+    # the trial solution at orders nu_frac + j + 1, + j and + j - 1, rotated
+    # each step; 0 until a point's start
+    *f, norm, work = np.zeros((5, z.size))
+    # A point's trial solution is rescaled by 1e-250 where it passes 1e250. The
+    # test is skipped while a running bound on every |f_cur| and |f_hi|, which
+    # grows by at most 1 + 2 (nu_frac + j) / min(z) a step, stays below 1e249:
+    # the tenth keeps the bound's own rounding from hiding a step that fires.
+    bound = 1e-30
+    m = z.size
     for j in range(start, -1, -1):
-        # each point starts its trial solution at its own order, so a batch
-        # returns exactly what one-point calls would
-        f_cur[starts == j] = 1e-30
+        if first[j] < m:  # points start: views over the started ones
+            f[1][first[j]:m] = 1e-30
+            m = first[j]
+            f_hi, f_cur, f_lo, z_m, norm_m, work_m = (a[m:] for a in (*f, z, norm, work))
         if j % 2 == 0:
-            norm += coef[j // 2] * f_cur
-        if j == nu_int:
-            saved[:] = f_cur
+            norm_m += np.multiply(coef[j // 2], f_cur, out=work_m)
+        if lo <= j <= hi:
+            saved[j - lo, m:] = f_cur
         if j > 0:
-            f_lo = (2.0 * (nu_frac + j) / z) * f_cur - f_hi
-            f_hi = f_cur
-            f_cur = f_lo
-            if np.abs(f_cur).max() > 1e250:
+            step = 2.0 * (nu_frac + j)
+            np.divide(step, z_m, out=work_m)
+            np.multiply(work_m, f_cur, out=work_m)
+            np.subtract(work_m, f_hi, out=f_lo)
+            f = [f[1], f[2], f[0]]
+            f_hi, f_cur, f_lo = f_cur, f_lo, f_hi
+            bound *= 1.0 + step / z[0]
+            if bound > 1e249:
                 big = np.abs(f_cur) > 1e250
-                f_cur[big] *= 1e-250
-                f_hi[big] *= 1e-250
-                norm[big] *= 1e-250
-                saved[big] *= 1e-250
-
-    scale = (0.5 * z) ** nu_frac / norm
-    return saved * scale
+                for a in (f_cur, f_hi, norm_m, saved[max(j - lo, 0):, m:]):  # the rows saved
+                    a[..., big] *= 1e-250
+                bound = max(np.abs(f_cur).max(), np.abs(f_hi).max(), 1e-30)
+    saved *= (0.5 * z) ** nu_frac / norm
 
 
 def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
@@ -356,55 +331,79 @@ def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 / (0.25 * math.pi * z)) * (p * cos_w - q * sin_w)
 
 
-def _bessel_nonneg(nu: float, z: np.ndarray) -> np.ndarray:
-    """J_nu(z) for nu >= 0 over a flat array of z >= 0."""
-    out = np.empty_like(z)
-    small = z < _SERIES_Z_MAX
-    big = (z >= _ASYMPTOTIC_Z_MIN) & (nu * nu <= z)
-    mid = ~small & ~big
-    if np.any(z[mid] > _MILLER_Z_MAX):
+def _bessel_rows(nu_frac: float, lo: int, hi: int, z: np.ndarray) -> np.ndarray:
+    """J at the orders nu_frac + k, k = lo .. hi, over a flat array of z >= 0:
+    one row per order.
+
+    A point takes, per order nu, the leading term where (z/2)^2 / (nu + 1) <
+    2^-53, the Hankel expansion where z >= 1000 and nu^2 <= z, and Miller's
+    sweep otherwise, up to z = 1e4. The points are taken in ascending order,
+    so each rule takes a slice of them; one sweep serves every row.
+    """
+    by_z = None if np.all(z[:-1] <= z[1:]) else np.argsort(z, kind="stable")
+    zs = z if by_z is None else z[by_z]
+    orders = [nu_frac + k for k in range(lo, hi + 1)]
+    # per order, the leading term takes zs[:a], Miller zs[a:b], the Hankel expansion zs[b:]
+    ends = [(np.searchsorted(zs, 2.0 * math.sqrt(_LEAD_TOL * (nu + 1.0))),
+             np.searchsorted(zs, max(_ASYMPTOTIC_Z_MIN, nu * nu))) for nu in orders]
+    a, b = ends[0][0], ends[-1][1]  # the points some order takes Miller at
+    if b > a and zs[b - 1] > _MILLER_Z_MAX:
         raise AccuracyError(
             f"bessel_j needs nu^2 <= z past z = {_MILLER_Z_MAX:g}, where the Hankel "
-            f"expansion holds; got nu = {nu} at z = {np.max(z[mid]):g}"
+            f"expansion holds; got nu = {orders[-1]} at z = {zs[b - 1]:g}"
         )
-    if np.any(small):
-        out[small] = _bessel_series(nu, z[small])
-    if np.any(mid):
-        nu_int = int(math.floor(nu))
-        nu_frac = nu - nu_int
-        out[mid] = _bessel_miller(nu_frac, nu_int, z[mid])
-    if np.any(big):
-        out[big] = _bessel_asymptotic(nu, z[big])
+    out = np.empty((len(orders), z.size))
+    if b > a:
+        _bessel_miller(nu_frac, lo, hi, zs[a:b], out[:, a:b])
+    for row, (nu, (a, b)) in enumerate(zip(orders, ends)):
+        if a:
+            # (z/2)^nu / Gamma(nu + 1) as z^nu 2^-nu / Gamma(nu + 1), since z / 2
+            # underflows at the smallest z; 0^0 = 1 gives J_0(0). Past nu = 170,
+            # where Gamma overflows, every such value is below the smallest double
+            out[row, :a] = zs[:a] ** nu * (2.0 ** -nu / math.gamma(nu + 1.0) if nu < 170.0 else 0.0)
+        if b < z.size:
+            out[row, b:] = _bessel_asymptotic(nu, zs[b:])
+    if by_z is not None:
+        out[:, by_z] = out.copy()
     return out
 
 
-def _bessel_negative(nu: float, z, seed):
-    """J_nu(z) for nu < 0 from the nonnegative rows ``seed(mu)`` on the same z.
+def _bessel_z(z) -> np.ndarray:
+    """``bessel_j``'s z, a float or array_like, as a flat float array, or
+    DomainValidationError unless every z is finite and >= 0."""
+    flat = np.asarray(z, dtype=float).ravel()
+    if np.any(flat < 0.0) or not np.all(np.isfinite(flat)):
+        raise DomainValidationError("bessel_j needs finite z >= 0")
+    return flat
 
-    ``z`` is a float or a flat array and ``seed(mu)`` returns J_mu on it for
-    mu >= 0. A negative integer order is (-1)^n J_n. Otherwise the two seeds
-    J_mu0 and J_(mu0+1), with mu0 = nu - floor(nu) in (0, 1), are carried
-    down by the recurrence J_(mu-1) = (2 mu / z) J_mu - J_(mu+1) (DLMF
-    10.6.1). ``bessel_j`` seeds from fresh evaluations; the radial order
-    table seeds from its own cached rows, so both return the same floats.
-    Where |J_nu| exceeds the largest double (a large negative order at small
-    z) the recurrence overflows, which raises AccuracyError. An order below
-    -1e5 raises DomainValidationError, as in ``bessel_j``: the recurrence
-    takes about |nu| steps.
+
+def _bessel_negative(nu: float, z, rows):
+    """J_nu(z) for nu < 0 from nonnegative rows on the same z.
+
+    ``z`` is a float or a flat array, and ``rows(frac, lo, hi)`` returns J on
+    it at the orders frac + lo .. frac + hi, as ``_bessel_rows`` does. A
+    negative integer order is (-1)^n J_n. Otherwise the two seeds J_mu0 and
+    J_(mu0+1), with mu0 = nu - floor(nu) in (0, 1), are the rows 0 and 1 of
+    one sweep on mu0, carried down by the recurrence J_(mu-1) = (2 mu / z)
+    J_mu - J_(mu+1) (DLMF 10.6.1). ``bessel_j`` seeds from a fresh sweep; the
+    radial order table seeds from its own sweeps, so both return the same
+    floats. Where |J_nu| exceeds the largest double (a large negative order
+    at small z) the recurrence overflows, which raises AccuracyError. An
+    order below -1e5 raises DomainValidationError, as in ``bessel_j``: the
+    recurrence takes about |nu| steps.
     """
     if not -nu <= _ORDER_MAX:
         raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {nu}")
     if abs(nu - round(nu)) < 1e-12:
         n = int(round(-nu))
-        return (-1.0) ** n * seed(float(n))
+        return (-1.0) ** n * rows(0.0, n, n)[0]
     if np.any(z == 0.0):
         # J of negative non-integer order diverges at the origin; the
         # closed forms never need it, so reject instead of guessing.
         raise DomainValidationError("bessel_j at z = 0 needs nu >= 0 or integer nu")
     steps = int(math.ceil(-nu))  # mu0 - nu, an integer
     mu = nu + steps
-    j_hi = seed(mu + 1.0)
-    j_cur = seed(mu)
+    j_cur, j_hi = rows(mu, 0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             j_lo = (2.0 * mu / z) * j_cur - j_hi
@@ -447,37 +446,34 @@ def bessel_j(nu: float, z):
 
     Notes
     -----
-    Branches: ascending power series for z < 14; the Hankel asymptotic
-    expansion for z >= 1000 where also nu^2 <= z; Miller backward recurrence
-    with Neumann normalisation for every other z up to 1e4. Relative
-    accuracy is ~1e-10 or better away from zeros of J for the tested orders
-    |nu| <= 5 below z = 1000. Past it, against mpmath and in units of the
-    envelope sqrt(2/(pi z)), the Hankel branch reads below 1e-13 for
-    nu <= 2.7 up to z = 1e15 and below 4e-16 at nu = sqrt(z); Miller reads
-    below 3e-13 for nu from 45 to 300 at z from 1e3 to 1e4, where one call
-    takes 15-120 ms.
+    Two branches, and the leading term at the origin: the Hankel asymptotic
+    expansion for z >= 1000 where also nu^2 <= z; Miller's backward
+    recurrence with Neumann normalisation for every other z > 0 up to 1e4;
+    and (z/2)^nu / Gamma(nu + 1) where (z/2)^2 / (nu + 1) < 2^-53, which
+    is the whole series there to within rounding (J_0(0) = 1, J_nu(0) = 0).
+    Against mpmath at 40 digits, for nu in {0, 0.3, 1.5, 2.7, 5.2, 10.4}:
+    at most 1.3e-15 of the envelope sqrt(2/(pi max(z, 1))) on 140 seeded
+    points in [0.5, 14); 7.2e-16 relative on 120 geometric points from
+    z = 1e-3 to 2; and 3.6e-16 of max(|J|, the smallest normal double) at
+    z = 0, 5e-324, 1e-300, 1e-152, 1e-71, 1e-9 and 1e-3. Error grows with
+    the length of the sweep: 1.3e-13 relative at z = 999.9 (nu = 1.3, about
+    1,200 steps), and up to 4.5e-14 of the envelope from z = 14 to 1000. The Hankel branch reads below 1e-13 of sqrt(2/(pi
+    z)) for nu <= 2.7 up to z = 1e15 and below 4e-16 at nu = sqrt(z);
+    Miller reads below 3e-13 for nu from 45 to 300 at z from 1e3 to 1e4,
+    where one call takes 15-120 ms.
 
-    Every point stops its series and starts its recurrence by its own
+    Every point takes its rule and starts its recurrence by its own
     criterion, so an array call returns, point by point, exactly what
     one-point calls return. Callers may therefore batch any point sets.
     """
     nu = float(nu)
     if not abs(nu) <= _ORDER_MAX:  # also nan
         raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {nu}")
-    arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).astype(float).ravel()
-    if np.any(flat < 0.0) or not np.all(np.isfinite(flat)):
-        raise DomainValidationError("bessel_j needs finite z >= 0")
-
-    if nu >= 0.0:
-        res = _bessel_nonneg(nu, flat)
-    else:
-        res = _bessel_negative(nu, flat, lambda mu: _bessel_nonneg(mu, flat))
-
-    if scalar:
-        return float(res[0])
-    return res.reshape(arr.shape)
+    flat = _bessel_z(z)
+    rows = functools.partial(_bessel_rows, z=flat)
+    n = math.floor(nu)  # a nonnegative nu is one row, on the exact split (nu - n) + n
+    res = rows(nu - n, n, n)[0] if nu >= 0.0 else _bessel_negative(nu, flat, rows)
+    return float(res[0]) if np.ndim(z) == 0 else res.reshape(np.shape(z))
 
 
 # =====================================================================

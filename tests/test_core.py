@@ -293,6 +293,9 @@ _Z = np.linspace(1.0, 2.0, 11)
         (lambda: f1_integral(1e300, 5.96e-8, 0.0), AccuracyError),
         (lambda: f2_integral(5.0, 1.000000001 + 1e-310, 1e-310), AccuracyError),
         (lambda: f3_integral(5.0, 5.96e-8 + 1e-310, 1e-310), AccuracyError),
+        # this returned 8.2e198 where F3 is -8.39e6: its sum cancels past the
+        # rounding of its terms
+        (lambda: f3_integral(5.0, 5.96e-8, 1e-200), AccuracyError),
         (lambda: f1_integral(0.0, 0.3, 0.3), DomainValidationError),
         (lambda: pfq_series([1.0, -50.0], [0.5], math.nan), DomainValidationError),
         (lambda: pfq_series([1.0, -50.0], [0.5], 1e300), AccuracyError),
@@ -310,7 +313,8 @@ _Z = np.linspace(1.0, 2.0, 11)
          "limits_nan", "f0_k_nan", "xi_overflow", "xi_past_double", "g2m_half",
          "mode_f0_half", "mode_f0_nan", "mode_f0_inf", "g1_g2_nan", "ode_residual_half",
          "ode_residual_nan", "ode_residual_nan_samples", "ode_residual_huge_m",
-         "f1_near_degenerate_huge_z", "f2_tiny_order", "f3_tiny_order", "f1_equal_at_zero",
+         "f1_near_degenerate_huge_z", "f2_tiny_order", "f3_tiny_order", "f3_small_order_cancels",
+         "f1_equal_at_zero",
          "pfq_nan", "pfq_overflow", "quadrature_nan", "quadrature_overflow",
          "hyp_huge_negative_c", "hyp_past_double_range", "f1_huge_negative_order",
          "quadrature_huge_order"],

@@ -31,7 +31,7 @@ from abgup import (
     uv_pair,
     xi_coeffs,
 )
-from abgup import cli, specfun
+from abgup import cli
 from abgup.specfun import bessel_j
 
 PARAMS = PhysicalParams(hbar=1.0, k=1.0, beta=0.01)
@@ -301,16 +301,26 @@ class TestUvPair:
         with pytest.raises(SingularConfigError):
             uv_pair(2.0, 1, 1.0, PARAMS)
 
+    @staticmethod
+    def _count_sweeps(monkeypatch) -> list:
+        """(fraction, point set) of every Miller sweep the order tables run,
+        appended as they run; a ``bessel_j`` call from ``radial`` fails."""
+        keys = []
+        rows = radial._bessel_rows
+
+        def counting(nu_frac, lo, hi, z):
+            keys.append((nu_frac, z.tobytes()))
+            return rows(nu_frac, lo, hi, z)
+
+        monkeypatch.setattr(radial, "_bessel_rows", counting)
+        monkeypatch.setattr(radial, "bessel_j", None)
+        return keys
+
     @pytest.mark.parametrize("m, a", [(1, 0.3), (0, 0.5), (-1, 0.3)])
     def test_one_bessel_call_per_order_and_point_set(self, m, a, monkeypatch):
-        # a coarse grid with a panel run from 4, so both order tables fill
-        keys = []
-
-        def counting(nu, z):
-            keys.append((float(nu), np.asarray(z, dtype=float).tobytes()))
-            return bessel_j(nu, z)
-
-        monkeypatch.setattr(radial, "bessel_j", counting)
+        # a coarse grid with a panel run from 4, so both order tables fill; each
+        # fills every order of one exact fraction from one Miller sweep
+        keys = self._count_sweeps(monkeypatch)
         zs = np.linspace(6.0, 20.0, 15)
         uv_pair(zs, m, a, PARAMS)
         assert len(keys) == len(set(keys))
@@ -330,18 +340,11 @@ class TestUvPair:
         ids=["uv_pair-nu1.3", "uv_pair-nu2.6", "f2", "f3", "mode_f1", "cli-radial"],
     )
     def test_no_bessel_seed_evaluated_twice(self, call, monkeypatch):
-        # negative orders recur from the table's own nonnegative rows, and f0
-        # and f1 take J_nu and J_-nu from the table u and v filled, so no
-        # (order, point set) reaches the nonnegative evaluator twice; the grid
-        # crosses z = 14, where bessel_j leaves its series for Miller's method
-        keys = []
-        nonneg = specfun._bessel_nonneg
-
-        def counting(nu, z):
-            keys.append((float(nu), z.tobytes()))
-            return nonneg(nu, z)
-
-        monkeypatch.setattr(specfun, "_bessel_nonneg", counting)
+        # negative orders recur from the table's own nonnegative rows, a sweep
+        # keeps the orders within 3 of the one asked, and f0 and f1 take J_nu
+        # and J_-nu from the table u and v filled, so no (fraction, point set)
+        # is swept twice
+        keys = self._count_sweeps(monkeypatch)
         call(np.linspace(6.0, 20.0, 15))
         assert keys
         assert len(keys) == len(set(keys))
