@@ -13,9 +13,11 @@ Output is CSV (17 significant digits, deterministic row order; grid points
 inside exclusion margins appear as `# skipped ...` comment lines) or JSON
 (scan records use the amplitude-dump schema with f0/f1 split into real and
 imaginary parts; skipped points are listed separately). One writer,
-``_write``, emits both for every subcommand: a row template repeated per
-row, constant columns formatted into it once, filled by one ``%`` from the
-rows' values in one flat tuple.
+``_write``, emits both for every subcommand: a row template with constant
+columns formatted into it once, repeated per row as one byte matrix. The
+float columns' text is built in numpy by ``_float_cells``, byte for byte
+the text of ``%.17g`` (CSV) or ``float.__repr__`` (JSON); it hands the few
+values whose rounding it cannot decide, and any other value, to CPython.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ import sys
 import numpy as np
 
 from . import classical, radial, scattering
-from .core import ENDPOINT_BAND, AccuracyError, DomainValidationError, PhysicalParams, flux_split
+from .core import (
+    ENDPOINT_BAND,
+    AccuracyError,
+    DomainValidationError,
+    PhysicalParams,
+    flux_split,
+    two_product,
+)
 
 _PHI_MARGIN_DEFAULT = 1e-3  # scans skip angles this close to +-pi
 _NUM = "%.17g"  # every float written to CSV
@@ -50,28 +59,201 @@ def _parse_vec(text: str, name: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _lit(text: str) -> str:
-    """``text`` as a literal part of a %-template."""
-    return text.replace("%", "%%")
+# _float_cells: what it leaves to CPython, and how it lays out a value
+_FAST_MIN, _FAST_MAX = 1e-280, 1e290  # |x| it decides; 10**p is a normal double-double there
+_DOUBT = 1e-9  # a rounding this close to a tie or an interval edge is left to CPython
+_P_MIN, _P_MAX = -280, 300  # the powers of ten 10**p it scales by
+# One value's cells, six uint64 words: a sign, "0." and three zeros (the
+# fixed form below 1), then 17 digits each followed by a point cell, then
+# three cells never kept and "e+000". Digits 2-17 fill words 1-4, four each.
+_CELLS = 48
+_CHUNK = 2048  # floats formatted per pass: 8192 was no faster and held 2 MB more at the peak
+_E16 = np.int64(10**16)
+_GROUP_ROWS = np.arange(0, 4 * 10**4, 10**4, dtype=np.int32)[:, None]  # in _words' last table
 
 
-def _json_texts(values: list) -> list[str]:
-    """The text ``json.dumps`` writes for each value: ``float.__repr__``
-    when every value is a float and their sum is finite (so is every value;
-    finite values whose sum overflows take the other path), else
-    ``json.dumps`` of each value."""
-    try:
-        if math.isfinite(sum(values)):
-            return list(map(float.__repr__, values))
-    except TypeError:  # a value that is not a number, or not a float
-        pass
-    return list(map(json.dumps, values))
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """10**p for p = _P_MIN .. _P_MAX as double-doubles (hi, lo): hi is 10**p
+    rounded to a double and lo the rest rounded, both from exact integer
+    arithmetic (``float(int)`` and int / int round correctly). Built on
+    first use."""
+    his, los = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        if p >= 0:
+            hi = float(10**p)
+            lo = float(10**p - int(hi))
+        else:
+            hi = 1 / 10**-p
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10**-p) / (den * 10**-p)
+        his.append(hi)
+        los.append(lo)
+    return np.array(his), np.array(los)
+
+
+@functools.cache
+def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of cell words: the first word for a leading digit
+    0 .. 9; a word of four digits g = 0 .. 9999 with their point cells; the
+    last word for an exponent k = -400 .. 400. Then, for the group of
+    digits 4j + 2 .. 4j + 5 (j = 0 .. 3) holding g, at 10^4 j + g, the
+    number of digits up to its last nonzero one, 0 for g = 0."""
+    g = np.arange(10**4)
+    digits = g[:, None] // np.array([1000, 100, 10, 1]) % 10
+    cells = np.full((g.size, 8), ord("."), np.uint8)
+    cells[:, ::2] = 48 + digits
+    zeros = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)  # trailing zeros, 4 for g = 0
+    last = np.concatenate([np.where(g > 0, 4 * j + 5 - zeros, 0) for j in range(4)]).astype(np.uint8)
+    heads = np.array([b"-0.000%d." % v for v in range(10)]).view(np.uint64)
+    exponents = np.array([b"   e%+04d" % k for k in range(-400, 401)]).view(np.uint64)
+    return heads, cells.view(np.uint64).ravel(), exponents, last
+
+
+@functools.cache
+def _layouts(shortest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The cells a value's text keeps, for every layout, as masks of 0xff
+    bytes over its six cell words; and, for each exponent k = -400 .. 400,
+    the first row of its form's layouts.
+
+    A layout is row ``(form * 18 + n) * 2 + negative``, where n is the
+    number of significant digits (0 standing for 1) and ``form`` is k + 4
+    for the fixed form at decimal exponent k (-4 <= k < 17, 16 for repr), 21
+    for the exponent form with two exponent digits and 22 with three. In the
+    fixed form the integer part is padded with zeros to k + 1 digits, and
+    repr writes a fraction of at least one digit."""
+    key = np.arange(23 * 18 * 2)
+    form, n = key // 36, np.maximum(key // 2 % 18, 1)
+    k, fixed = form - 4, form < 21
+    digits = np.where(fixed & (k >= 0), np.maximum(n, k + 1 + shortest), n)
+    point = np.where(fixed, np.where((k >= 0) & (digits > k + 1), k + 1, 0), np.where(n > 1, 1, 0))
+    keep = np.zeros((key.size, _CELLS), bool)
+    keep[:, 0] = key % 2 == 1
+    keep[:, 1:6] = (fixed & (k < 0))[:, None] & (np.arange(1, 6) < 2 - k[:, None])  # "0.", zeros
+    keep[:, 6:40:2] = np.arange(1, 18) <= digits[:, None]
+    keep[:, 7:40:2] = np.arange(1, 18) == point[:, None]
+    keep[:, [43, 44, 46, 47]] = ~fixed[:, None]
+    keep[:, 45] = form == 22
+    k = np.arange(-400, 401)
+    form = np.where((k >= -4) & (k < 17 - shortest), k + 4, np.where(np.abs(k) >= 100, 22, 21))
+    return (keep * np.uint8(255)).view(np.uint64), (36 * form).astype(np.int32)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10^(16 - k) as the nearest integer and the rest: (d, r) with
+    d + r equal to it within about 1e-14, r in [-1/2, 1/2]. The product is
+    taken against 10^(16 - k) as a double-double by Dekker's two-product, so
+    the error is that of the double-double's low part and two roundings of
+    numbers below 32."""
+    his, los = _powers_of_ten()
+    i = 16 - _P_MIN - k
+    y, e = two_product(a, his.take(i))
+    r = e + a * los.take(i)
+    near = np.rint(r)
+    r -= near
+    d = y.astype(np.int64)  # y >= 2^53 is an integer wherever d counts
+    d += near.astype(np.int64)
+    return d, r
+
+
+def _float_cells(x: np.ndarray, shortest: bool, fallback) -> np.ndarray:
+    """The text of each element of the float64 array ``x``, as cells.
+
+    Row i of the returned (x.size, _CELLS) uint8 matrix, its NUL cells
+    dropped, spells ``"%.17g" % x[i]``, or with ``shortest``
+    ``float.__repr__(x[i])``, byte for byte: both are correctly rounded
+    (Gay, 1990), and this reproduces their digits and layout exactly.
+
+    |x| is scaled into [1e16, 1e17) by a double-double power of ten
+    (``_scaled``), so that its 17-digit rounding is the nearest integer d;
+    the decimal exponent k is taken from d and its remainder, so a value
+    just below a power of ten keeps its own exponent. repr's digits are the
+    nearest of the shortest that lie strictly inside the half-ulp interval:
+    that interval is narrower than 22 units of d, so it holds at most one
+    multiple of 100, or else the multiples of 10 nearest d, or else d.
+
+    An element the scaled product cannot decide takes ``fallback(float)``,
+    CPython's own text (at most _CELLS long), instead: a rounding within
+    _DOUBT of a tie or of an interval edge (the product is good to about
+    1e-14), |x| outside [_FAST_MIN, _FAST_MAX], a non-finite x, and under
+    repr a power of two, whose interval is not symmetric. Zero is decided.
+    """
+    ax = np.abs(x)
+    zero = ax == 0.0
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    a = np.where(fast, ax, 1.0)  # the others, zero among them, take the steps of 1.0
+    fast |= zero
+    k = np.floor(np.log10(a)).astype(np.int32)  # the exponent, or one off next to a power of 10
+    d, r = _scaled(a, k)
+    below = d - (r < 0)  # the integer part of the scaled value
+    off = np.flatnonzero((below < _E16) | (below >= _E16 * 10))
+    if off.size:  # the scaled value is outside [1e16, 1e17)
+        k[off] += np.where(below[off] < _E16, -1, 1).astype(np.int32)
+        d[off], r[off] = _scaled(a[off], k[off])
+    if shortest:
+        mantissa, exp2 = np.frexp(a)
+        half_ulp = np.ldexp(_powers_of_ten()[0].take(16 - _P_MIN - k), exp2 - 54)  # in units of d
+        t10 = d - d // 10 * 10 + r  # the scaled value above the multiple of 10 below d, and of 100
+        t100 = d - d // 100 * 100 + r
+        to100 = 100.0 * np.rint(0.01 * t100) - t100  # from it to the nearest multiple of 100
+        to10 = 10.0 * np.rint(0.1 * t10) - t10
+        gap100, gap10 = np.abs(to100), np.abs(to10)
+        # decided: no candidate within _DOUBT of the interval's edge, and no tie
+        # between the two nearest multiples of 10 or of 1
+        doubt = np.minimum(np.abs(gap100 - half_ulp), np.abs(gap10 - half_ulp))
+        doubt = np.minimum(doubt, np.minimum(np.abs(gap10 - 5.0), np.abs(np.abs(r) - 0.5)))
+        fast &= (doubt >= _DOUBT) & (mantissa != 0.5)
+        step = np.where(gap100 < half_ulp, to100, np.where(gap10 < half_ulp, to10, -r))
+        d += np.rint(r + step).astype(np.int64)
+    else:
+        fast &= np.abs(np.abs(r) - 0.5) >= _DOUBT
+    top = d == _E16 * 10  # rounded up to the next power of ten
+    d[top] = _E16
+    k += top
+
+    heads, quads, exponents, last = _words()
+    masks, forms = _layouts(shortest)
+    # the digits in groups of four (integer // by a scalar is fast in numpy, % is not)
+    upper = d // 10**8  # digits 1-9
+    lead = upper // 10**8
+    halves = np.empty((2, x.size), np.int32)  # digits 2-9 and 10-17
+    halves[0] = upper - lead * 10**8
+    halves[1] = d - upper * 10**8
+    high = halves // 10**4
+    groups = np.empty((4, x.size), np.int32)  # digits 2-5, 6-9, 10-13 and 14-17
+    groups[0::2] = high
+    groups[1::2] = halves - high * 10**4
+    words = np.empty((x.size, _CELLS // 8), np.uint64)
+    words[:, 0] = heads.take(lead - zero)  # 0 for zero, whose steps were those of 1.0
+    words[:, 1:5] = quads.take(groups).T
+    k += 400
+    words[:, 5] = exponents.take(k)
+    n_digits = last.take(groups + _GROUP_ROWS).max(axis=0)
+    words &= masks.take(forms.take(k) + 2 * n_digits + np.signbit(x), axis=0)
+
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = np.array([fallback(v).encode() for v in x[slow].tolist()], dtype=f"S{_CELLS}")
+        cells[slow] = texts.view(np.uint8).reshape(slow.size, _CELLS)
+    return cells
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """``texts`` (ASCII, no NUL) as cells, as ``_float_cells`` gives them."""
+    cells = np.array([t.encode() for t in texts])
+    return cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+
+
+def _csv_text(value, like) -> str:
+    """The CSV text of ``value`` in a column whose first value is ``like``."""
+    return ("%d" if isinstance(like, int) else _NUM) % value
 
 
 def _write(
     args: argparse.Namespace,
     columns: tuple,
-    values: list,
+    values,
     skipped: list[tuple[int, str, dict]],
 ) -> None:
     """Write one subcommand's output to ``args.out`` in ``args.format``.
@@ -79,15 +261,19 @@ def _write(
     ``columns`` lists the output's columns in order: a name for a column
     read from ``values``, or a ``(name, value)`` pair for a column holding
     that value in every row, of which at least one is a name. ``values``
-    holds the named columns' values row after row in one flat sequence.
+    holds the named columns' values row after row, in one flat list or
+    float64 array.
 
-    Both formats fill one %-template, a row template repeated per row, with
-    one flat tuple; a constant column is formatted once into the row
-    template. CSV writes ``%d`` for an int column (its type read from the
-    first row) and ``%.17g`` otherwise. JSON writes byte for byte what
+    CSV writes ``%d`` for an int column (its type read from the first row)
+    and ``%.17g`` otherwise. JSON writes byte for byte what
     ``json.dumps({"records": ..., "skipped": ...}, sort_keys=True,
     indent=2) + "\n"`` would: each record with sorted keys and the text
-    ``json.dumps`` writes for each value.
+    ``json.dumps`` writes for each value. A column of floats is formatted
+    by ``_float_cells``, any other value by CPython.
+
+    Every row is one run of cells: the literal text of the row template
+    (separators, keys, constant columns formatted once) around each read
+    column's cells, compressed to bytes once per chunk of rows.
 
     A skip entry ``(position, note, record)`` puts ``record`` under
     ``"skipped"`` in JSON and the comment ``"# " + note % record`` before
@@ -97,39 +283,73 @@ def _write(
     read = [i for i, c in enumerate(columns) if isinstance(c, str)]  # columns read from values
     width = len(read)
     n_rows = len(values) // width
-    if args.format == "json":
-        texts = _json_texts(values)
-        fields, picks = [], []
-        for i in sorted(range(len(columns)), key=names.__getitem__):
-            if i in read:
-                picks.append(read.index(i))
-                text = "%s"
-            else:
-                text = _lit(json.dumps(columns[i][1]))
-            fields.append("      " + _lit(json.dumps(names[i])) + ": " + text)
-        by_key = texts[:]  # each row's values in sorted key order
-        for j, k in enumerate(picks):
-            by_key[j::width] = texts[k::width]
-        record = "    {\n" + ",\n".join(fields) + "\n    }"
-        rows = "[\n" + ",\n".join([record] * n_rows) % tuple(by_key) + "\n  ]" if n_rows else "[]"
-        tail = json.dumps({"skipped": [rec for _, _, rec in skipped]}, sort_keys=True, indent=2)
-        text = '{\n  "records": ' + rows + "," + tail[1:] + "\n"
+    is_json = args.format == "json"
+    if isinstance(values, np.ndarray):
+        by_column = values.reshape(n_rows, width).T
     else:
-        first = iter(values[:width])
-        fields = []
-        for column in columns:
-            if isinstance(column, str):
-                fields.append("%d" if isinstance(next(first, 0.0), int) else _NUM)
-            else:
-                fields.append(("%d" if isinstance(column[1], int) else _NUM) % column[1])
-        line = ",".join(fields) + "\n"
-        parts = [_lit(",".join(names) + "\n")]
+        by_column = [values[j::width] for j in range(width)]
+
+    # the row template, "\0" standing for each read column's text, and its columns in order
+    if is_json:
+        order = sorted(range(len(columns)), key=names.__getitem__)
+        fields = [
+            "      " + json.dumps(names[i]) + ": " + ("\0" if i in read else json.dumps(columns[i][1]))
+            for i in order
+        ]
+        template = "    {\n" + ",\n".join(fields) + "\n    },\n"
+        fallback = json.dumps
+    else:
+        order = range(len(columns))
+        template = ",".join("\0" if i in read else _csv_text(c[1], c[1]) for i, c in enumerate(columns)) + "\n"
+        fallback = _NUM.__mod__
+    # one row's cells: the template's literal text, NUL cells for each read column's slot
+    literals = template.encode().split(b"\0")
+    slots, floats, row = [], [], literals[0]  # per slot: its first cell and its cells' source
+    for literal, i in zip(literals[1:], [i for i in order if i in read]):
+        column = by_column[read.index(i)]
+        if isinstance(column, np.ndarray) or all(issubclass(t, float) for t in set(map(type, column))):
+            source = len(floats)  # a float column, formatted with the others
+            floats.append(column)
+            size = _CELLS
+        else:
+            texts = map(json.dumps, column) if is_json else (_csv_text(v, column[0]) for v in column)
+            source = _text_cells(list(texts))
+            size = source.shape[1]
+        slots.append((len(row), len(row) + size, source))
+        row += bytes(size) + literal
+    row = np.frombuffer(row, np.uint8)
+    floats = np.column_stack(floats) if floats else np.empty((n_rows, 0))
+
+    chunks, ends, size = [], [], 0
+    step = max(1, _CHUNK // max(1, floats.shape[1]))
+    for start in range(0, n_rows, step):
+        stop = min(n_rows, start + step)
+        rows = np.empty((stop - start, row.size), np.uint8)
+        rows[:] = row
+        if floats.shape[1]:
+            cells = _float_cells(floats[start:stop].ravel(), is_json, fallback)
+            cells = cells.reshape(stop - start, -1, _CELLS)
+        for lo, hi, source in slots:
+            rows[:, lo:hi] = cells[:, source] if isinstance(source, int) else source[start:stop]
+        chunks.append(rows.tobytes().translate(None, b"\0"))
+        if skipped and not is_json:  # where each row ends, for the comments between rows
+            ends.append(size + np.cumsum(np.count_nonzero(rows, axis=1)))
+        size += len(chunks[-1])
+    body = b"".join(chunks)
+
+    if is_json:
+        rows = b"[\n" + body[:-2] + b"\n  ]" if n_rows else b"[]"  # the last row's ",\n" cut
+        tail = json.dumps({"skipped": [rec for _, _, rec in skipped]}, sort_keys=True, indent=2)
+        text = '{\n  "records": ' + rows.decode() + "," + tail[1:] + "\n"
+    else:
+        ends = np.concatenate([[0], *ends]).tolist()
+        parts = [",".join(names) + "\n"]
         done = 0
         for position, note, rec in skipped:
-            parts += [line * (position - done), _lit("# " + note % rec + "\n")]
+            parts += [body[ends[done]:ends[position]].decode(), "# " + note % rec + "\n"]
             done = position
-        parts.append(line * (n_rows - done))
-        text = "".join(parts) % tuple(values)
+        parts.append(body[ends[done]:].decode())
+        text = "".join(parts)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -339,7 +559,7 @@ def _run_radial(args: argparse.Namespace) -> int:
     zs = np.linspace(args.z_min, args.z_max, args.steps)
     f0, f1 = radial._mode_profiles(zs, args.m, args.alpha, params)
     columns = ("z", ("m", args.m), ("alpha_prime", args.alpha), "re_f0", "im_f0", "re_f1", "im_f1")
-    values = np.column_stack((zs, f0.real, f0.imag, f1.real, f1.imag)).ravel().tolist()
+    values = np.column_stack((zs, f0.real, f0.imag, f1.real, f1.imag)).ravel()
     _write(args, columns, values, [])
     return 0
 
@@ -373,7 +593,7 @@ def _run_trajectory(args: argparse.Namespace) -> int:
     )
 
     columns = ("t", *(f"x{i+1}" for i in range(d)), *(f"v{i+1}" for i in range(d)), "energy")
-    values = np.column_stack((traj.t, traj.x, traj.v, traj.energy)).ravel().tolist()
+    values = np.column_stack((traj.t, traj.x, traj.v, traj.energy)).ravel()
     skipped = []
     if not traj.complete:
         rec = {"reason": f"truncated after {len(traj) - 1} steps"}

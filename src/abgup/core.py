@@ -8,6 +8,7 @@ This module holds the pieces every other module leans on:
 * ``minimal_length``     -- the minimum of that bound over all momentum spreads.
 * ``momentum_map``       -- the cubic map from auxiliary to physical momentum.
 * ``commutator_residual_1d`` -- grid check that the deformed commutator closes.
+* ``two_product``        -- Dekker's error-free product of two doubles.
 * ``INTEGER_GUARD``, ``require_noninteger``, ``require_integral``,
   ``ENDPOINT_BAND`` -- shared guards.
 
@@ -101,6 +102,21 @@ def require_integral(value, what: str) -> int:
     if not (math.isfinite(v) and v.is_integer()):
         raise DomainValidationError(f"{what} must be a finite integral value, got {value}")
     return int(value) if isinstance(value, numbers.Integral) else int(v)
+
+
+def two_product(a, b):
+    """(p, e) with p the rounded product a * b and e = a * b - p exactly.
+
+    Dekker's two-product (Numer. Math. 18, 1971) on Veltkamp's split at
+    2^27 + 1. ``a`` and ``b`` are floats or numpy arrays (element-wise, by
+    the same steps). e is exact wherever no partial product underflows; the
+    split overflows past |a| or |b| of about 1.3e300.
+    """
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 # =====================================================================

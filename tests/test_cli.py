@@ -26,7 +26,7 @@ from abgup import (
     selftest,
     width,
 )
-from abgup.cli import _build_parser, _write, main
+from abgup.cli import _build_parser, _float_cells, _write, main
 
 
 def _rows(path):
@@ -670,6 +670,76 @@ class TestCsvWriter:
         skipped = [{"reason": "mid", "at": math.nan}]
         got = _written(tmp_path, "json", names, values, [(1, "%(reason)s", skipped[0])])
         assert got == _reference_json(records, skipped)
+
+
+_CPYTHON_TEXT = {False: "%.17g".__mod__, True: float.__repr__}  # by _float_cells' shortest
+_FLOAT_SETS = ("bit patterns", "ends", "powers", "ties", "integers", "short decimals", "grids")
+
+
+def _float_set(name: str) -> np.ndarray:
+    """One of the seeded sets the formatter is checked on, both signs."""
+    rng = np.random.default_rng(_FLOAT_SETS.index(name))
+    if name == "bit patterns":  # 200,000 finite, of either sign
+        x = rng.integers(0, 2**64, 201_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        return x[np.isfinite(x)][:200_000]
+    if name == "ends":  # zeros, subnormals down to the least, the largest
+        x = np.concatenate([
+            [0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308],
+            np.ldexp(rng.uniform(0.0, 1.0, 2000), -1022), [1.7976931348623157e308],
+        ])
+    elif name == "powers":  # every power of two and of ten, and their neighbours
+        x = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                            [float(f"1e{p}") for p in range(-323, 309)]])
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    elif name == "ties":  # (j + 1/2) 10^p with j of 1 to 17 digits
+        j = rng.integers(0, 10 ** rng.integers(1, 18, 20_000))
+        x = np.array([float(f"{v}5e{p}") for v, p in zip(j.tolist(), rng.integers(-30, 30, j.size))])
+    elif name == "integers":  # next to 2^53 and 1e17
+        near = np.arange(-2000.0, 2000.0)
+        x = np.concatenate([2.0**53 + near, 1e17 + 16.0 * near, 1e16 + 2.0 * near])
+    elif name == "short decimals":
+        scale = 10.0 ** rng.integers(0, 9, 20_000)
+        x = np.rint(rng.uniform(-1e3, 1e3, scale.size) * scale) / scale
+    else:  # grids: linspace, and t = n dt as an integrator forms it
+        x = np.concatenate([np.linspace(0.5, 10.0, 10_001), np.linspace(-3.1, 3.1, 500),
+                            np.arange(20_000) * 1e-3, 0.0 + np.arange(20_000) * 0.01])
+    return np.concatenate([x, -x])
+
+
+def _cells_text(cells: np.ndarray) -> tuple[list, str]:
+    """The length of each row of ``_float_cells``' matrix and the rows' text."""
+    return np.count_nonzero(cells, axis=1).tolist(), cells.tobytes().translate(None, b"\0").decode()
+
+
+class TestFloatCells:
+    @pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
+    @pytest.mark.parametrize("name", _FLOAT_SETS)
+    def test_matches_cpython(self, name, shortest):
+        # element by element: each row has the length of CPython's text, and
+        # the rows together spell the texts in order
+        x = _float_set(name)
+        want = list(map(_CPYTHON_TEXT[shortest], x.tolist()))
+        lengths, got = _cells_text(_float_cells(x, shortest, _CPYTHON_TEXT[shortest]))
+        if lengths != list(map(len, want)) or got != "".join(want):
+            ends = np.cumsum(lengths).tolist()
+            i = next(i for i, w in enumerate(want) if got[ends[i] - lengths[i]:ends[i]] != w)
+            pytest.fail(f"{x[i]!r}: {got[ends[i] - lengths[i]:ends[i]]!r} against {want[i]!r}")
+
+    @pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
+    def test_fast_path_decides_nearly_every_value(self, shortest):
+        # CPython formats only the few values the scaled product leaves in doubt
+        x = 10.0 ** np.random.default_rng(5).uniform(-6.0, 3.0, 100_000)
+        slow = []
+        _float_cells(x, shortest, lambda v: slow.append(v) or _CPYTHON_TEXT[shortest](v))
+        assert len(slow) <= 1e-3 * x.size
+
+    @pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
+    def test_non_finite_and_zero_warn_nothing(self, shortest):
+        x = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 1.7976931348623157e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lengths, got = _cells_text(_float_cells(x, shortest, _CPYTHON_TEXT[shortest]))
+        assert got == "".join(map(_CPYTHON_TEXT[shortest], x.tolist()))
 
 
 # =====================================================================

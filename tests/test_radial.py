@@ -2,6 +2,7 @@
 finite-difference oracles."""
 
 import cmath
+import functools
 import math
 import os
 import warnings
@@ -238,6 +239,40 @@ class TestF2F3:
         d_quad, err = fn_quadrature(3, z1, mu, nu, lower_cutoff=z0)
         assert err < 1e-9
         assert abs(d_closed - d_quad) < 1e-8
+
+    @pytest.mark.parametrize("z", [0.7, 5.0, 17.0])
+    def test_next_to_a_negative_integer_order(self, z):
+        # nu - 1 (and mu - 1 in F3) within 1e-11 of -1, where the sums cancel to
+        # about nu of their terms: each value carries no more than the rounding
+        # of the sum's terms (what _recurrence's cancellation rule allows for),
+        # or is AccuracyError where that leaves too few digits. The terms are
+        # checked against the closed form of F1 with mpmath Bessel functions at
+        # the exact orders.
+        with mpmath.workdps(30):
+            zm = mpmath.mpf(z)
+            jv = functools.lru_cache(None)(lambda order: mpmath.besselj(order, zm))
+
+            def f1(a, b):
+                return (-zm * (jv(a + 1) * jv(b) - jv(a) * jv(b + 1)) / (a * a - b * b)
+                        + jv(a) * jv(b) / (a + b))
+
+            for mu in (0.3, 1.7, -0.6, 2.5):
+                for nu in (1e-11, 1e-12, 1e-13):
+                    m, n = mpmath.mpf(mu), mpmath.mpf(nu)
+                    grid = radial._F1Grid(z)
+                    f2_pairs = [(m, n - 1), (m, n + 1)]
+                    f3_pairs = [(m + i, n + j) for i in (-1, 1) for j in (-1, 1)]
+                    for f, pairs, denominator in (
+                        (f2_integral, f2_pairs, 2 * n), (f3_integral, f3_pairs, 4 * m * n)
+                    ):
+                        try:
+                            got = f(z, mu, nu)
+                        except AccuracyError:
+                            continue
+                        terms = [grid.f1(float(a), float(b)) for a, b in pairs]
+                        size = grid.scale + sum(map(abs, terms))
+                        ref = sum(f1(a, b) for a, b in pairs) / denominator
+                        assert abs(got - ref) * abs(denominator) < 1e-15 * size, (f, mu, nu)
 
     def test_f2_zero_order_rejected(self):
         with pytest.raises(DomainValidationError):

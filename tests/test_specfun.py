@@ -350,6 +350,20 @@ class TestBesselJ:
                     (-1.0) ** n * bessel_j(float(n), z), rel=1e-10, abs=1e-14
                 )
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("offset", [1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9])
+    def test_next_to_negative_integer_against_mpmath(self, n, offset):
+        # only the integer itself is (-1)^n J_n; next to it the downward
+        # recurrence runs, whose seed rounding is amplified where z < n
+        # (bounds as in bessel_j's Notes)
+        nu = -n + offset
+        for z in (0.7, 5.0, 17.0):
+            with mpmath.workdps(40):
+                ref = mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(z))
+                rel = abs((bessel_j(nu, z) - ref) / ref)
+            bound = {(2, 0.7): 5e-15, (5, 0.7): 3e-9}.get((n, z), 2e-15)
+            assert rel < bound, (nu, z, float(rel))
+
     @pytest.mark.parametrize("nu", [0.3, -1.3])
     @pytest.mark.parametrize("z", [1e308, sys.float_info.max])
     def test_largest_arguments_warn_nothing(self, nu, z):
