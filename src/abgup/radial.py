@@ -19,7 +19,12 @@ lives here:
 Every J these closed forms take on one set of z comes from one order table
 (``_BesselTable``): a nonnegative order is a row of one Miller sweep per
 fractional order (``specfun._bessel_rows``), and a negative one is carried
-down from the table's own rows.
+down from the table's own rows. A mode takes every order it needs, nu + j and
+-nu + j, as an exact whole offset of the fraction of nu or of -nu
+(``_Order``), so it costs two sweeps per point set. The degenerate F1 run along
+the grid by the two-point Hermite rule on each small gap, from J and its
+derivatives on z itself, and by 6-point Gauss panels on every longer run; a
+fine grid from z <= 4 has no other point set than z.
 
 Conventions: z is the scaled radius (wave number times radius), m the integer
 angular index, ``alpha_prime`` the flux parameter, and nu = |m + alpha_prime|
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +62,12 @@ _ANCHOR_Z_MAX = 4.0    # degenerate branches: exact series below, quadrature con
 # one z cap of both layers. Their nodes grow as 24 per unit of z (panels at most
 # 0.25 wide): at the cap that is 240k nodes per order, and one uv_pair call takes
 # about 0.45 s and 27 MB of extra peak memory.
-_SMALL_GAP = 2.5e-3    # grid gaps up to this use a single 2-point Gauss panel
+# Grid gaps up to this take the two-point Hermite rule of degree 5 on their ends,
+# from J, J' and J'' on the grid itself, with no nodes of their own. Its error is
+# -h^7 f^(6) / 100800; a 2-point Gauss rule (h^5 f^(4) / 4320) would read up to
+# 9.4e-13 of max|F1| over a fine grid from z = 0.5, where f ~ 1/t steepens
+_SMALL_GAP = 2.5e-3
 _QUAD_TOL = 1e-10      # fn_quadrature's requested absolute tolerance
-_GL2_NODES, _GL2_WEIGHTS = np.polynomial.legendre.leggauss(2)
 _GL6_NODES, _GL6_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
@@ -209,20 +218,53 @@ def _finite(value, what: str):
     return value
 
 
+class _Order(NamedTuple):
+    """A Bessel order as the order table takes it: the real number frac + k,
+    with frac in [0, 1] the fraction of one Miller sweep and k an integer
+    offset in it (below 0, steps of the downward recurrence from that
+    sweep's rows 0 and 1); ``value`` is the float that stands for it in the
+    closed forms' arithmetic.
+
+    A float x is split as ``bessel_j`` splits it, (x - floor(x)) + floor(x),
+    so its row is ``bessel_j(x)``. ``shift`` moves the offset, not the
+    float: the mode's orders nu + j and -nu + j are whole offsets of the two
+    fractions of nu and -nu, exactly, where fl(nu + j) - floor can differ
+    from nu - floor(nu) in its last bit.
+    """
+
+    value: float
+    frac: float
+    k: int
+
+    @classmethod
+    def of(cls, x) -> _Order:
+        if isinstance(x, _Order):
+            return x
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainValidationError(f"Bessel orders must be finite, got {x}")
+        n = math.floor(x)
+        return cls(x, x - n, n)
+
+    def shift(self, j: int) -> _Order:
+        """The order j above this one: frac + (k + j), standing for value + j."""
+        return _Order(self.value + j, self.frac, self.k + j)
+
+
 class _BesselTable:
     """J at any order on one fixed point set, each order evaluated once.
 
-    Every row comes from a Miller sweep (``specfun._bessel_rows``) on the
-    exact fraction it is asked for, which the table keeps. A nonnegative
-    order nu asks for the fraction nu - floor(nu), the split ``bessel_j``
-    makes; a negative order is carried down from the rows 0 and 1 of the
-    sweep on its seed order mu0 in (0, 1) (see ``specfun._bessel_negative``),
-    so it costs only the recurrence steps. A sweep keeps every offset within
-    3 of the ones asked (only those below where a point passes z = 1e4), so
-    one sweep serves all the orders of one fraction that the F1 pairs ask
-    for. A row is bit for bit what ``bessel_j`` returns while its sweep's
-    highest order is below 11, so every negative row is; above, the sweep
-    can start later than a lone call, and the two differ in the last digits.
+    Rows are asked for as ``_Order`` (a float is split as ``bessel_j``
+    splits it) and kept by (frac, k). A row with k >= 0 comes from the Miller
+    sweep (``specfun._bessel_rows``) on its fraction; one with k < 0 is
+    carried down from the rows 0 and 1 of that sweep (see
+    ``specfun._bessel_negative``), so it costs only the recurrence steps. A
+    sweep keeps every offset within 3 of the ones asked (only those below
+    where a point passes z = 1e4), so one sweep serves all the orders of one
+    fraction that the F1 pairs ask for. A row of a float order is bit for
+    bit what ``bessel_j`` returns while its sweep's highest order is below
+    11, so every negative row is; above, the sweep can start later than a
+    lone call, and the two differ in the last digits.
     """
 
     def __init__(self, points):
@@ -234,16 +276,18 @@ class _BesselTable:
         self._rows: dict = {}
         self._sweeps: dict = {}  # fraction -> (its lowest offset kept, rows)
 
-    def __call__(self, order: float):
-        if order not in self._rows:
-            if order < 0.0:
-                self._rows[order] = _bessel_negative(order, self.points, self.swept)
-            elif order <= _ORDER_MAX:
-                n = math.floor(order)
-                self._rows[order] = self.swept(order - n, n, n)[0]
+    def __call__(self, order):
+        order = _Order.of(order)
+        key = order.frac, order.k
+        if key not in self._rows:
+            if not abs(order.value) <= _ORDER_MAX:
+                raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {order.value}")
+            if order.k >= 0:
+                self._rows[key] = self.swept(order.frac, order.k, order.k)[0]
             else:
-                raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {order}")
-        return self._rows[order]
+                self._rows[key] = _bessel_negative(order.value, order.frac, -order.k,
+                                                   self.points, self.swept)
+        return self._rows[key]
 
     def swept(self, frac: float, lo: int, hi: int) -> list:
         """J at the orders frac + lo .. frac + hi, from the sweep on ``frac``."""
@@ -257,23 +301,49 @@ class _BesselTable:
         return rows[lo - first:hi - first + 1]
 
 
+def _running_sum(first: float, steps: np.ndarray) -> np.ndarray:
+    """first, first + steps[0], first + steps[0] + steps[1], ..., each within
+    about an ulp.
+
+    ``np.cumsum`` rounds every partial sum once, and along a fine grid those
+    roundings add up: 6e-15 of max|F1| over 36k gaps. The error of each of its
+    additions is exact by TwoSum (Knuth, TAOCP vol. 2, 4.2.2), since each
+    partial sum is the rounded sum of the one before and a step; the errors
+    are summed apart and added back, the cascaded sum of Ogita, Rump and
+    Oishi (SIAM J. Sci. Comput. 26 (2005) 1955-1988) taken as a running sum.
+    """
+    s = np.cumsum(np.concatenate(([first], steps)))
+    before, after = s[:-1], s[1:]
+    back = after - before
+    s[1:] += np.cumsum((before - (after - back)) + (steps - back))
+    return s
+
+
 class _PanelPlan:
-    """Gauss panels carrying a degenerate F1 from its series anchor to a grid.
+    """How a degenerate F1 is carried from its series anchor along a grid.
 
     The grid is sorted; run 0 covers [_ANCHOR_Z_MAX, z_0] when the smallest
     point lies above the series range, and run i >= 1 covers the gap
-    [z_(i-1), z_i]. Gaps up to _SMALL_GAP take one 2-point panel; longer runs
-    take 6-point panels no wider than min(1/4, lo/4), which keeps the error
-    bound scale-free against the t^(-n) steepening near 0. All nodes sit in
-    one array ``t`` (6-point panels first), so each order is evaluated on
-    them once, kept in the order table ``on_nodes``. The node count grows
-    with the largest z, so a grid reaching above _MILLER_Z_MAX is rejected.
+    [z_(i-1), z_i]. A gap h up to _SMALL_GAP takes the two-point Hermite rule
+    of degree 5 on its ends a and b,
+
+        h/2 (f_a + f_b) + h^2/10 (f'_a - f'_b) + h^3/120 (f''_a + f''_b),
+
+    from J and its first two derivatives on the grid itself (``_F1Grid.jet``);
+    ``ends`` holds each such gap's two points as indices into the flat grid.
+    Longer runs take 6-point Gauss panels no wider than min(1/4, lo/4), which
+    keeps the error bound scale-free against the t^(-n) steepening near 0.
+    Their nodes sit in one array ``t``, so each order is evaluated on them once,
+    kept in the order table ``on_nodes``; a plan without such runs has no nodes
+    and no table. The node count grows with the largest z, so a grid reaching
+    above _MILLER_Z_MAX is rejected.
     """
 
     def __init__(self, z):
         flat = np.asarray(z, dtype=float).ravel()
         if not np.all((flat > 0.0) & (flat < math.inf)):  # also nan
             raise DomainValidationError("F1 of degenerate orders needs finite z > 0")
+        self.flat = flat
         self.order = np.argsort(flat, kind="stable")
         self.zs = zs = flat[self.order]
         if zs[-1] > _MILLER_Z_MAX:
@@ -303,44 +373,50 @@ class _PanelPlan:
         lo = np.array(lo6)
         hi = np.array(hi6)
         self.half6 = 0.5 * (hi - lo)
-        nodes6 = 0.5 * (lo + hi)[:, None] + self.half6[:, None] * _GL6_NODES
+        self.t = (0.5 * (lo + hi)[:, None] + self.half6[:, None] * _GL6_NODES).ravel()
+        self.runs = np.array(run6, dtype=np.intp)
+        self.on_nodes = _BesselTable(self.t) if self.t.size else None
 
-        small = (gaps > 0.0) & (gaps <= _SMALL_GAP)
-        self.half2 = 0.5 * gaps[small]
-        mid2 = zs[:-1][small] + self.half2
-        nodes2 = mid2[:, None] + self.half2[:, None] * _GL2_NODES
+        self.small = (gaps > 0.0) & (gaps <= _SMALL_GAP)
+        h = gaps[self.small]
+        self.hermite = 0.5 * h, h * h / 10.0, h * h * h / 120.0
+        self.ends = self.order[:-1][self.small], self.order[1:][self.small]
 
-        self.t = np.concatenate((nodes6.ravel(), nodes2.ravel()))
-        self.runs = np.concatenate(
-            (np.array(run6, dtype=np.intp), np.nonzero(small)[0] + 1)
-        )
-        self.on_nodes = _BesselTable(self.t)
+    def run_integrals(self, mu: _Order, nu: _Order, jet) -> np.ndarray:
+        """Integral of J_mu J_nu / t over each run (0 for empty runs).
 
-    def run_integrals(self, mu: float, nu: float) -> np.ndarray:
-        """Integral of J_mu J_nu / t over each run (0 for empty runs)."""
-        if self.runs.size == 0:
-            return np.zeros(self.zs.size)
-        f = self.on_nodes(mu) * self.on_nodes(nu) / self.t
-        k = 6 * self.half6.size
-        panels = np.concatenate(
-            (
-                self.half6 * (f[:k].reshape(-1, 6) @ _GL6_WEIGHTS),
-                self.half2 * (f[k:].reshape(-1, 2) @ _GL2_WEIGHTS),
-            )
-        )
-        # bincount adds each run's panels in order, starting from 0.0
-        return np.bincount(self.runs, weights=panels, minlength=self.zs.size)
+        ``jet(order)`` gives J and its first two derivatives on the flat grid.
+        """
+        out = np.zeros(self.zs.size)
+        if self.on_nodes is not None:
+            f = self.on_nodes(mu) * self.on_nodes(nu) / self.t
+            panels = self.half6 * (f.reshape(-1, 6) @ _GL6_WEIGHTS)
+            # bincount adds each run's panels in order, starting from 0.0
+            out += np.bincount(self.runs, weights=panels, minlength=self.zs.size)
+        if self.hermite[0].size:
+            (jm, dm, d2m), (jn, dn, d2n) = jet(mu), jet(nu)
+            t = self.flat
+            # f = P / t for the product P = J_mu J_nu, and its two derivatives
+            f = jm * jn / t
+            df = (dm * jn + jm * dn - f) / t
+            d2f = (d2m * jn + 2.0 * dm * dn + jm * d2n - 2.0 * df) / t
+            a, b = self.ends
+            w0, w1, w2 = self.hermite
+            out[1:][self.small] = (w0 * (f[a] + f[b]) + w1 * (df[a] - df[b])
+                                   + w2 * (d2f[a] + d2f[b]))
+        return out
 
 
 class _F1Grid:
     """F1(z; mu, nu) for any number of order pairs on one set of z.
 
     Two order tables back every pair: J on z itself, for the generic closed
-    form, and J on the Gauss nodes of the panel plan (built on the first
-    degenerate pair), for the degenerate pairs. Both fill lazily, so each
-    order is evaluated once per point set however many pairs use it (a
-    negative order by recurrence from the table's nonnegative seed rows),
-    and an equal-order product squares one array.
+    form and the Hermite rule of the degenerate pairs' small gaps, and J on
+    the Gauss nodes of the panel plan (built on the first degenerate pair),
+    for their longer runs. Both fill lazily, so each order is evaluated once
+    per point set however many pairs use it (a negative order by recurrence
+    from the table's nonnegative seed rows), and J' and J'' on z are formed
+    once per order (``jet``).
     """
 
     def __init__(self, z):
@@ -349,17 +425,30 @@ class _F1Grid:
         self.shape = arr.shape
         self.on_z = _BesselTable(self.z)
         self._plan: _PanelPlan | None = None
+        self._jets: dict = {}
         # what a sum of the F1 so far is rounded against, over the F1 themselves:
         # the two parts of each generic F1, weighted by their denominators
         self.scale = 0.0
 
-    def f1(self, mu: float, nu: float):
-        mu = float(mu)
-        nu = float(nu)
-        if not (math.isfinite(mu) and math.isfinite(nu)):
-            raise DomainValidationError(f"f1_integral needs finite orders, got {mu}, {nu}")
-        if abs(mu - nu) < _DEGENERATE_TOL:
-            mubar = 0.5 * (mu + nu)
+    def jet(self, order: _Order):
+        """J, J' and J'' at ``order`` on the flat z: J' = (nu / t) J - J_(nu+1)
+        (DLMF 10.6.2), and J'' from Bessel's equation (DLMF 10.2.1),
+        J'' = ((nu / t)^2 - 1) J - J' / t."""
+        key = order.frac, order.k
+        if key not in self._jets:
+            t = self.on_z.flat
+            j = np.ravel(self.on_z(order))
+            s = order.value / t
+            dj = s * j - np.ravel(self.on_z(order.shift(1)))
+            self._jets[key] = j, dj, (s * s - 1.0) * j - dj / t
+        return self._jets[key]
+
+    def f1(self, mu, nu):
+        """F1 at the orders mu and nu, floats or ``_Order``."""
+        mu, nu = _Order.of(mu), _Order.of(nu)
+        a, b = mu.value, nu.value
+        if abs(a - b) < _DEGENERATE_TOL:
+            mubar = 0.5 * (a + b)
             if abs(mubar) < INTEGER_GUARD:
                 raise SingularConfigError(
                     "f1_integral: the (0, 0) order pair has a logarithmically "
@@ -375,19 +464,25 @@ class _F1Grid:
                         "inside that guard only the integer itself is evaluated"
                     )
                 mubar = -mubar
-            return self._degenerate(mubar, mubar, _f1_equal_series)
-        if abs(mu + nu) < _DEGENERATE_TOL:
-            mubar = 0.5 * abs(mu - nu)
+                mu = nu = _Order.of(mubar)
+            elif mu != nu:
+                mu = nu = _Order.of(mubar)
+            return self._degenerate(mu, nu, mubar, _f1_equal_series)
+        if abs(a + b) < _DEGENERATE_TOL:
+            mubar = 0.5 * abs(a - b)
             require_noninteger(mubar, "f1_integral (opposite orders): nu", SingularConfigError)
-            return self._degenerate(mubar, -mubar, _f1_opposite_series)
+            if a != -b:
+                mu, nu = _Order.of(mubar), _Order.of(-mubar)
+            return self._degenerate(mu, nu, mubar, _f1_opposite_series)
         return self._generic(mu, nu)
 
-    def _generic(self, mu: float, nu: float):
+    def _generic(self, mu: _Order, nu: _Order):
         """Closed form for mu^2 != nu^2, vanishing at z = 0 when mu + nu > 0."""
         jm = self.on_z(mu)
-        jm1 = self.on_z(mu + 1.0)
+        jm1 = self.on_z(mu.shift(1))
         jn = self.on_z(nu)
-        jn1 = self.on_z(nu + 1.0)
+        jn1 = self.on_z(nu.shift(1))
+        mu, nu = mu.value, nu.value
         head = -self.z / (mu * mu - nu * nu) * (jm1 * jn - jm * jn1)
         tail = jm * jn / (mu + nu)
         # each part carries the rounding of its denominator, which cancels
@@ -396,16 +491,18 @@ class _F1Grid:
                                    + np.abs(tail) * ((abs(mu) + abs(nu)) / abs(mu + nu)))
         return _finite(head + tail, f"F1 at orders {mu}, {nu}")
 
-    def _degenerate(self, mu: float, nu: float, series_fn):
-        """Series anchor ``series_fn(z, mu)`` at the smallest z, then the
-        panel integrals cumulatively."""
+    def _degenerate(self, mu: _Order, nu: _Order, mubar: float, series_fn):
+        """Series anchor ``series_fn(z, mubar)`` at the smallest z, then the
+        run integrals of J_mu J_nu / t cumulatively; an empty z gives an
+        empty array."""
+        if not self.on_z.flat.size:
+            return np.empty(self.shape)
         if self._plan is None:
             self._plan = _PanelPlan(self.z)
         plan = self._plan
-        runs = plan.run_integrals(mu, nu)
-        out_sorted = np.empty_like(plan.zs)
-        out_sorted[0] = series_fn(min(float(plan.zs[0]), _ANCHOR_Z_MAX), mu) + runs[0]
-        out_sorted[1:] = out_sorted[0] + np.cumsum(runs[1:])
+        runs = plan.run_integrals(mu, nu, self.jet)
+        out_sorted = _running_sum(series_fn(min(float(plan.zs[0]), _ANCHOR_Z_MAX), mubar) + runs[0],
+                                  runs[1:])
         if not self.shape:
             return float(out_sorted[0])
         out = np.empty_like(out_sorted)
@@ -441,25 +538,29 @@ def f1_integral(z, mu: float, nu: float):
 
         -z (J_{mu+1} J_nu - J_mu J_{nu+1}) / (mu^2 - nu^2) + J_mu J_nu / (mu + nu)
 
-    normalised to vanish at z = 0 for mu + nu > 0. The degenerate pairings
-    (equal or opposite orders) switch to their exact power/logarithmic
-    series, continued past moderate z by Gauss-panel integration of
-    d F1 / dz = J_mu(z) J_nu(z) / z, which holds on every branch. The
-    opposite-orders series fixes the normalisation the asymptotic constants
-    g1, g2 are stated in.
+    normalised to vanish at z = 0 for mu + nu > 0, with J_{mu+1} the row one
+    offset above J_mu in the same Miller sweep (so at mu + 1 exactly, where
+    fl(mu + 1) can differ in its last bit). The degenerate pairings (equal or
+    opposite orders) switch to their exact power/logarithmic series,
+    continued past moderate z by quadrature of d F1 / dz = J_mu(z) J_nu(z) /
+    z, which holds on every branch. The opposite-orders series fixes the
+    normalisation the asymptotic constants g1, g2 are stated in.
 
     Arrays are handled cumulatively: the series anchors the smallest point
-    (carried by panels from z = 4 when it lies above), and per-gap panels
-    accumulate along the sorted grid. Gaps up to 2.5e-3, as on the fine
-    uniform grids the residual checks use, take a single 2-point panel,
-    which keeps the result smooth to machine precision (no order-limit noise
-    for the second differences to amplify). The panels of every gap share
-    one node array, so each order is evaluated once over all of them, and an
-    equal-order product squares one array. Each order comes from the order
-    table's rows (see ``_BesselTable``): one Miller sweep per fractional
-    order, and the downward recurrence for a negative order.
-    This is the one-pair case of the order table ``uv_pair`` shares across
-    its eleven pairs.
+    (carried by 6-point Gauss panels from z = 4 when it lies above), and the
+    integral over each gap accumulates along the sorted grid, in a running
+    sum whose roundings are added back (``_running_sum``). A gap up to
+    2.5e-3, as on the fine uniform grids the residual checks use, takes the
+    two-point Hermite rule of degree 5 on its ends, from J, J' and J'' on
+    the grid itself, so a fine grid from z <= 4 evaluates J on no other
+    points; a longer gap takes 6-point Gauss panels, whose nodes over all
+    gaps share one array. On fine grids from z = 0.5 to 15 (gaps 4e-4 and
+    2.4e-3, equal and opposite orders), the increments from the first point
+    read within 6e-16 of max|F1| against mpmath (a 2-point Gauss rule read
+    up to 9.4e-13). Each order comes from the order table's rows (see
+    ``_BesselTable``): one Miller sweep per fractional order, and the
+    downward recurrence for a negative order. This is the one-pair case of
+    the order table ``uv_pair`` shares across its eleven pairs.
     """
     return _F1Grid(z).f1(mu, nu)
 
@@ -663,11 +764,15 @@ def uv_pair(z, m: int, alpha_prime: float, params: PhysicalParams):
     The eleven F1 share one order table (see ``f1_integral``). The five
     generic pairs need J on z at ±nu, ±nu ± 1, nu + 2, nu + 3 and 2 - nu; the
     three equal and three opposite pairs need J at ±nu and ±(nu ± 1) on the
-    Gauss nodes of one panel plan. Each of these is evaluated once. The
-    negative orders come from the table's seed rows by recurrence, so a call
-    costs one Miller sweep per point set and fractional order, split as
-    ``bessel_j`` splits the order asked for (nu + 2 and nu can differ in
-    their last bit of fraction, and then take one sweep each).
+    Gauss nodes of one panel plan, and on z the same orders and each one plus
+    1 (for J', on the gaps the Hermite rule takes), which the generic pairs
+    already hold. Each of these is evaluated once. The F1 take J at nu + j
+    and -nu + j as whole offsets of the fractions of nu and of -nu
+    (``_Order``), exactly, where fl(nu + 2) - 2, say, can differ from nu in
+    its last bit; their closed forms' arithmetic uses the floats nu + j. The
+    negative orders come from the table's seed rows by recurrence. So a call
+    costs two Miller sweeps per point set: two on a grid from z <= 4 whose
+    gaps are all at most 2.5e-3, four when there are Gauss nodes too.
     """
     return _uv_on(_F1Grid(z), m, alpha_prime, params)
 
@@ -682,28 +787,30 @@ def _uv_on(grid: _F1Grid, m: int, alpha_prime: float, params: PhysicalParams):
     hk2 = square(params.hbar * params.k)
     pref = _mode_prefactor(nu) * math.pi * hk2 / _cis_pi(nu).imag
     f1 = grid.f1
+    # nu + j and -nu + j, as whole offsets of the fractions of nu and -nu
+    p, q = _Order.of(nu).shift, _Order.of(-nu).shift
 
     u_brace = (
-        -nu * xi / (nu + 1.0) * f1(-nu, nu)
-        + xi / (nu + 1.0) * f1(-nu, nu + 2.0)
+        -nu * xi / (nu + 1.0) * f1(q(0), p(0))
+        + xi / (nu + 1.0) * f1(q(0), p(2))
         - xim
         / (4.0 * nu * nu)
         * (
-            f1(-nu - 1.0, nu - 1.0)
-            + f1(-nu + 1.0, nu + 1.0)
-            + f1(-nu - 1.0, nu + 1.0)
-            + f1(-nu + 1.0, nu - 1.0)
+            f1(q(-1), p(-1))
+            + f1(q(1), p(1))
+            + f1(q(-1), p(1))
+            + f1(q(1), p(-1))
         )
     )
     v_brace = (
-        -nu * xi / (nu + 1.0) * f1(nu, nu)
-        + xi / (nu + 1.0) * f1(nu, nu + 2.0)
+        -nu * xi / (nu + 1.0) * f1(p(0), p(0))
+        + xi / (nu + 1.0) * f1(p(0), p(2))
         + xim
         / (4.0 * nu * nu)
         * (
-            f1(nu - 1.0, nu - 1.0)
-            + f1(nu + 1.0, nu + 1.0)
-            + 2.0 * f1(nu - 1.0, nu + 1.0)
+            f1(p(-1), p(-1))
+            + f1(p(1), p(1))
+            + 2.0 * f1(p(-1), p(1))
         )
     )
     return pref * u_brace, -pref * v_brace
@@ -812,7 +919,8 @@ def mode_f1(z, m: int, alpha_prime: float, params: PhysicalParams):
 def _mode_profiles(z, m: int, alpha_prime: float, params: PhysicalParams):
     """(f0, f1) of mode m on z, as ``mode_f0`` and ``mode_f1`` give them, from
     one ``_F1Grid``: J_nu and J_{-nu} on z are rows of the order table u and
-    v have filled, so no order is evaluated twice on z."""
+    v have filled, so the two profiles add no Miller sweep to the two per
+    point set of ``uv_pair``."""
     grid = _F1Grid(z)
     mode = radial_mode(m, alpha_prime, params)
     u, v = _uv_on(grid, m, alpha_prime, params)

@@ -373,34 +373,31 @@ def _bessel_z(z) -> np.ndarray:
     return flat
 
 
-def _bessel_negative(nu: float, z, rows):
-    """J_nu(z) for nu < 0 from nonnegative rows on the same z.
+def _bessel_negative(nu: float, frac: float, steps: int, z, rows):
+    """J at the negative order frac - steps (0 <= frac <= 1, steps >= 1), which
+    errors name nu, from nonnegative rows on the same z.
 
     ``z`` is a float or a flat array, and ``rows(frac, lo, hi)`` returns J on
     it at the orders frac + lo .. frac + hi, as ``_bessel_rows`` does. A
-    negative integer order is (-1)^n J_n, on the integer itself only: 1e-12
-    from -n, J differs from (-1)^n J_n by about 1e-12 pi |Y_n|, which the
-    recurrence keeps. Otherwise the two seeds J_mu0 and
-    J_(mu0+1), with mu0 = nu - floor(nu) in (0, 1), are the rows 0 and 1 of
-    one sweep on mu0, carried down by the recurrence J_(mu-1) = (2 mu / z)
-    J_mu - J_(mu+1) (DLMF 10.6.1). ``bessel_j`` seeds from a fresh sweep; the
-    radial order table seeds from its own sweeps, so both return the same
-    floats. Where |J_nu| exceeds the largest double (a large negative order
-    at small z) the recurrence overflows, which raises AccuracyError. An
-    order below -1e5 raises DomainValidationError, as in ``bessel_j``: the
-    recurrence takes about |nu| steps.
+    negative integer order (frac = 0) is (-1)^n J_n, on the integer itself
+    only: 1e-12 from -n, J differs from (-1)^n J_n by about 1e-12 pi |Y_n|,
+    which the recurrence keeps. Otherwise the two seeds J_frac and
+    J_(frac+1) are the rows 0 and 1 of one sweep on frac, carried down by
+    the recurrence J_(mu-1) = (2 mu / z) J_mu - J_(mu+1) (DLMF 10.6.1).
+    ``bessel_j`` splits a negative nu as (nu - floor(nu)) + floor(nu) and
+    seeds from a fresh sweep; the radial order table splits its orders the
+    same way and seeds from its own sweeps, so both return the same floats.
+    Where |J| exceeds the largest double (a large negative order at small z)
+    the recurrence overflows, which raises AccuracyError. The recurrence
+    takes ``steps`` steps, so callers bound the order first (|nu| <= 1e5).
     """
-    if not -nu <= _ORDER_MAX:
-        raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {nu}")
-    if nu == round(nu):  # only on the integer: next to it the recurrence is accurate
-        n = int(round(-nu))
-        return (-1.0) ** n * rows(0.0, n, n)[0]
+    if frac == 0.0:  # only on the integer: next to it the recurrence is accurate
+        return (-1.0) ** steps * rows(0.0, steps, steps)[0]
     if np.any(z == 0.0):
         # J of negative non-integer order diverges at the origin; the
         # closed forms never need it, so reject instead of guessing.
         raise DomainValidationError("bessel_j at z = 0 needs nu >= 0 or integer nu")
-    steps = int(math.ceil(-nu))  # mu0 - nu, an integer
-    mu = nu + steps
+    mu = frac
     j_cur, j_hi = rows(mu, 0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
@@ -474,8 +471,8 @@ def bessel_j(nu: float, z):
         raise DomainValidationError(f"bessel_j needs |nu| <= {_ORDER_MAX:g}, got {nu}")
     flat = _bessel_z(z)
     rows = functools.partial(_bessel_rows, z=flat)
-    n = math.floor(nu)  # a nonnegative nu is one row, on the exact split (nu - n) + n
-    res = rows(nu - n, n, n)[0] if nu >= 0.0 else _bessel_negative(nu, flat, rows)
+    n = math.floor(nu)  # on the exact split (nu - n) + n: one row, or the recurrence below 0
+    res = rows(nu - n, n, n)[0] if n >= 0 else _bessel_negative(nu, nu - n, -n, flat, rows)
     return float(res[0]) if np.ndim(z) == 0 else res.reshape(np.shape(z))
 
 

@@ -3,9 +3,12 @@ finite-difference oracles."""
 
 import cmath
 import functools
+import json
 import math
 import os
+import random
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -167,20 +170,39 @@ class TestF1:
         assert math.isfinite(f1_integral(1e6, 0.3, 1.7))
 
 
+def _hermite_gap(a, b, mu, nu):
+    """Integral of f = J_mu J_nu / t over [a, b] by the two-point Hermite rule
+    of degree 5, with f' and f'' from bessel_j calls at the orders +-1 and +-2
+    (J' = (J_(mu-1) - J_(mu+1)) / 2 and J'' = (J_(mu-2) - 2 J_mu + J_(mu+2)) / 4,
+    DLMF 10.6.1), not from Bessel's equation as the code forms them."""
+    t = np.array([a, b])
+    d = {}
+    for order in {mu, nu}:
+        j = {k: bessel_j(order + k, t) for k in (-2.0, -1.0, 0.0, 1.0, 2.0)}
+        d[order] = j[0.0], 0.5 * (j[-1.0] - j[1.0]), 0.25 * (j[-2.0] - 2.0 * j[0.0] + j[2.0])
+    (jm, dm, d2m), (jn, dn, d2n) = d[mu], d[nu]
+    p, dp, d2p = jm * jn, dm * jn + jm * dn, d2m * jn + 2.0 * dm * dn + jm * d2n
+    f = p / t
+    df = dp / t - p / t**2
+    d2f = d2p / t - 2.0 * dp / t**2 + 2.0 * p / t**3
+    h = b - a
+    return float(h / 2 * (f[0] + f[1]) + h**2 / 10 * (df[0] - df[1]) + h**3 / 120 * (d2f[0] + d2f[1]))
+
+
 def _panel_loop(a, b, mu, nu):
     """Integral of J_mu J_nu / t over [a, b], one bessel_j call per panel.
 
-    The panel rule of the degenerate F1, restated: a gap up to 2.5e-3 is one
-    2-point Gauss panel, a longer run is cut into 6-point panels no wider
-    than min(1/4, lo/4).
+    The run rule of the degenerate F1, restated: a gap up to 2.5e-3 takes the
+    two-point Hermite rule on its ends, a longer run is cut into 6-point Gauss
+    panels no wider than min(1/4, lo/4).
     """
+    if b - a <= 2.5e-3:
+        return _hermite_gap(a, b, mu, nu)
     total = 0.0
     lo = a
+    x, w = np.polynomial.legendre.leggauss(6)
     while lo < b:
-        if b - a <= 2.5e-3:
-            hi, (x, w) = b, np.polynomial.legendre.leggauss(2)
-        else:
-            hi, (x, w) = min(b, lo + min(0.25, 0.25 * lo)), np.polynomial.legendre.leggauss(6)
+        hi = min(b, lo + min(0.25, 0.25 * lo))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         t = mid + half * x
         total += half * float(np.sum(w * bessel_j(mu, t) * bessel_j(nu, t) / t))
@@ -206,7 +228,7 @@ class TestF1Degenerate:
     @pytest.mark.parametrize("shift", [0.0, 4.0])
     def test_batched_panels_match_panel_loop(self, mu, nu, shift):
         series = radial._f1_equal_series if mu == nu else radial._f1_opposite_series
-        # Panels below z = 1 (narrowed), 2-point gaps, 6-point gaps across
+        # Panels below z = 1 (narrowed), Hermite gaps, 6-point gaps across
         # the Bessel switchover at 14, and with shift 4 an anchor run from 4.
         zs = shift + np.concatenate(
             [[0.6, 0.9], np.linspace(1.0, 1.01, 6), np.linspace(2.0, 16.0, 29), [30.0, 30.002]]
@@ -221,6 +243,103 @@ class TestF1Degenerate:
         got = f1_integral(zs[::-1], mu, nu)[::-1]  # unsorted input is sorted internally
         # only the summation order differs: within 4 ulp of the largest value
         assert np.max(np.abs(got - ref)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+_EMPTY_Z_CALLS = {
+    "f1_integral-generic": lambda z: f1_integral(z, 0.3, 1.7),
+    "f1_integral-equal": lambda z: f1_integral(z, 0.3, 0.3),
+    "f1_integral-opposite": lambda z: f1_integral(z, 0.3, -0.3),
+    "f2_integral": lambda z: f2_integral(z, -0.3, 1.3),
+    "f3_integral": lambda z: f3_integral(z, -1.3, 0.7),
+    "uv_pair-u": lambda z: uv_pair(z, 1, 0.3, PARAMS)[0],
+    "uv_pair-v": lambda z: uv_pair(z, 1, 0.3, PARAMS)[1],
+    "mode_f0": lambda z: mode_f0(z, 1, 0.3),
+    "mode_f1": lambda z: mode_f1(z, 1, 0.3, PARAMS),
+}
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+@pytest.mark.parametrize("name", sorted(_EMPTY_Z_CALLS))
+def test_empty_z_gives_empty_array(name, shape):
+    # the degenerate pairs once raised an untyped IndexError on an empty grid
+    got = _EMPTY_Z_CALLS[name](np.empty(shape))
+    assert isinstance(got, np.ndarray) and got.shape == shape
+
+
+# Fine grids (every gap at most 2.5e-3, so every gap takes the Hermite rule) on
+# which tests/reference/f1_small_gap.py writes mpmath's increments of F1 from
+# the first point: id -> (mu, nu, z_min, z_max, points). Gaps 2.4e-3 and 4e-4,
+# equal and opposite orders at nu = 0.577256 (the mode m = -1, alpha' =
+# 1.577256) and 2 - nu, and the steep case, where (2 nu h / z)^6 is largest:
+# nu = 10.3 from z = 0.5 at the wide gap.
+_GAP_CASES = {
+    f"{kind}-{mu}-h{gap}": (mu, mu if kind == "equal" else -mu, 0.5, 15.0, points)
+    for gap, points in (("2.4e-3", 6043), ("4e-4", 36251))
+    for kind in ("equal", "opposite")
+    for mu in (0.577256, 1.422744)
+}
+_GAP_CASES["equal-10.3-h2.4e-3"] = (10.3, 10.3, 0.5, 15.0, 6043)
+_GAP_CHECKPOINTS = 25  # evenly spaced grid points at which the table holds F1
+
+
+def _gap_checkpoints(case: str) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into the grid of ``case``, and the grid itself."""
+    _, _, lo, hi, points = _GAP_CASES[case]
+    return np.linspace(0, points - 1, _GAP_CHECKPOINTS).round().astype(int), np.linspace(lo, hi, points)
+
+
+def _mp_increments(mu: float, nu: float, zs) -> list:
+    """The integral of J_mu J_nu / t from zs[0] to each of zs[1:], by mpmath's
+    quadrature at the working precision, segment by segment."""
+    f = lambda t: mpmath.besselj(mu, t) * mpmath.besselj(nu, t) / t
+    acc, out = mpmath.mpf(0), []
+    for a, b in zip(zs[:-1], zs[1:]):
+        acc += mpmath.quad(f, [mpmath.mpf(float(a)), mpmath.mpf(float(b))])
+        out.append(acc)
+    return out
+
+
+@functools.cache
+def _gap_table() -> dict:
+    path = Path(__file__).resolve().parent / "reference" / "f1_small_gap.json"
+    return json.loads(path.read_text())["cases"]
+
+
+class TestSmallGapTable:
+    """The degenerate F1 on fine grids against mpmath's increments, from the
+    committed table tests/reference/f1_small_gap.py writes."""
+
+    @pytest.mark.parametrize("case", sorted(_GAP_CASES))
+    def test_increments_against_mpmath(self, case):
+        # measured: at most 5.7e-16 of max|F1|; a 2-point Gauss rule on each
+        # gap, summed by np.cumsum, read 2.9e-15 to 9.4e-13 on these cases
+        mu, nu = _GAP_CASES[case][:2]
+        idx, zs = _gap_checkpoints(case)
+        got = f1_integral(zs, mu, nu)
+        inc = got[idx[1:]] - got[0]
+        with mpmath.workdps(30):
+            ref = [mpmath.mpf(v) for _, _, v in _gap_table()[case]["points"]]
+            worst = max(float(abs(g - r)) for g, r in zip(inc, ref))
+        assert worst <= 2e-15 * np.max(np.abs(got))
+
+    def test_table_matches_cases_and_mpmath(self):
+        # the table's grids are the test's, and a seeded 3 of its first
+        # increments agree with a fresh mpmath quadrature
+        table = _gap_table()
+        assert sorted(table) == sorted(_GAP_CASES)
+        for case, (mu, nu, lo, hi, points) in _GAP_CASES.items():
+            idx, zs = _gap_checkpoints(case)
+            entry = table[case]
+            assert entry["case"] == [mu, nu, lo, hi, points]
+            assert [[i, z] for i, z, _ in entry["points"]] == [[int(i), float(zs[i])] for i in idx[1:]]
+        rng = random.Random(5)
+        with mpmath.workdps(30):
+            for case in rng.sample(sorted(_GAP_CASES), 3):
+                mu, nu = _GAP_CASES[case][:2]
+                idx, zs = _gap_checkpoints(case)
+                k = rng.randrange(2)
+                ref = _mp_increments(mu, nu, zs[idx[:k + 2]])[k]
+                assert abs(mpmath.mpf(_gap_table()[case]["points"][k][2]) - ref) <= 1e-25 * abs(ref)
 
 
 class TestF2F3:
@@ -383,6 +502,30 @@ class TestUvPair:
         call(np.linspace(6.0, 20.0, 15))
         assert keys
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("grid, sweeps", [("fine", 2), ("coarse", 4)])
+    @pytest.mark.parametrize("m, a, exact", [(-1, 1.577256, False), (1, 0.3, False),
+                                             (2, 0.75, True)])
+    @pytest.mark.parametrize("call", ["uv_pair", "mode_f1", "cli-radial"])
+    def test_two_sweeps_per_point_set(self, call, m, a, exact, grid, sweeps, monkeypatch):
+        # every order of a mode is a whole offset of the fraction of nu or of
+        # -nu, also where fl(nu + 2) - 2 differs from nu in its last bit (the
+        # modes not exact); a fine grid from z <= 4 has no Gauss nodes
+        nu = abs(m + a)
+        assert ((nu + 2.0) - 2.0 == nu) == exact
+        lo, hi, steps = (0.5, 1.5, 501) if grid == "fine" else (6.0, 20.0, 15)
+        zs = np.linspace(lo, hi, steps)
+        assert (np.max(np.diff(zs)) <= radial._SMALL_GAP) == (grid == "fine")
+        keys = self._count_sweeps(monkeypatch)
+        if call == "uv_pair":
+            uv_pair(zs, m, a, PARAMS)
+        elif call == "mode_f1":
+            mode_f1(zs, m, a, PARAMS)
+        else:
+            cli.main(["radial", "--m", str(m), "--alpha", repr(a), "--z-min", repr(lo),
+                      "--z-max", repr(hi), "--steps", str(steps), "--out", os.devnull])
+        assert len(keys) == sweeps
+        assert len({points for _, points in keys}) == sweeps // 2
 
     @pytest.mark.parametrize("m, a", [(1, 0.3), (0, 0.5), (-1, 0.3), (2, 0.6)])
     def test_negative_rows_match_bessel_j(self, m, a):
