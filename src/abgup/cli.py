@@ -13,16 +13,20 @@ Output is CSV (17 significant digits, deterministic row order; grid points
 inside exclusion margins appear as `# skipped ...` comment lines) or JSON
 (scan records use the amplitude-dump schema with f0/f1 split into real and
 imaginary parts; skipped points are listed separately). One writer,
-``_write``, emits both for every subcommand: a row template with constant
-columns formatted into it once, repeated per row as one byte matrix. The
-float columns' text is built in numpy by ``_float_cells``, byte for byte
-the text of ``%.17g`` (CSV) or ``float.__repr__`` (JSON); it hands the few
-values whose rounding it cannot decide, and any other value, to CPython.
+``_write``, emits both for every subcommand, chunk by chunk: a row template
+with constant columns formatted into it once fills one byte matrix per
+call, each chunk of rows fills in its values' cells, and each chunk is
+written out as soon as it is made, so no copy of the whole document is
+held. The float columns' text is built in numpy by ``_float_cells``, byte
+for byte the text of ``%.17g`` (CSV) or ``float.__repr__`` (JSON); it hands
+the few values whose rounding it cannot decide, and any other value, to
+CPython.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -63,11 +67,12 @@ def _parse_vec(text: str, name: str) -> np.ndarray:
 _FAST_MIN, _FAST_MAX = 1e-280, 1e290  # |x| it decides; 10**p is a normal double-double there
 _DOUBT = 1e-9  # a rounding this close to a tie or an interval edge is left to CPython
 _P_MIN, _P_MAX = -280, 300  # the powers of ten 10**p it scales by
-# One value's cells, six uint64 words: a sign, "0." and three zeros (the
-# fixed form below 1), then 17 digits each followed by a point cell, then
-# three cells never kept and "e+000". Digits 2-17 fill words 1-4, four each.
-_CELLS = 48
-_CHUNK = 2048  # floats formatted per pass: 8192 was no faster and held 2 MB more at the peak
+# One value's cells, four uint64 words: a sign, "0." and three zeros (the
+# fixed form below 1), the first digit and a point cell; digits 2-17; then a
+# cell for digit 17, "e+000" and two cells never kept. A point after digit
+# 2 .. 16 moves the digits after it one cell on.
+_CELLS = 32
+_CHUNK = 4096  # floats formatted per chunk: 2048 wrote radial about 10% slower, 8192 no faster
 _E16 = np.int64(10**16)
 _GROUP_ROWS = np.arange(0, 4 * 10**4, 10**4, dtype=np.int32)[:, None]  # in _words' last table
 
@@ -95,25 +100,23 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lookup tables of cell words: the first word for a leading digit
-    0 .. 9; a word of four digits g = 0 .. 9999 with their point cells; the
+    0 .. 9; four digits g = 0 .. 9999 as a uint32 of four cells; the
     last word for an exponent k = -400 .. 400. Then, for the group of
     digits 4j + 2 .. 4j + 5 (j = 0 .. 3) holding g, at 10^4 j + g, the
     number of digits up to its last nonzero one, 0 for g = 0."""
     g = np.arange(10**4)
     digits = g[:, None] // np.array([1000, 100, 10, 1]) % 10
-    cells = np.full((g.size, 8), ord("."), np.uint8)
-    cells[:, ::2] = 48 + digits
     zeros = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)  # trailing zeros, 4 for g = 0
     last = np.concatenate([np.where(g > 0, 4 * j + 5 - zeros, 0) for j in range(4)]).astype(np.uint8)
     heads = np.array([b"-0.000%d." % v for v in range(10)]).view(np.uint64)
-    exponents = np.array([b"   e%+04d" % k for k in range(-400, 401)]).view(np.uint64)
-    return heads, cells.view(np.uint64).ravel(), exponents, last
+    exponents = np.array([b"\0e%+04d" % k for k in range(-400, 401)], "S8").view(np.uint64)
+    return heads, (48 + digits).astype(np.uint8).view(np.uint32).ravel(), exponents, last
 
 
 @functools.cache
 def _layouts(shortest: bool) -> tuple[np.ndarray, np.ndarray]:
     """The cells a value's text keeps, for every layout, as masks of 0xff
-    bytes over its six cell words; and, for each exponent k = -400 .. 400,
+    bytes over its four cell words; and, for each exponent k = -400 .. 400,
     the first row of its form's layouts.
 
     A layout is row ``(form * 18 + n) * 2 + negative``, where n is the
@@ -130,10 +133,11 @@ def _layouts(shortest: bool) -> tuple[np.ndarray, np.ndarray]:
     keep = np.zeros((key.size, _CELLS), bool)
     keep[:, 0] = key % 2 == 1
     keep[:, 1:6] = (fixed & (k < 0))[:, None] & (np.arange(1, 6) < 2 - k[:, None])  # "0.", zeros
-    keep[:, 6:40:2] = np.arange(1, 18) <= digits[:, None]
-    keep[:, 7:40:2] = np.arange(1, 18) == point[:, None]
-    keep[:, [43, 44, 46, 47]] = ~fixed[:, None]
-    keep[:, 45] = form == 22
+    keep[:, 6] = True  # the first digit
+    keep[:, 7] = point == 1
+    keep[:, 8:25] = np.arange(17) < (digits - 1 + (point > 1))[:, None]  # digits 2 .. and a point
+    keep[:, [25, 26, 28, 29]] = ~fixed[:, None]
+    keep[:, 27] = form == 22
     k = np.arange(-400, 401)
     form = np.where((k >= -4) & (k < 17 - shortest), k + 4, np.where(np.abs(k) >= 100, 22, 21))
     return (keep * np.uint8(255)).view(np.uint64), (36 * form).astype(np.int32)
@@ -225,11 +229,19 @@ def _float_cells(x: np.ndarray, shortest: bool, fallback) -> np.ndarray:
     groups[1::2] = halves - high * 10**4
     words = np.empty((x.size, _CELLS // 8), np.uint64)
     words[:, 0] = heads.take(lead - zero)  # 0 for zero, whose steps were those of 1.0
-    words[:, 1:5] = quads.take(groups).T
-    k += 400
-    words[:, 5] = exponents.take(k)
+    words[:, 1:3].view(np.uint32)[:] = quads.take(groups).T
+    words[:, 3] = exponents.take(k + 400)
+    inside = np.flatnonzero((k > 0) & (k < 16))  # a point after digit k + 1, one of 2 .. 16
+    if inside.size:  # it takes cell k + 8, and each digit after it moves one cell on
+        w1, w2, w3 = words[inside, 1:].T
+        q = k[inside].astype(np.uint64) * 8  # the point's bit in words 1-2, little-endian
+        s1, s2 = np.minimum(q, 64), np.maximum(q, 64) - 64
+        m1, m2 = (1 << s1) - 1, (1 << s2) - 1  # the bits before the point (1 << 64 is 0 in numpy)
+        words[inside, 1] = (w1 & m1) | (46 << s1) | ((w1 & ~m1) << 8)
+        words[inside, 2] = (w2 & m2) | np.where(q < 64, w1 >> 56, 46 << s2) | ((w2 & ~m2) << 8)
+        words[inside, 3] = w3 | (w2 >> 56)
     n_digits = last.take(groups + _GROUP_ROWS).max(axis=0)
-    words &= masks.take(forms.take(k) + 2 * n_digits + np.signbit(x), axis=0)
+    words &= masks.take(forms.take(k + 400) + 2 * n_digits + np.signbit(x), axis=0)
 
     cells = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
@@ -273,21 +285,26 @@ def _write(
 
     Every row is one run of cells: the literal text of the row template
     (separators, keys, constant columns formatted once) around each read
-    column's cells, compressed to bytes once per chunk of rows.
+    column's cells. The document is written in chunks of rows, each as soon
+    as it is made: the header, then per chunk the template's cells with the
+    chunk's cells filled in, compressed to text, then the tail. No copy of
+    the whole document is made.
 
     A skip entry ``(position, note, record)`` puts ``record`` under
     ``"skipped"`` in JSON and the comment ``"# " + note % record`` before
-    row ``position`` in CSV.
+    row ``position`` in CSV, between two chunks.
     """
     names = [c if isinstance(c, str) else c[0] for c in columns]
     read = [i for i, c in enumerate(columns) if isinstance(c, str)]  # columns read from values
     width = len(read)
     n_rows = len(values) // width
     is_json = args.format == "json"
-    if isinstance(values, np.ndarray):
-        by_column = values.reshape(n_rows, width).T
-    else:
-        by_column = [values[j::width] for j in range(width)]
+    is_array = isinstance(values, np.ndarray)
+    by_column = values.reshape(n_rows, width).T if is_array else [values[j::width] for j in range(width)]
+    is_float = [is_array or all(issubclass(t, float) for t in set(map(type, c))) for c in by_column]
+    # the read columns' values as floats row after row (an array's own), zeros standing for any not float
+    floats = by_column.T if is_array else np.transpose(
+        [c if f else np.zeros(n_rows) for c, f in zip(by_column, is_float)])
 
     # the row template, "\0" standing for each read column's text, and its columns in order
     if is_json:
@@ -298,63 +315,48 @@ def _write(
         ]
         template = "    {\n" + ",\n".join(fields) + "\n    },\n"
         fallback = json.dumps
+        doc = {"records": [], "skipped": [rec for _, _, rec in skipped]}
+        doc = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        head, tail = doc.replace("[]", "[\n\0\n  ]" if n_rows else "[\0]", 1).split("\0")  # "records" first
     else:
         order = range(len(columns))
         template = ",".join("\0" if i in read else _csv_text(c[1], c[1]) for i, c in enumerate(columns)) + "\n"
         fallback = _NUM.__mod__
+        head, tail = ",".join(names) + "\n", ""
     # one row's cells: the template's literal text, NUL cells for each read column's slot
     literals = template.encode().split(b"\0")
-    slots, floats, row = [], [], literals[0]  # per slot: its first cell and its cells' source
+    slots, row = [], literals[0]  # per slot: its first cell, its end and its cells' source
     for literal, i in zip(literals[1:], [i for i in order if i in read]):
-        column = by_column[read.index(i)]
-        if isinstance(column, np.ndarray) or all(issubclass(t, float) for t in set(map(type, column))):
-            source = len(floats)  # a float column, formatted with the others
-            floats.append(column)
-            size = _CELLS
+        j = read.index(i)
+        column = by_column[j]
+        if is_float[j]:  # a column of floats: every width-th row of each chunk's cells from row j
+            source, size = j, _CELLS
         else:
             texts = map(json.dumps, column) if is_json else (_csv_text(v, column[0]) for v in column)
             source = _text_cells(list(texts))
             size = source.shape[1]
         slots.append((len(row), len(row) + size, source))
         row += bytes(size) + literal
-    row = np.frombuffer(row, np.uint8)
-    floats = np.column_stack(floats) if floats else np.empty((n_rows, 0))
 
-    chunks, ends, size = [], [], 0
-    step = max(1, _CHUNK // max(1, floats.shape[1]))
-    for start in range(0, n_rows, step):
-        stop = min(n_rows, start + step)
-        rows = np.empty((stop - start, row.size), np.uint8)
-        rows[:] = row
-        if floats.shape[1]:
+    step = max(1, _CHUNK // width)
+    rows = np.empty((min(step, n_rows), len(row)), np.uint8)  # the template, filled per chunk
+    rows[:] = np.frombuffer(row, np.uint8)
+    notes = {}  # CSV: the comments before each row
+    for position, note, rec in [] if is_json else skipped:
+        notes[position] = notes.get(position, "") + "# " + note % rec + "\n"
+    bounds = sorted({*range(0, n_rows, step), *notes, n_rows})  # chunks end at each comment
+    target = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    with target as out:
+        out.write(head)
+        for start, stop in zip(bounds, bounds[1:]):
+            out.write(notes.get(start, ""))
+            chunk = rows[: stop - start]
             cells = _float_cells(floats[start:stop].ravel(), is_json, fallback)
-            cells = cells.reshape(stop - start, -1, _CELLS)
-        for lo, hi, source in slots:
-            rows[:, lo:hi] = cells[:, source] if isinstance(source, int) else source[start:stop]
-        chunks.append(rows.tobytes().translate(None, b"\0"))
-        if skipped and not is_json:  # where each row ends, for the comments between rows
-            ends.append(size + np.cumsum(np.count_nonzero(rows, axis=1)))
-        size += len(chunks[-1])
-    body = b"".join(chunks)
-
-    if is_json:
-        rows = b"[\n" + body[:-2] + b"\n  ]" if n_rows else b"[]"  # the last row's ",\n" cut
-        tail = json.dumps({"skipped": [rec for _, _, rec in skipped]}, sort_keys=True, indent=2)
-        text = '{\n  "records": ' + rows.decode() + "," + tail[1:] + "\n"
-    else:
-        ends = np.concatenate([[0], *ends]).tolist()
-        parts = [",".join(names) + "\n"]
-        done = 0
-        for position, note, rec in skipped:
-            parts += [body[ends[done]:ends[position]].decode(), "# " + note % rec + "\n"]
-            done = position
-        parts.append(body[ends[done]:].decode())
-        text = "".join(parts)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for lo, hi, source in slots:
+                chunk[:, lo:hi] = cells[source::width] if isinstance(source, int) else source[start:stop]
+            text = chunk.tobytes().translate(None, b"\0")
+            out.write((text[:-2] if is_json and stop == n_rows else text).decode())  # the last ",\n" cut
+        out.write(notes.get(n_rows, "") + tail)
 
 
 def _params_from(args: argparse.Namespace) -> PhysicalParams:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from abgup import (
     selftest,
     width,
 )
-from abgup.cli import _build_parser, _float_cells, _write, main
+from abgup.cli import _CHUNK, _build_parser, _float_cells, _write, main
 
 
 def _rows(path):
@@ -605,6 +606,25 @@ class TestJsonWriter:
         assert doc["records"] and (doc["skipped"] or argv[0] == "radial")
         assert text == _reference_json(doc["records"], doc["skipped"])
 
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_chunk_edges(self, tmp_path, fold):
+        # a document of four or five chunks (three or four read columns), its
+        # skips at chunk edges, against json.dumps record by record
+        step = _CHUNK // 4
+        n_rows = 4 * step + 7
+        rng = np.random.default_rng(29)
+        x = (rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)).tolist()
+        y = rng.uniform(-20.0, 20.0, n_rows).tolist()
+        x[step - 1 : step + 2] = [math.nan, math.inf, -0.0]
+        c = 0.25
+        records = [{"i": i - 50, "x": x[i], "c": c, "y": y[i]} for i in range(n_rows)]
+        columns = ("i", "x", ("c", c) if fold else "c", "y")
+        values = [rec[k] for rec in records for k in columns if isinstance(k, str)]
+        positions = [0, step - 1, step, step, 2 * step + 1, n_rows]
+        skipped = [{"reason": "edge", "at": p} for p in positions]
+        got = _written(tmp_path, "json", columns, values, [(p, "", rec) for p, rec in zip(positions, skipped)])
+        assert got == _reference_json(records, skipped)
+
 
 class TestCsvWriter:
     def test_template_and_skips_in_place(self, tmp_path):
@@ -670,6 +690,84 @@ class TestCsvWriter:
         skipped = [{"reason": "mid", "at": math.nan}]
         got = _written(tmp_path, "json", names, values, [(1, "%(reason)s", skipped[0])])
         assert got == _reference_json(records, skipped)
+
+    def test_chunk_edges(self, tmp_path):
+        # a document of four chunks, with comments before row 0, on both sides
+        # of a chunk's last row and the next chunk's first, and after the last
+        # row, against CPython's text row by row
+        step = _CHUNK // 3
+        n_rows = 3 * step + 5
+        rng = np.random.default_rng(17)
+        x = (rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)).tolist()
+        y = rng.uniform(-20.0, 20.0, n_rows).tolist()
+        x[step - 1 : step + 2] = [math.nan, -math.inf, -0.0]
+        values = [v for i in range(n_rows) for v in (i - 50, x[i], y[i])]
+        positions = [0, step - 1, step, step, step + 1, 2 * step, n_rows, n_rows]
+        skipped = [(p, "edge %(at)d of %(why)s", {"at": p, "why": "a chunk"}) for p in positions]
+        expected = ["n,x,c,y\n"]
+        for i in range(n_rows + 1):
+            expected += ["# edge %d of a chunk\n" % i] * positions.count(i)
+            if i < n_rows:
+                expected.append("%d,%.17g,0.5,%.17g\n" % (i - 50, x[i], y[i]))
+        got = _written(tmp_path, "csv", ("n", "x", ("c", 0.5), "y"), values, skipped)
+        assert got == "".join(expected)
+
+
+class TestWriterOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_below_half_the_document(self, tmp_path, fmt):
+        # a radial-shaped document of 40,000 rows, written in chunks: no copy of
+        # the whole document is held
+        n_rows = 40_000
+        z = np.linspace(0.5, 16.0, n_rows)
+        f = np.column_stack((z, np.sin(z), np.cos(z) / z, 1e-3 * z * np.sin(3 * z), -1e-5 * np.cos(z)))
+        values = f.ravel()
+        columns = ("z", ("m", 1), ("alpha_prime", 0.3), "re_f0", "im_f0", "re_f1", "im_f1")
+        args = argparse.Namespace(format=fmt, out=str(tmp_path / f"doc.{fmt}"))
+        _write(args, columns, values[:50], [])  # the formatter's tables are built on first use
+        tracemalloc.start()
+        try:
+            _write(args, columns, values, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(args.out)
+        assert size > 4_000_000
+        assert peak < size / 2, (peak, size)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radial", "--m", "1", "--alpha", "0.3", "--z-min", "0.5", "--z-max", "16",
+             "--steps", "5000", "--beta", "0.01"],
+            ["trajectory", "--field", "ab", "--alpha", "0", "--x0", "0.7,0",
+             "--p0=-1,0", "--dt", "0.01", "--steps", "100"],
+        ],
+    )
+    def test_file_and_stdout_get_the_same_bytes(self, tmp_path, argv, fmt):
+        # a radial dump of many chunks, and a truncated trajectory with its skip
+        out = tmp_path / f"doc.{fmt}"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        rc, text, err = _run_to_stdout([*argv, "--format", fmt])
+        assert rc == 0 and err == ""
+        assert out.read_bytes() == text.encode()
+        assert "truncated" in text if argv[0] == "trajectory" else text.count("\n") > 5000
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["radial", "--alpha", "0.3", "--z-min", "0.05"], 1),
+            (["radial", "--alpha", "0.3", "--m", "200", "--beta", "0.01", "--steps", "3",
+              "--z-min", "5"], 2),
+            (["trajectory", "--dt", "1e300", "--steps", "3"], 2),
+        ],
+    )
+    def test_failed_run_creates_no_file(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "doc.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("abgup: ")
+        assert not out.exists()
 
 
 _CPYTHON_TEXT = {False: "%.17g".__mod__, True: float.__repr__}  # by _float_cells' shortest
